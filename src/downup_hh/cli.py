@@ -25,23 +25,26 @@ from .cohomology import (
     hh2_substitution_needed,
     hh_dims_closed_form,
     hh_dims_computed,
+    sample_instances,
     stratum_samples,
     verify_bases,
 )
 from .core import Instance, Q, canonical_instance, classify
-from .invariants import derived_invariants, happel_trace_check
+from .invariants import (
+    derived_invariants,
+    happel_trace_check,
+    unipotent_closed_form,
+)
 from .resolution import HomComplex, L2_display, rank_L1_closed_form, tau_label
 from .yoneda import (
     LIFT_SIGN,
     closed_form_lifts,
+    pairs_vec,
     ring_row_defect_expected,
     ring_row_report,
 )
 
 _RATIONAL = re.compile(r"^[+-]?\d+(/\d+)?$")
-
-CHECK_GROUPS = ("dims", "complex", "bases", "display", "lifts", "ring",
-                "invariants")
 
 
 def parse_rational(text: str) -> Q:
@@ -80,12 +83,16 @@ def _failed(checks) -> int:
 
 # -- instance construction --------------------------------------------------
 
-def _build(args):
-    """(instance, k, swapped) from the flags, or exit 2 with a diagnostic."""
+def _build(args, reduced_only=None):
+    """(instance, k, swapped) from the flags, or exit 2 with a diagnostic.
+
+    `reduced_only` names a report that needs coprime weights, as in "ring
+    reporting works"; with it, weights that reduce exit 2 as well.
+    """
     try:
-        return canonical_instance(args.n, args.m, args.alpha, args.beta,
-                                  allow_reduce=args.reduce,
-                                  allow_swap=args.canonicalize)
+        inst, k, swapped = canonical_instance(
+            args.n, args.m, args.alpha, args.beta,
+            allow_reduce=args.reduce, allow_swap=args.canonicalize)
     except ValueError as exc:
         msg = str(exc).replace("pass allow_reduce to work with",
                                "pass --reduce to work with") \
@@ -93,20 +100,41 @@ def _build(args):
                                "pass --canonicalize to exchange")
         sys.stderr.write(f"error: {msg}\n")
         raise SystemExit(2)
+    if reduced_only and k != 1:
+        sys.stderr.write(f"error: {reduced_only} on the reduced pair; "
+                         "rerun with the coprime weights\n")
+        raise SystemExit(2)
+    return inst, k, swapped
 
 
-def _base_report(args, inst: Instance, k: int, swapped: bool) -> dict:
+def _base_report(args, inst: Instance, k: int, swapped: bool, dims) -> dict:
     c1, c2 = classify(inst)
     return {
         "instance": {"n": args.n, "m": args.m,
                      "alpha": fmt_q(args.alpha), "beta": fmt_q(args.beta)},
         "classification": {"cond1": c1.value, "cond2": c2.value},
-        "dims": {},
+        "dims": dict(zip(("h0", "h1", "h2"), dims)),
         "closed_form": {"k": k, "swapped": swapped, "canonical": inst.key()},
     }
 
 
 # -- compute ----------------------------------------------------------------
+
+DIMS_HEADER = ["instance", "case1", "case2", "h0", "h1", "h2", "chi",
+               "unipotent"]
+
+
+def _stratum_cells(label: str, inst: Instance) -> list:
+    c1, c2 = classify(inst)
+    return [label, c1.value, c2.value]
+
+
+def _dims_row(label: str, inst: Instance, dims, chi: int,
+              unipotent: bool) -> list:
+    """One DIMS_HEADER row, every cell a string."""
+    return (_stratum_cells(label, inst) + [str(d) for d in dims]
+            + [str(chi), "true" if unipotent else "false"])
+
 
 def cmd_compute(args) -> int:
     inst, k, swapped = _build(args)
@@ -114,8 +142,7 @@ def cmd_compute(args) -> int:
     comp = tuple(k * d for d in hh_dims_computed(C))
     closed = tuple(k * d for d in hh_dims_closed_form(inst))
     chi = k * euler_characteristic_closed_form(inst)
-    rep = _base_report(args, inst, k, swapped)
-    rep["dims"] = {"h0": comp[0], "h1": comp[1], "h2": comp[2]}
+    rep = _base_report(args, inst, k, swapped, comp)
     rep["closed_form"].update({"h0": closed[0], "h1": closed[1],
                                "h2": closed[2], "chi": chi})
     rep["checks"] = [
@@ -127,13 +154,10 @@ def cmd_compute(args) -> int:
     if args.format == "json":
         _emit_json(args, rep)
     elif args.format == "csv":
-        uni = derived_invariants(inst)["serre_unipotent"]
-        c1, c2 = classify(inst)
-        row = ",".join([f"n={args.n} m={args.m} alpha={fmt_q(args.alpha)} "
-                        f"beta={fmt_q(args.beta)}",
-                        c1.value, c2.value, str(closed[0]), str(closed[1]),
-                        str(closed[2]), str(chi), "true" if uni else "false"])
-        _emit(args, "instance,case1,case2,h0,h1,h2,chi,unipotent\n" + row + "\n")
+        row = _dims_row(f"n={args.n} m={args.m} alpha={fmt_q(args.alpha)} "
+                        f"beta={fmt_q(args.beta)}", inst, comp, chi,
+                        derived_invariants(inst)["serre_unipotent"])
+        _emit(args, ",".join(DIMS_HEADER) + "\n" + ",".join(row) + "\n")
     else:
         lines = [f"instance: {inst.key()}" + (f"  (k = {k}, swapped = {swapped})"
                                               if k != 1 or swapped else ""),
@@ -146,14 +170,6 @@ def cmd_compute(args) -> int:
     return _failed(rep["checks"])
 
 
-def _dims_csv_row(inst: Instance, k: int, unipotent: bool) -> str:
-    c1, c2 = classify(inst)
-    h0, h1, h2 = (k * d for d in hh_dims_closed_form(inst))
-    chi = k * euler_characteristic_closed_form(inst)
-    return ",".join([inst.key(), c1.value, c2.value, str(h0), str(h1), str(h2),
-                     str(chi), "true" if unipotent else "false"])
-
-
 # -- basis ------------------------------------------------------------------
 
 def _support(C: HomComplex, basis, vec) -> dict:
@@ -162,15 +178,10 @@ def _support(C: HomComplex, basis, vec) -> dict:
 
 
 def cmd_basis(args) -> int:
-    inst, k, swapped = _build(args)
-    if k != 1:
-        sys.stderr.write("error: basis reporting works on the reduced pair; "
-                         "rerun with the coprime weights\n")
-        raise SystemExit(2)
+    inst, k, swapped = _build(args, reduced_only="basis reporting works")
     C = HomComplex(inst)
     h0, h1, h2 = hh_dims_computed(C)
-    rep = _base_report(args, inst, k, swapped)
-    rep["dims"] = {"h0": h0, "h1": h1, "h2": h2}
+    rep = _base_report(args, inst, k, swapped, (h0, h1, h2))
     try:
         verify_bases(C)
         ok, why = True, "cocycles, independent modulo the image, full cardinality"
@@ -223,50 +234,45 @@ def _ideal_strings(pairs, ideal_rows) -> list:
     return out
 
 
-def _ring_checks(C: HomComplex, report: dict) -> list:
-    inst = C.inst
+def _ring_facts(C: HomComplex, report: dict):
+    """What the ring checks of `ring` and `verify` test: (stored row agrees,
+    defect row expected, C(a,2)-|I|+b == h2, that sum written out, dims)."""
     pres = report["presentation"]
-    _, h1, h2 = hh_dims_computed(C)
-    ncomb = pres["a"] * (pres["a"] - 1) // 2
-    count_ok = pres["a"] == h1 and ncomb - len(pres["ideal"]) + pres["b"] == h2
-    expected_defect = ring_row_defect_expected(inst)
     agree = (report["dims_match"] and report["row_self_consistent"]
              and report["ideal_match_after_rescale"])
-    checks = [
-        _check("presentation-degree-counts", count_ok,
-               f"a={pres['a']} (h1={h1}), C(a,2)-|I|+b = {ncomb}-{len(pres['ideal'])}+{pres['b']} (h2={h2})"),
-        _check("table-row-agreement", agree != expected_defect,
-               ("stored row reproduced" if agree else
-                "stored row fails its own degree-2 count; computed ideal kept")
-               + (", defect expected on this stratum" if expected_defect else "")),
-    ]
-    return checks
+    dims = hh_dims_computed(C)
+    ncomb, nrel = pres["a"] * (pres["a"] - 1) // 2, len(pres["ideal"])
+    return (agree, ring_row_defect_expected(C.inst),
+            ncomb - nrel + pres["b"] == dims[2],
+            f"C(a,2)-|I|+b = {ncomb}-{nrel}+{pres['b']}", dims)
 
 
 def cmd_ring(args) -> int:
-    inst, k, swapped = _build(args)
-    if k != 1:
-        sys.stderr.write("error: ring reporting works on the reduced pair; "
-                         "rerun with the coprime weights\n")
-        raise SystemExit(2)
+    inst, k, swapped = _build(args, reduced_only="ring reporting works")
     C = HomComplex(inst)
     report = ring_row_report(C)
     pres = report["presentation"]
-    rep = _base_report(args, inst, k, swapped)
-    h0, h1, h2 = hh_dims_computed(C)
-    rep["dims"] = {"h0": h0, "h1": h1, "h2": h2}
+    rep = _base_report(args, inst, k, swapped, hh_dims_computed(C))
     rep["ring"] = {
         "a": pres["a"], "b": pres["b"],
         "generators": pres["labels"],
         "ideal": _ideal_strings(pres["pairs"], pres["ideal"]),
         "stored_row_ideal": _ideal_strings(
-            [(i, j) for i in range(pres["a"]) for j in range(i + 1, pres["a"])],
-            [_row_vec(g, pres["a"]) for g in report["row"]["ideal"]]),
+            pres["pairs"],
+            [pairs_vec(g, pres["a"]) for g in report["row"]["ideal"]]),
         "stored_row_matches": report["ideal_match"],
         "stored_row_matches_after_rescale": report["ideal_match_after_rescale"],
         "rescale": [fmt_q(c) for c in report["rescale"]] if report["rescale"] else None,
     }
-    rep["checks"] = _ring_checks(C, report)
+    agree, expected_defect, count_ok, count, (_, h1, h2) = _ring_facts(C, report)
+    rep["checks"] = [
+        _check("presentation-degree-counts", pres["a"] == h1 and count_ok,
+               f"a={pres['a']} (h1={h1}), {count} (h2={h2})"),
+        _check("table-row-agreement", agree != expected_defect,
+               ("stored row reproduced" if agree else
+                "stored row fails its own degree-2 count; computed ideal kept")
+               + (", defect expected on this stratum" if expected_defect else "")),
+    ]
     if args.format == "json":
         _emit_json(args, rep)
     else:
@@ -279,31 +285,13 @@ def cmd_ring(args) -> int:
     return _failed(rep["checks"])
 
 
-def _row_vec(gdict, a):
-    pairs = [(i, j) for i in range(1, a + 1) for j in range(i + 1, a + 1)]
-    idx = {pq: t for t, pq in enumerate(pairs)}
-    v = [Q(0)] * len(pairs)
-    for (p, q), c in gdict.items():
-        if p < q:
-            v[idx[(p, q)]] += c
-        else:
-            v[idx[(q, p)]] -= c
-    return v
-
-
 # -- invariants -------------------------------------------------------------
 
 def cmd_invariants(args) -> int:
-    inst, k, swapped = _build(args)
-    if k != 1:
-        sys.stderr.write("error: invariants work on the reduced pair; "
-                         "rerun with the coprime weights\n")
-        raise SystemExit(2)
+    inst, k, swapped = _build(args, reduced_only="invariants work")
     inv = derived_invariants(inst)
     hap = happel_trace_check(HomComplex(inst))
-    rep = _base_report(args, inst, k, swapped)
-    h0, h1, h2 = hh_dims_closed_form(inst)
-    rep["dims"] = {"h0": h0, "h1": h1, "h2": h2}
+    rep = _base_report(args, inst, k, swapped, hh_dims_closed_form(inst))
     rep["invariants"] = {
         "rank_K0": inv["rank_K0"],
         "chi_hh": fmt_q(inv["chi_trace"]),
@@ -339,86 +327,103 @@ def sweep_weights(max_sum: int):
             if n + m <= max_sum and math.gcd(n, m) == 1]
 
 
-def _instance_checks(inst: Instance, only) -> list:
-    """All cross-checks for one instance, as check dicts."""
-    key = inst.key()
-    out = []
+def _dims_checks(inst: Instance, C: HomComplex, fault) -> list:
+    comp, closed = hh_dims_computed(C), hh_dims_closed_form(inst)
+    return [("dims-match", comp == closed, f"{comp} vs {closed}")]
 
-    def want(group):
-        return only is None or only == group
 
-    def add(group, name, ok, detail):
-        out.append({"instance": key, "group": group, "name": name,
-                    "pass": bool(ok), "detail": detail})
+def _complex_checks(inst: Instance, C: HomComplex, fault) -> list:
+    return [("d-squared-zero", (C.D2 @ C.D1).is_zero(),
+             "composite of the two differentials"),
+            ("kernel-dim-one", len(C.basis0) - C.ranks[0] == 1,
+             "dim ker of the first differential")]
 
-    need_complex = any(want(g) for g in
-                       ("dims", "complex", "bases", "display", "lifts", "ring"))
-    C = HomComplex(inst) if need_complex else None
 
-    if want("dims"):
-        comp, closed = hh_dims_computed(C), hh_dims_closed_form(inst)
-        add("dims", "dims-match", comp == closed, f"{comp} vs {closed}")
-    if want("complex"):
-        add("complex", "d-squared-zero", (C.D2 @ C.D1).is_zero(),
-            "composite of the two differentials")
-        add("complex", "kernel-dim-one",
-            len(C.basis0) - C.D1.rank() == 1, "dim ker of the first differential")
-    if want("bases"):
-        try:
-            verify_bases(C)
-            add("bases", "bases-verified", True, "both bases verified")
-        except AssertionError as exc:
-            add("bases", "bases-verified", False, str(exc))
-    if want("display"):
-        add("display", "arrow-block-rank",
-            C.L1().rank() == rank_L1_closed_form(inst),
-            f"rank {C.L1().rank()}")
-        if inst.n == 1:
-            add("display", "x-power-block", C.L2() == L2_display(inst),
-                "closed-form block against the matrix")
-            if inst.m == 1:
-                add("display", "mirror-block", C.L2_star() == L2_display(inst),
-                    "closed-form block against the mirror matrix")
-    if want("lifts"):
-        lifts = closed_form_lifts(C)
-        basis = dict(hh1_basis(C))
-        bad = []
-        for lbl, cm in sorted(lifts.items()):
-            sign = LIFT_SIGN.get(lbl, Q(1))
-            if not (cm.verify() and
-                    cm.induced_vector() == [sign * c for c in basis[lbl]]):
-                bad.append(lbl)
-        add("lifts", "chain-maps-commute", not bad,
-            "all lifted maps" if not bad else f"failing: {' '.join(bad)}")
-    if want("ring"):
-        report = ring_row_report(C)
-        agree = (report["dims_match"] and report["row_self_consistent"]
-                 and report["ideal_match_after_rescale"])
-        expected_defect = ring_row_defect_expected(inst)
-        add("ring", "table-row-agreement", agree != expected_defect,
-            "row reproduced" if agree else "documented defect row")
-        pres = report["presentation"]
-        h2 = hh_dims_computed(C)[2]
-        ncomb = pres["a"] * (pres["a"] - 1) // 2
-        add("ring", "presentation-degree-counts",
-            ncomb - len(pres["ideal"]) + pres["b"] == h2,
-            f"C(a,2)-|I|+b = {ncomb}-{len(pres['ideal'])}+{pres['b']}, h2 = {h2}")
-    if want("invariants"):
-        hap = happel_trace_check(C if C is not None else HomComplex(inst))
-        add("invariants", "happel-trace", hap["match"],
-            f"{hap['chi_direct']} vs {fmt_q(hap['chi_trace'])}")
-        inv = derived_invariants(inst)
-        expected_uni = (inst.n, inst.m) in ((1, 1), (1, 2))
-        add("invariants", "unipotency-verdict",
-            inv["serre_unipotent"] == expected_uni,
-            f"unipotent = {inv['serre_unipotent']}")
+def _bases_checks(inst: Instance, C: HomComplex, fault) -> list:
+    try:
+        verify_bases(C)
+    except AssertionError as exc:
+        return [("bases-verified", False, str(exc))]
+    return [("bases-verified", True, "both bases verified")]
+
+
+def _display_checks(inst: Instance, C: HomComplex, fault) -> list:
+    rank = C.L1().rank()
+    out = [("arrow-block-rank", rank == rank_L1_closed_form(inst),
+            f"rank {rank}")]
+    if inst.n == 1:
+        block = L2_display(inst)
+        if fault == "lambda-sign":
+            # The bottom-right entry is exactly -lambda_{m+2}.
+            block.rows[-1][-1] = -block.rows[-1][-1]
+        out.append(("x-power-block", C.L2() == block,
+                    "closed-form block against the matrix"))
+        if inst.m == 1:
+            out.append(("mirror-block", C.L2_star() == block,
+                        "closed-form block against the mirror matrix"))
     return out
 
 
+def _lifts_checks(inst: Instance, C: HomComplex, fault) -> list:
+    basis = dict(hh1_basis(C))
+    bad = [lbl for lbl, cm in sorted(closed_form_lifts(C).items())
+           if not (cm.verify() and cm.induced_vector()
+                   == [LIFT_SIGN.get(lbl, Q(1)) * c for c in basis[lbl]])]
+    return [("chain-maps-commute", not bad,
+             "all lifted maps" if not bad else f"failing: {' '.join(bad)}")]
+
+
+def _ring_group_checks(inst: Instance, C: HomComplex, fault) -> list:
+    agree, expected_defect, count_ok, count, (_, _, h2) = _ring_facts(
+        C, ring_row_report(C))
+    return [("table-row-agreement", agree != expected_defect,
+             "row reproduced" if agree else "documented defect row"),
+            ("presentation-degree-counts", count_ok, f"{count}, h2 = {h2}")]
+
+
+def _invariants_checks(inst: Instance, C: HomComplex, fault) -> list:
+    hap = happel_trace_check(C)
+    uni = derived_invariants(inst)["serre_unipotent"]
+    return [("happel-trace", hap["match"],
+             f"{hap['chi_direct']} vs {fmt_q(hap['chi_trace'])}"),
+            ("unipotency-verdict", uni == unipotent_closed_form(inst.n, inst.m),
+             f"unipotent = {uni}")]
+
+
+# The verify gate's check groups, in report order: each maps (instance, its
+# Hom complex, the injected fault or None) to [(name, ok, detail)].
+CHECKS = {
+    "dims": _dims_checks,
+    "complex": _complex_checks,
+    "bases": _bases_checks,
+    "display": _display_checks,
+    "lifts": _lifts_checks,
+    "ring": _ring_group_checks,
+    "invariants": _invariants_checks,
+}
+
+
 def _verify_worker(item):
-    n, m, alpha, beta, fault, only = item
-    inst = Instance(n, m, Q(alpha), Q(beta), fault=fault)
-    return _instance_checks(inst, only)
+    """All cross-checks of one sampled instance, as check dicts."""
+    inst, fault, only = item
+    C = HomComplex(inst)
+    return [{"instance": inst.key(), "group": group, **_check(*check)}
+            for group in ([only] if only else CHECKS)
+            for check in CHECKS[group](inst, C, fault)]
+
+
+def verify_workers(value: str, n_items: int) -> int:
+    """Worker processes for `verify` from HH_THREADS, clamped to [1, CPUs,
+    items]; unset runs serially, and so does a non-integer, with a warning."""
+    if not value:
+        return 1
+    try:
+        wanted = int(value)
+    except ValueError:
+        sys.stderr.write(f"warning: HH_THREADS={value!r} is not an integer; "
+                         "running serially\n")
+        return 1
+    return max(1, min(wanted, os.cpu_count() or 1, n_items))
 
 
 def cmd_verify(args) -> int:
@@ -430,15 +435,11 @@ def cmd_verify(args) -> int:
             label = f"n={n} m={m} stratum (Case {c1.value}, Case {c2.value})"
             if rec["status"] != "reached":
                 strata_notes.append({"instance": label, "group": "sweep",
-                                     "name": "stratum-status", "pass": True,
-                                     "detail": rec["status"]})
+                                     **_check("stratum-status", True, rec["status"])})
                 continue
-            i = rec["instance"]
-            items.append((n, m, str(i.alpha), str(i.beta), args.inject_fault,
-                          args.only))
+            items.append((rec["instance"], args.inject_fault, args.only))
 
-    threads = os.environ.get("HH_THREADS", "")
-    workers = max(1, int(threads)) if threads.isdigit() else 1
+    workers = verify_workers(os.environ.get("HH_THREADS", ""), len(items))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_instance = list(pool.map(_verify_worker, items))
@@ -463,62 +464,43 @@ def cmd_verify(args) -> int:
 
 # -- table ------------------------------------------------------------------
 
-def _table_rows(which: str, max_sum: int) -> tuple[list, list]:
-    """(header, rows) with every cell already a string."""
-    rows = []
-    if which == "dims":
-        header = ["instance", "case1", "case2", "h0", "h1", "h2", "chi",
-                  "unipotent"]
-        for n, m in sweep_weights(max_sum):
-            uni = "true" if (n, m) in ((1, 1), (1, 2)) else "false"
-            for inst in _samples(n, m):
-                rows.append(_dims_csv_row(inst, 1, uni == "true").split(","))
-        return header, rows
-    if which == "hh1":
-        header = ["instance", "case1", "case2", "labels"]
-        for n, m in sweep_weights(max_sum):
-            for inst in _samples(n, m):
-                c1, c2 = classify(inst)
-                labels = [lbl for lbl, _ in hh1_basis(HomComplex(inst))]
-                rows.append([inst.key(), c1.value, c2.value, " ".join(labels)])
-        return header, rows
-    if which == "hh2":
-        header = ["instance", "case1", "case2", "count", "substituted",
-                  "labels"]
-        for n, m in sweep_weights(max_sum):
-            for inst in _samples(n, m):
-                c1, c2 = classify(inst)
-                labels = [lbl for lbl, _ in hh2_basis(HomComplex(inst))]
-                rows.append([inst.key(), c1.value, c2.value,
-                             str(len(labels)),
-                             "yes" if hh2_substitution_needed(inst) else "no",
-                             " ".join(labels)])
-        return header, rows
-    if which == "ring":
-        header = ["instance", "case1", "case2", "a", "b", "ideal"]
-        for n, m in sweep_weights(max_sum):
-            for inst in _samples(n, m):
-                c1, c2 = classify(inst)
-                C = HomComplex(inst)
-                report = ring_row_report(C)
-                pres = report["presentation"]
-                gens = _ideal_strings(pres["pairs"], pres["ideal"])
-                rows.append([inst.key(), c1.value, c2.value,
-                             str(pres["a"]), str(pres["b"]),
-                             "; ".join(gens) if gens else "0"])
-        return header, rows
-    raise ValueError(f"unknown table {which!r}")
+def _hh1_row(inst: Instance) -> list:
+    labels = [lbl for lbl, _ in hh1_basis(HomComplex(inst))]
+    return _stratum_cells(inst.key(), inst) + [" ".join(labels)]
 
 
-def _samples(n, m):
-    return [rec["instance"] for key, rec in sorted(
-        stratum_samples(n, m).items(),
-        key=lambda kv: (kv[0][0].value, kv[0][1].value))
-        if rec["status"] == "reached"]
+def _hh2_row(inst: Instance) -> list:
+    labels = [lbl for lbl, _ in hh2_basis(HomComplex(inst))]
+    return _stratum_cells(inst.key(), inst) + [
+        str(len(labels)), "yes" if hh2_substitution_needed(inst) else "no",
+        " ".join(labels)]
+
+
+def _ring_row(inst: Instance) -> list:
+    pres = ring_row_report(HomComplex(inst))["presentation"]
+    gens = _ideal_strings(pres["pairs"], pres["ideal"])
+    return _stratum_cells(inst.key(), inst) + [
+        str(pres["a"]), str(pres["b"]), "; ".join(gens) if gens else "0"]
+
+
+# `table --which` choices: (header, row of one sampled instance).  The dims
+# table renders the closed forms, which `verify` checks against computation.
+TABLES = {
+    "dims": (DIMS_HEADER, lambda inst: _dims_row(
+        inst.key(), inst, hh_dims_closed_form(inst),
+        euler_characteristic_closed_form(inst),
+        unipotent_closed_form(inst.n, inst.m))),
+    "hh1": (["instance", "case1", "case2", "labels"], _hh1_row),
+    "hh2": (["instance", "case1", "case2", "count", "substituted", "labels"],
+            _hh2_row),
+    "ring": (["instance", "case1", "case2", "a", "b", "ideal"], _ring_row),
+}
 
 
 def cmd_table(args) -> int:
-    header, rows = _table_rows(args.which, args.max_sum)
+    header, row_fn = TABLES[args.which]
+    rows = [row_fn(inst) for n, m in sweep_weights(args.max_sum)
+            for inst in sample_instances(n, m)]
     if args.format == "csv":
         payload = "\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n"
     elif args.format == "json":
@@ -558,30 +540,22 @@ def main(argv=None) -> int:
                     "graded down-up algebras")
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("compute", help="dimensions and classification")
-    _add_instance_flags(p)
-    p.add_argument("--format", choices=["json", "csv", "text"], default="json")
-    p.set_defaults(fn=cmd_compute)
-
-    p = sub.add_parser("basis", help="distinguished cocycle bases")
-    _add_instance_flags(p)
-    p.add_argument("--format", choices=["json", "text"], default="json")
-    p.set_defaults(fn=cmd_basis)
-
-    p = sub.add_parser("ring", help="Yoneda ring presentation")
-    _add_instance_flags(p)
-    p.add_argument("--format", choices=["json", "text"], default="json")
-    p.set_defaults(fn=cmd_ring)
-
-    p = sub.add_parser("invariants", help="Cartan, Coxeter trace, unipotency")
-    _add_instance_flags(p, with_params=False)
-    p.add_argument("--format", choices=["json", "text"], default="json")
-    p.set_defaults(fn=cmd_invariants)
+    for name, fn, helptext, formats in (
+            ("compute", cmd_compute, "dimensions and classification",
+             ["json", "csv", "text"]),
+            ("basis", cmd_basis, "distinguished cocycle bases", ["json", "text"]),
+            ("ring", cmd_ring, "Yoneda ring presentation", ["json", "text"]),
+            ("invariants", cmd_invariants, "Cartan, Coxeter trace, unipotency",
+             ["json", "text"])):
+        p = sub.add_parser(name, help=helptext)
+        _add_instance_flags(p, with_params=name != "invariants")
+        p.add_argument("--format", choices=formats, default="json")
+        p.set_defaults(fn=fn)
 
     p = sub.add_parser("verify", help="cross-check sweep; exit 0 iff clean")
     p.add_argument("--max-sum", type=int, default=8,
                    help="largest n+m in the sweep")
-    p.add_argument("--only", choices=CHECK_GROUPS,
+    p.add_argument("--only", choices=list(CHECKS),
                    help="restrict to one check group")
     p.add_argument("--inject-fault", choices=["lambda-sign"], default=None,
                    help="corrupt one closed form to test the failure path")
@@ -590,8 +564,7 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("table", help="regime tables from computation")
-    p.add_argument("--which", choices=["dims", "hh1", "hh2", "ring"],
-                   required=True)
+    p.add_argument("--which", choices=list(TABLES), required=True)
     p.add_argument("--max-sum", type=int, default=6)
     p.add_argument("--format", choices=["csv", "json", "tex"], default="csv")
     p.add_argument("--out")

@@ -32,8 +32,7 @@ from .resolution import HomComplex
 def hh_dims_computed(C: HomComplex):
     """(h0, h1, h2) from the ranks of D1 and D2."""
     d0, d1, d2 = C.dims
-    r1 = C.D1.rank()
-    r2 = C.D2.rank()
+    r1, r2 = C.ranks
     return (d0 - r1, (d1 - r2) - r1, d2 - r2)
 
 

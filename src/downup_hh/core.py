@@ -24,7 +24,7 @@ lambda_{-1} = 1/beta (hence lambda_1 = 1).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -78,18 +78,12 @@ def swap_weight_params(alpha: Fraction, beta: Fraction) -> tuple[Fraction, Fract
 
 @dataclass(frozen=True)
 class Instance:
-    """A graded down-up algebra in the canonical weight regime.
-
-    `fault` is a testing hook for the CLI mutation check: "lambda-sign"
-    negates lambda_{m+2}, which corrupts exactly one closed-form ingredient
-    so that verification against the direct computation must fail.
-    """
+    """A graded down-up algebra in the canonical weight regime."""
 
     n: int
     m: int
     alpha: Fraction
     beta: Fraction
-    fault: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", Q(self.alpha))
@@ -102,8 +96,6 @@ class Instance:
             raise ValueError(
                 f"weights ({self.n}, {self.m}) are not coprime; reduce them first"
             )
-        if self.fault not in (None, "lambda-sign"):
-            raise ValueError(f"unknown fault {self.fault!r}")
         object.__setattr__(self, "_lam_cache", {-1: 1 / self.beta, 0: Q(0), 1: Q(1)})
 
     @property
@@ -120,10 +112,7 @@ class Instance:
             top = max(cache)
             for s in range(top + 1, r + 1):
                 cache[s] = self.alpha * cache[s - 1] + self.beta * cache[s - 2]
-        value = cache[r]
-        if self.fault == "lambda-sign" and r == self.m + 2:
-            return -value
-        return value
+        return cache[r]
 
     def key(self) -> str:
         return f"n={self.n} m={self.m} alpha={self.alpha} beta={self.beta}"

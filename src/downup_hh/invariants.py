@@ -72,17 +72,29 @@ def happel_trace_check(C: HomComplex) -> dict:
             "match": Q(chi_direct) == chi_trace}
 
 
+def unipotent_closed_form(n: int, m: int) -> bool:
+    """The unipotency verdict in closed form: exactly weights (1,1) and (1,2)."""
+    return (n, m) in ((1, 1), (1, 2))
+
+
+# derived_invariants results by weight pair; the Cartan matrix, and with it
+# every invariant, does not depend on (alpha, beta).
+_INVARIANTS: dict = {}
+
+
 def derived_invariants(inst: Instance) -> dict:
     """Summary of the derived-equivalence invariants for one instance.
 
     trace_matches_rank is the necessary condition (tr s = rank K_0) for the
     Serre action to be unipotent -- failing it obstructs derived equivalence
-    with a smooth projective surface.
+    with a smooth projective surface.  Computed once per weight pair.
     """
-    rank = 2 * (inst.n + inst.m)
-    chi = euler_characteristic_trace(inst)
-    uni = serre_unipotent(inst)
-    return {"rank_K0": rank,
-            "chi_trace": chi,
-            "serre_unipotent": uni,
-            "trace_matches_rank": chi == Q(rank)}
+    key = (inst.n, inst.m)
+    if key not in _INVARIANTS:
+        rank = 2 * (inst.n + inst.m)
+        chi = euler_characteristic_trace(inst)
+        _INVARIANTS[key] = {"rank_K0": rank,
+                            "chi_trace": chi,
+                            "serre_unipotent": serre_unipotent(inst),
+                            "trace_matches_rank": chi == Q(rank)}
+    return dict(_INVARIANTS[key])

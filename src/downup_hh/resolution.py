@@ -39,6 +39,7 @@ arrow columns) and, for n = 1, the x-power block L2 are extracted from D2.
 """
 
 from fractions import Fraction as Q
+from functools import cached_property
 
 from .algebra import Beilinson, acc
 from .core import Instance
@@ -291,6 +292,11 @@ class HomComplex:
     @property
     def dims(self):
         return (len(self.basis0), len(self.basis1), len(self.basis2))
+
+    @cached_property
+    def ranks(self):
+        """(rank D1, rank D2), eliminated on first use and kept."""
+        return (self.D1.rank(), self.D2.rank())
 
     def L1(self):
         """Rows of the arrow-letter relation functionals against the arrow

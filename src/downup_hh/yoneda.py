@@ -555,7 +555,7 @@ def ring_row_report(C: HomComplex, rs=None):
                                                   pres["a"], pairs)
 
     printed_rank = len(_row_space(printed, len(pairs))) if dims_match else \
-        len(_row_space([_pairs_vec(g, row["a"]) for g in row["ideal"]],
+        len(_row_space([pairs_vec(g, row["a"]) for g in row["ideal"]],
                        row["a"] * (row["a"] - 1) // 2))
     ncomb = row["a"] * (row["a"] - 1) // 2
     h2 = len(rs["classes2"])
@@ -568,7 +568,7 @@ def ring_row_report(C: HomComplex, rs=None):
             "presentation": pres, "row": row}
 
 
-def _pairs_vec(gdict, a):
+def pairs_vec(gdict, a):
     """A row-numbering ideal generator as a vector over its own pair order."""
     pairs = [(i, j) for i in range(1, a + 1) for j in range(i + 1, a + 1)]
     idx = {pq: t for t, pq in enumerate(pairs)}

@@ -8,6 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from downup_hh.cli import CHECKS, sweep_weights, verify_workers
+from downup_hh.cohomology import sample_instances
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -113,6 +116,13 @@ class TestGoldenFiles:
         assert json.dumps(json.loads(r.stdout), indent=2) + "\n" == r.stdout
 
 
+@pytest.fixture(scope="module")
+def full_sweep_4():
+    r = run_cli("verify", "--max-sum", "4", "--format", "json")
+    assert r.returncode == 0
+    return json.loads(r.stdout)
+
+
 class TestVerify:
     def test_clean_sweep_exits_zero(self):
         r = run_cli("verify", "--max-sum", "3")
@@ -134,6 +144,32 @@ class TestVerify:
         for line in r.stdout.splitlines():
             if line.startswith("PASS") and "stratum" not in line:
                 assert "happel-trace" in line or "unipotency-verdict" in line
+
+    def test_lambda_sign_fault_fails_exactly_the_corner_blocks(self):
+        # The fault negates lambda_{m+2}, the bottom-right entry of the
+        # closed-form x-power block, so exactly the block checks of the n = 1
+        # instances with lambda_{m+2} != 0 fail, and nothing else does.
+        r = run_cli("verify", "--max-sum", "5", "--only", "display",
+                    "--inject-fault", "lambda-sign", "--format", "json")
+        failing = {(c["instance"], c["name"])
+                   for c in json.loads(r.stdout)["checks"] if not c["pass"]}
+        expected = {(inst.key(), name)
+                    for n, m in sweep_weights(5) if n == 1
+                    for inst in sample_instances(n, m) if inst.lam(m + 2) != 0
+                    for name in (("x-power-block", "mirror-block") if m == 1
+                                 else ("x-power-block",))}
+        assert expected and failing == expected
+        assert r.returncode == 1
+
+    @pytest.mark.parametrize("group", list(CHECKS))
+    def test_only_reports_the_group_of_the_full_sweep(self, group, full_sweep_4):
+        r = run_cli("verify", "--max-sum", "4", "--only", group,
+                    "--format", "json")
+        checks = [c for c in json.loads(r.stdout)["checks"]
+                  if c["group"] != "sweep"]
+        assert checks
+        assert checks == [c for c in full_sweep_4["checks"]
+                          if c["group"] == group]
 
     def test_parallel_aggregation_is_deterministic(self):
         serial = run_cli("verify", "--max-sum", "4", "--format", "json")
@@ -173,3 +209,18 @@ class TestReportCommands:
         assert rep["invariants"]["serre_unipotent"] is False
         assert rep["invariants"]["surface_obstructed"] is True
         assert rep["invariants"]["chi_hh"] == "7"
+
+
+class TestVerifyWorkers:
+    # verify_workers only computes the count; no pool is started here.
+    @pytest.mark.parametrize("value,items,cpus,expected", [
+        ("", 50, 4, 1), ("0", 50, 4, 1), ("-2", 50, 4, 1), ("abc", 50, 4, 1),
+        (" 2 ", 50, 4, 2), ("1000000", 50, 4, 4), ("8", 3, 4, 3),
+        ("8", 3, None, 1),
+    ])
+    def test_clamped_to_cpus_and_items(self, value, items, cpus, expected,
+                                       monkeypatch, capsys):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert verify_workers(value, items) == expected
+        warned = capsys.readouterr().err
+        assert warned.count("warning") == (1 if value == "abc" else 0)

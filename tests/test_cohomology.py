@@ -26,7 +26,7 @@ from downup_hh.cohomology import (
     stratum_samples,
     verify_bases,
 )
-from downup_hh.linalg import QPoly
+from downup_hh.linalg import QMatrix, QPoly
 from downup_hh.resolution import HomComplex
 
 I, II = Cond1.CASE_I, Cond1.CASE_II
@@ -47,6 +47,16 @@ class TestDimensions:
     def test_computed_equals_closed_form(self, inst):
         C = HomComplex(inst)
         assert hh_dims_computed(C) == hh_dims_closed_form(inst)
+
+    def test_ranks_are_eliminated_once_on_first_use(self, monkeypatch):
+        calls = []
+        rank = QMatrix.rank
+        monkeypatch.setattr(QMatrix, "rank",
+                            lambda M: calls.append(M.shape) or rank(M))
+        C = HomComplex(Instance(1, 3, Q(0), Q(1)))
+        assert calls == []
+        assert hh_dims_computed(C) == hh_dims_computed(C) == (1, 4, 8)
+        assert calls == [C.D1.shape, C.D2.shape]
 
     def test_h0_is_one_and_higher_vanish(self):
         # the complex stops at P2^, so HH^r = 0 for r >= 3 by construction;

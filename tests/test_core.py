@@ -25,8 +25,6 @@ def test_instance_validation():
         Instance(2, 1, Q(1), Q(1))  # n > m
     with pytest.raises(ValueError):
         Instance(2, 4, Q(1), Q(1))  # gcd > 1
-    with pytest.raises(ValueError):
-        Instance(1, 2, Q(1), Q(1), fault="bogus")
 
 
 def test_lambda_recurrence_and_seeds():
@@ -101,10 +99,3 @@ def test_canonical_instance():
     inst, k, swapped = canonical_instance(3, 2, Q(1), Q(2), allow_reduce=True, allow_swap=True)
     assert (inst.n, inst.m, k, swapped) == (2, 3, 1, True)
     assert (inst.alpha, inst.beta) == (Q(-1, 2), Q(1, 2))
-
-
-def test_fault_injection_flips_one_lambda():
-    good = Instance(1, 2, Q(1), Q(1))
-    bad = Instance(1, 2, Q(1), Q(1), fault="lambda-sign")
-    assert bad.lam(good.m + 2) == -good.lam(good.m + 2)
-    assert all(bad.lam(r) == good.lam(r) for r in range(-1, good.m + 2))

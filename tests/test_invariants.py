@@ -17,6 +17,7 @@ from downup_hh.invariants import (
     happel_trace_check,
     serre_matrix,
     serre_unipotent,
+    unipotent_closed_form,
 )
 from downup_hh.resolution import HomComplex
 
@@ -83,6 +84,13 @@ class TestUnipotence:
         assert inv["rank_K0"] == 2 * (n + m)
         assert inv["trace_matches_rank"] == inv["serre_unipotent"]
         assert inv["serre_unipotent"] == ((n, m) in UNIPOTENT_WEIGHTS)
+        assert inv["serre_unipotent"] == unipotent_closed_form(n, m)
+        # Results are kept per weight pair: every stratum sample must agree
+        # with the direct computation on that very instance.
+        for inst in sample_instances(n, m) if n + m <= 7 else []:
+            got = derived_invariants(inst)
+            assert got["serre_unipotent"] == serre_unipotent(inst), inst.key()
+            assert got["chi_trace"] == euler_characteristic_trace(inst), inst.key()
 
     @pytest.mark.parametrize("n,m", [(2, 3), (2, 5), (3, 4), (3, 5), (4, 5)])
     def test_surface_obstruction_for_interior_weights(self, n, m):
