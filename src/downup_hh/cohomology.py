@@ -241,12 +241,13 @@ def is_cocycle(C: HomComplex, vec) -> bool:
     return all(c == 0 for c in C.D2.matvec(vec))
 
 
-def independent_mod_image(M: QMatrix, vecs) -> bool:
-    """True iff the vectors stay independent modulo the column space of M."""
+def independent_mod_image(M: QMatrix, vecs, rank: int | None = None) -> bool:
+    """True iff the vectors stay independent modulo the column space of M;
+    `rank` is rank M when the caller already knows it."""
     if not vecs:
         return True
     A = QMatrix.from_columns(M.columns() + list(vecs))
-    return A.rank() == M.rank() + len(vecs)
+    return A.rank() == (M.rank() if rank is None else rank) + len(vecs)
 
 
 def coords_mod_image(M: QMatrix, basis_vecs, v):
@@ -262,13 +263,20 @@ def coords_mod_image(M: QMatrix, basis_vecs, v):
 def verify_bases(C: HomComplex):
     """Check both distinguished bases against the matrices; returns dims."""
     h0, h1, h2 = hh_dims_computed(C)
+    r1, r2 = C.ranks
+    # Explicit raises, not asserts: `python -O` must not switch the check off.
     b1 = hh1_basis(C)
-    assert all(is_cocycle(C, v) for _, v in b1)
-    assert independent_mod_image(C.D1, [v for _, v in b1])
-    assert len(b1) == h1
+    if not all(is_cocycle(C, v) for _, v in b1):
+        raise AssertionError("an HH^1 vector is not a cocycle")
+    if not independent_mod_image(C.D1, [v for _, v in b1], r1):
+        raise AssertionError("the HH^1 vectors are dependent modulo im D1")
+    if len(b1) != h1:
+        raise AssertionError(f"{len(b1)} HH^1 vectors for h1 = {h1}")
     b2 = hh2_basis(C)
-    assert independent_mod_image(C.D2, [v for _, v in b2])
-    assert len(b2) == h2
+    if not independent_mod_image(C.D2, [v for _, v in b2], r2):
+        raise AssertionError("the HH^2 vectors are dependent modulo im D2")
+    if len(b2) != h2:
+        raise AssertionError(f"{len(b2)} HH^2 vectors for h2 = {h2}")
     return (h0, h1, h2)
 
 

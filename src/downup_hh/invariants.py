@@ -67,7 +67,7 @@ def happel_trace_check(C: HomComplex) -> dict:
     """Happel's trace formula against the direct cohomology computation."""
     h0, h1, h2 = hh_dims_computed(C)
     chi_direct = h0 - h1 + h2
-    chi_trace = euler_characteristic_trace(C.inst)
+    chi_trace = derived_invariants(C.inst)["chi_trace"]
     return {"chi_direct": chi_direct, "chi_trace": chi_trace,
             "match": Q(chi_direct) == chi_trace}
 

@@ -1,5 +1,7 @@
 """Cohomology dimensions, distinguished bases, stratum sampling."""
 
+import subprocess
+import sys
 from fractions import Fraction as Q
 from math import gcd
 
@@ -123,6 +125,27 @@ class TestBases:
     def test_verify_bases(self, inst):
         C = HomComplex(inst)
         assert verify_bases(C) == hh_dims_closed_form(inst)
+
+    def test_verify_bases_still_fails_under_python_O(self):
+        # `python -O` strips assert statements; a basis short of one HH^1
+        # vector must be rejected all the same.
+        script = "\n".join([
+            "assert False, 'this interpreter keeps asserts'",
+            "from fractions import Fraction as Q",
+            "from downup_hh import cohomology",
+            "from downup_hh.core import Instance",
+            "from downup_hh.resolution import HomComplex",
+            "full = cohomology.hh1_basis",
+            "cohomology.hh1_basis = lambda C: full(C)[:-1]",
+            "try:",
+            "    cohomology.verify_bases(HomComplex(Instance(2, 3, Q(0), Q(1))))",
+            "except AssertionError as exc:",
+            "    print('rejected:', exc)",
+        ])
+        r = subprocess.run([sys.executable, "-O", "-c", script],
+                           capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == "rejected: 0 HH^1 vectors for h1 = 1\n"
 
     def test_hh0(self):
         C = HomComplex(Instance(2, 3, Q(1), Q(1)))
