@@ -18,6 +18,14 @@ meets that bar exactly at weights (1,1) and (1,2), and serre_unipotent
 confirms unipotence (by nilpotency of s - 1 and by the characteristic
 polynomial, cross-checked) precisely there; for m > n > 1 the mismatch
 rules the surface out.
+
+C is upper unitriangular Toeplitz: C[u][u+d] = h_d, the number of
+(a, b, c) with a*m + b*(n+m) + c*n = d, i.e. the coefficients of the
+Hilbert series 1/((1-t^n)(1-t^m)(1-t^{n+m})).  Its inverse is therefore
+the banded Toeplitz matrix of the polynomial (1-t^n)(1-t^m)(1-t^{n+m}),
+and s and Phi are integer matrices.  cartan_inverse builds C^{-1} from that
+closed form and certifies it by the exact product C^{-1} C = I on every
+call; each derived_invariants call builds C once and C^{-1} once.
 """
 
 from fractions import Fraction as Q
@@ -33,14 +41,34 @@ def cartan_matrix(inst: Instance) -> QMatrix:
     return Beilinson(inst).cartan_matrix()
 
 
+def cartan_inverse(inst: Instance, C: QMatrix) -> QMatrix:
+    """The banded Toeplitz C^{-1} of (1-t^n)(1-t^m)(1-t^{n+m}), certified
+    by the exact product C^{-1} C = I against the Cartan matrix C."""
+    n, m, ell = inst.n, inst.m, C.nrows
+    p = -(QPoly.x_pow_minus_one(n) * QPoly.x_pow_minus_one(m)
+          * QPoly.x_pow_minus_one(n + m))
+    band = p.coeffs + [Q(0)] * ell
+    inv = QMatrix([[band[v - u] if v >= u else 0 for v in range(ell)]
+                   for u in range(ell)])
+    if inv @ C != QMatrix.identity(ell):
+        raise AssertionError(f"closed-form C^-1 fails C^-1 C = I at {(n, m)}")
+    return inv
+
+
+def _serre_and_coxeter(inst: Instance) -> tuple[QMatrix, QMatrix]:
+    """s = C^{-1} C^T and Phi = -C^{-T} C from one Cartan matrix and one
+    certified inverse."""
+    C = cartan_matrix(inst)
+    inv = cartan_inverse(inst, C)
+    return inv @ C.transpose(), -(inv.transpose() @ C)
+
+
 def serre_matrix(inst: Instance) -> QMatrix:
-    M = cartan_matrix(inst)
-    return M.inverse() @ M.transpose()
+    return _serre_and_coxeter(inst)[0]
 
 
 def coxeter_matrix(inst: Instance) -> QMatrix:
-    M = cartan_matrix(inst)
-    return (M.transpose().inverse() @ M).scale(-1)
+    return _serre_and_coxeter(inst)[1]
 
 
 def euler_characteristic_trace(inst: Instance) -> Q:
@@ -49,12 +77,14 @@ def euler_characteristic_trace(inst: Instance) -> Q:
 
 
 def serre_unipotent(inst: Instance) -> bool:
-    """Whether the Serre automorphism acts unipotently.
+    """Whether the Serre automorphism acts unipotently."""
+    return _unipotent(serre_matrix(inst))
 
-    Decided twice -- (s - 1)^ell = 0 and char poly = (t - 1)^ell -- and the
-    two verdicts are required to agree.
-    """
-    s = serre_matrix(inst)
+
+def _unipotent(s: QMatrix) -> bool:
+    """Decided twice -- (s - 1)^ell = 0 through matrix products, and char
+    poly = (t - 1)^ell through Berkowitz's matrix-vector sums -- and the
+    two verdicts are required to agree."""
     ell = s.nrows
     nil = (s - QMatrix.identity(ell)).pow(ell).is_zero()
     poly = s.char_poly() == QPoly([Q(-1), Q(1)]).pow(ell)
@@ -92,9 +122,10 @@ def derived_invariants(inst: Instance) -> dict:
     key = (inst.n, inst.m)
     if key not in _INVARIANTS:
         rank = 2 * (inst.n + inst.m)
-        chi = euler_characteristic_trace(inst)
+        s, phi = _serre_and_coxeter(inst)
+        chi = -phi.trace()
         _INVARIANTS[key] = {"rank_K0": rank,
                             "chi_trace": chi,
-                            "serre_unipotent": serre_unipotent(inst),
+                            "serre_unipotent": _unipotent(s),
                             "trace_matches_rank": chi == Q(rank)}
     return dict(_INVARIANTS[key])

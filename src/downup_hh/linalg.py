@@ -2,7 +2,10 @@
 
 Everything downstream (Hom-complex ranks, kernel bases, Coxeter spectra)
 must be exact: a single rounded pivot would corrupt a cohomology dimension.
-Scalars are `fractions.Fraction`; matrices are dense row-major lists.
+Scalars are `fractions.Fraction`; matrices are dense row-major lists.  The
+elimination, the product and the characteristic polynomial below clear
+denominators first, compute over the integers and form Fractions only for
+their results.
 
 One elimination kernel, `QMatrix._eliminate(width)`, serves every solver.
 It clears each row of denominators and divides it by its content, then runs
@@ -12,15 +15,28 @@ row is divided by its gcd, so rows stay primitive, and rows with a zero in
 the pivot column are not touched.  Next to the rows and the pivot columns
 it returns the rational factor by which it scaled the determinant.  So
 rank counts pivots, rref, solve ([M | b]) and inverse ([M | I]) divide
-pivot rows by their pivots, det is the product of the pivots over that
-factor, and the characteristic polynomial interpolates det(k*I - M) at
-k = 0..n.
+pivot rows by their pivots, and det is the product of the pivots over that
+factor.
+
+The product A @ B clears row i of A by the lcm d_i of its denominators and
+all of B by one lcm e, adds a * (row k of e*B) over the nonzero entries a
+of d_i * (row i of A) only, and returns each entry v as v / (d_i * e).  So
+a sparse left factor costs one row operation per nonzero entry.
+
+The characteristic polynomial is Berkowitz's division-free recurrence
+(Inf. Process. Lett. 18, 1984) on the integer matrix d*M, d the lcm of all
+denominators: bordering the leading k x k block by row and column k
+multiplies its characteristic polynomial by a Toeplitz matrix whose entries
+come from k matrix-vector products.  Coefficient k of det(t*I - d*M) is
+d^(n-k) times that of det(t*I - M).  It shares no code with the
+elimination kernel or the product.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import mul
 
 Q = Fraction
 
@@ -49,11 +65,19 @@ class QMatrix:
         if any(len(r) != self.ncols for r in self.rows):
             raise ValueError("ragged rows")
 
+    @classmethod
+    def _of(cls, rows: list[list[Fraction]], ncols: int) -> "QMatrix":
+        """Wrap rows that already hold Fractions, with an explicit column
+        count (a matrix with no rows keeps it); neither copies nor checks."""
+        m = cls.__new__(cls)
+        m.rows, m.nrows, m.ncols = rows, len(rows), ncols
+        return m
+
     # -- construction -----------------------------------------------------
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "QMatrix":
-        return cls([[Q(0)] * ncols for _ in range(nrows)])
+        return cls._of([[Q(0)] * ncols for _ in range(nrows)], ncols)
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
@@ -64,12 +88,10 @@ class QMatrix:
 
     @classmethod
     def from_columns(cls, cols: list[list]) -> "QMatrix":
-        if not cols:
-            return cls([])
-        return cls([[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))])
+        return cls(cols).transpose()
 
     def copy(self) -> "QMatrix":
-        return QMatrix([row[:] for row in self.rows])
+        return QMatrix._of([row[:] for row in self.rows], self.ncols)
 
     # -- basics -----------------------------------------------------------
 
@@ -82,7 +104,8 @@ class QMatrix:
         return self.rows[i][j]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, QMatrix) and self.rows == other.rows
+        return (isinstance(other, QMatrix) and self.shape == other.shape
+                and self.rows == other.rows)
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
@@ -92,7 +115,8 @@ class QMatrix:
         return all(x == 0 for row in self.rows for x in row)
 
     def transpose(self) -> "QMatrix":
-        return QMatrix([[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)])
+        return QMatrix._of([[row[j] for row in self.rows] for j in range(self.ncols)],
+                           self.nrows)
 
     def column(self, j: int) -> list[Fraction]:
         return [self.rows[i][j] for i in range(self.nrows)]
@@ -101,12 +125,14 @@ class QMatrix:
         return [self.column(j) for j in range(self.ncols)]
 
     def submatrix(self, row_idx: list[int], col_idx: list[int]) -> "QMatrix":
-        return QMatrix([[self.rows[i][j] for j in col_idx] for i in row_idx])
+        return QMatrix._of([[self.rows[i][j] for j in col_idx] for i in row_idx],
+                           len(col_idx))
 
     def hstack(self, other: "QMatrix") -> "QMatrix":
         if self.nrows != other.nrows:
             raise ValueError("row count mismatch")
-        return QMatrix([self.rows[i] + other.rows[i] for i in range(self.nrows)])
+        return QMatrix._of([a + b for a, b in zip(self.rows, other.rows)],
+                           self.ncols + other.ncols)
 
     def trace(self) -> Fraction:
         if self.nrows != self.ncols:
@@ -118,37 +144,45 @@ class QMatrix:
     def __add__(self, other: "QMatrix") -> "QMatrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        return QMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
+        return QMatrix._of(
+            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
+            self.ncols)
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        return QMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
+        return QMatrix._of(
+            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
+            self.ncols)
 
     def __neg__(self) -> "QMatrix":
-        return QMatrix([[-x for x in row] for row in self.rows])
+        return QMatrix._of([[-x for x in row] for row in self.rows], self.ncols)
 
     def scale(self, c) -> "QMatrix":
         c = _as_q(c)
-        return QMatrix([[c * x for x in row] for row in self.rows])
+        return QMatrix._of([[c * x for x in row] for row in self.rows], self.ncols)
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.ncols != other.nrows:
             raise ValueError("inner dimension mismatch")
-        ot = other.transpose().rows
-        return QMatrix(
-            [[sum((a * b for a, b in zip(row, col)), Q(0)) for col in ot] for row in self.rows]
-        )
+        e, right = _cleared(other.rows)
+        zero, out = Q(0), []
+        for row in self.rows:
+            d = lcm(*(x.denominator for x in row))
+            acc = [0] * other.ncols
+            for a, r in zip(row, right):
+                if a:
+                    a = a.numerator * (d // a.denominator)
+                    acc = [s + a * y for s, y in zip(acc, r)]
+            de = d * e
+            out.append([Q(v, de) if v else zero for v in acc])
+        return QMatrix._of(out, other.ncols)
 
     def matvec(self, v: list) -> list[Fraction]:
         if len(v) != self.ncols:
             raise ValueError("vector length mismatch")
         vv = [_as_q(x) for x in v]
-        return [sum((a * b for a, b in zip(row, vv)), Q(0)) for row in self.rows]
+        return [sum((a * b for a, b in zip(row, vv) if a), Q(0)) for row in self.rows]
 
     def pow(self, k: int) -> "QMatrix":
         if self.nrows != self.ncols:
@@ -260,18 +294,30 @@ class QMatrix:
         return Q(prod(row[c] for row, c in zip(rows, pivots))) / factor
 
     def char_poly(self) -> "QPoly":
-        """det(t*I - M), as the polynomial through the values det(k*I - M)
-        at k = 0..n, in Newton's forward-difference form."""
+        """det(t*I - M) by Berkowitz's division-free recurrence on d*M."""
         if self.nrows != self.ncols:
             raise ValueError("char poly of non-square matrix")
         n = self.nrows
-        diffs = [(QMatrix.identity(n).scale(k) - self).det() for k in range(n + 1)]
-        poly, binom = QPoly([]), QPoly([1])  # binom = t(t-1)...(t-i+1) / i!
-        for i in range(n + 1):
-            poly = poly + binom.scale(diffs[0])
-            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-            binom = binom * QPoly([Q(-i, i + 1), Q(1, i + 1)])
-        return poly
+        d, a = _cleared(self.rows)
+        poly = [1]  # char poly of the leading k x k block, highest degree first
+        for k in range(n):
+            # Bordering the block A by the row R, the column S and the corner
+            # a_kk multiplies its char poly by the lower triangular Toeplitz
+            # matrix of [1, -a_kk, -R S, -R A S, ..., -R A^(k-1) S].
+            A, R = [row[:k] for row in a[:k]], a[k][:k]
+            col, v = [1, -a[k][k]], [row[k] for row in a[:k]]
+            for _ in range(k):
+                col.append(-sum(map(mul, R, v)))
+                v = [sum(map(mul, row, v)) for row in A]
+            poly = [sum(col[h - i] * poly[i] for i in range(min(h, k) + 1))
+                    for h in range(k + 2)]
+        return QPoly([Q(c, d ** h) for h, c in enumerate(poly)][::-1])
+
+
+def _cleared(rows: list[list[Fraction]]) -> tuple[int, list[list[int]]]:
+    """(e, e*rows) with e the lcm of every denominator: the rows over Z."""
+    e = lcm(*(x.denominator for row in rows for x in row))
+    return e, [[x.numerator * (e // x.denominator) for x in row] for row in rows]
 
 
 class QPoly:

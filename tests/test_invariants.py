@@ -10,6 +10,7 @@ from downup_hh.cohomology import (
     sample_instances,
 )
 from downup_hh.invariants import (
+    cartan_inverse,
     cartan_matrix,
     coxeter_matrix,
     derived_invariants,
@@ -49,6 +50,27 @@ class TestCartan:
                  Instance(n, m, Q(1), Q(-3, 7))]
         mats = [cartan_matrix(i) for i in insts]
         assert mats[0].rows == mats[1].rows == mats[2].rows
+
+
+class TestClosedFormInverse:
+    @pytest.mark.parametrize("n,m", [(n, m) for n, m in WEIGHTS if n + m <= 12])
+    def test_banded_inverse_equals_the_eliminated_inverse(self, n, m):
+        inst = an_instance(n, m)
+        C = cartan_matrix(inst)
+        assert cartan_inverse(inst, C) == C.inverse()
+
+    @pytest.mark.parametrize("u,v", [(0, 0), (0, 5), (3, 9), (2, 1)])
+    def test_certificate_rejects_a_perturbed_cartan_matrix(self, u, v):
+        inst = an_instance(2, 5)
+        C = cartan_matrix(inst)
+        C.rows[u][v] += 1
+        with pytest.raises(AssertionError):
+            cartan_inverse(inst, C)
+
+    @pytest.mark.parametrize("n,m", [(7, 9), (1, 15)])
+    def test_cayley_hamilton_for_the_serre_matrix(self, n, m):
+        s = serre_matrix(an_instance(n, m))
+        assert s.char_poly().eval_matrix(s).is_zero()
 
 
 class TestTraces:

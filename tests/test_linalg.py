@@ -3,7 +3,7 @@
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from downup_hh.linalg import QMatrix, QPoly, poly_gcd
 
@@ -14,8 +14,13 @@ def qmat(rows):
     return QMatrix([[Q(c) for c in row] for row in rows])
 
 
-# -- test-only references: textbook Fraction Gauss-Jordan and the
-# Faddeev-LeVerrier recurrence, for the differential test below ------------
+def mat(rows, ncols):
+    """QMatrix of the rows with ncols columns, also when there are no rows."""
+    return QMatrix(rows) if rows else QMatrix.zeros(0, ncols)
+
+
+# -- test-only references: textbook Fraction Gauss-Jordan, product and the
+# Faddeev-LeVerrier recurrence, for the differential tests below -----------
 
 def ref_rref(rows, ncols):
     """(reduced rows, pivot columns) by Gauss-Jordan over Fraction."""
@@ -48,6 +53,12 @@ def ref_char_poly(rows):
         for i in range(n):
             acc[i][i] += coeffs[-1]
     return coeffs[::-1]
+
+
+def ref_matmul(a, b, ncols):
+    """Textbook product of Fraction row lists; b has ncols columns."""
+    return [[sum((x * row[j] for x, row in zip(ar, b)), Q(0)) for j in range(ncols)]
+            for ar in a]
 
 
 def ref_solve(rows, b, ncols):
@@ -133,7 +144,55 @@ class TestQMatrix:
         assert p.coeffs[2] == -M.trace()
 
 
+mixed = st.one_of(st.just(Q(0)), st.fractions(min_value=-9, max_value=9,
+                                               max_denominator=12))
+
+
+@st.composite
+def product_pairs(draw):
+    """(a, b, ncols of b) with mixed denominators, zero rows and columns and
+    empty shapes (0 rows, 0 columns or an inner dimension of 0)."""
+    nr, inner, nc = (draw(st.integers(0, 5)) for _ in range(3))
+    a = [[draw(mixed) for _ in range(inner)] for _ in range(nr)]
+    b = [[draw(mixed) for _ in range(nc)] for _ in range(inner)]
+    if nr and draw(st.booleans()):
+        a[draw(st.integers(0, nr - 1))] = [Q(0)] * inner
+    if nc and draw(st.booleans()):
+        j = draw(st.integers(0, nc - 1))
+        for row in b:
+            row[j] = Q(0)
+    return a, b, nc
+
+
+class TestEmptyShapes:
+    def test_zeros_without_rows_keeps_its_columns(self):
+        assert QMatrix.zeros(0, 3).shape == (0, 3)
+
+    def test_transpose_of_a_matrix_without_columns(self):
+        assert QMatrix.zeros(2, 0).transpose().shape == (0, 2)
+        assert QMatrix.zeros(0, 2).transpose().shape == (2, 0)
+
+    def test_from_empty_columns(self):
+        assert QMatrix.from_columns([[], [], []]).shape == (0, 3)
+        assert QMatrix.from_columns([]).shape == (0, 0)
+
+    def test_product_over_an_empty_inner_dimension(self):
+        P = QMatrix.zeros(2, 0) @ QMatrix.zeros(0, 3)
+        assert P.shape == (2, 3) and P == QMatrix.zeros(2, 3)
+
+    def test_equality_sees_the_shape(self):
+        assert QMatrix.zeros(0, 3) != QMatrix.zeros(0, 2)
+
+
 class TestKernelAgainstReferences:
+    @given(product_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_product(self, pair):
+        a, b, nc = pair
+        P = mat(a, len(b)) @ mat(b, nc)
+        assert P.shape == (len(a), nc)
+        assert P.rows == ref_matmul(a, b, nc)
+
     @given(sparse_matrices(), st.lists(entries, min_size=6, max_size=6),
            st.lists(entries, min_size=6, max_size=6))
     @settings(max_examples=150, deadline=None)
@@ -167,6 +226,15 @@ class TestKernelAgainstReferences:
                 M.inverse()
         else:
             assert M.inverse() == QMatrix([row[n:] for row in red])
+
+    @given(st.integers(0, 6).flatmap(lambda n: st.lists(
+        st.lists(mixed, min_size=n, max_size=n), min_size=n, max_size=n)))
+    @example([[Q(1, 2), Q(1, 3), Q(0)], [Q(-2, 5), Q(0), Q(1, 4)],
+              [Q(0), Q(3, 7), Q(-1, 6)]])
+    @settings(max_examples=100, deadline=None)
+    def test_char_poly_with_denominators(self, rows):
+        # Berkowitz runs on d*M and divides coefficient k by d^(n-k).
+        assert QMatrix(rows).char_poly().coeffs == ref_char_poly(rows)
 
 
 class TestQPoly:
