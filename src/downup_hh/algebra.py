@@ -104,9 +104,6 @@ class Beilinson:
 
     # -- elements ---------------------------------------------------------
 
-    def zero(self):
-        return {}
-
     def e(self, v):
         """Trivial path at vertex v."""
         if not 1 <= v <= self.ell:
@@ -129,18 +126,6 @@ class Beilinson:
         if not 1 <= i <= count:
             raise ValueError(f"{letter}_{i} is not an arrow")
         return self.path(i, letter)
-
-    def add(self, a, b):
-        out = dict(a)
-        for k, c in b.items():
-            acc(out, k, c)
-        return out
-
-    def scale(self, a, c):
-        c = Q(c)
-        if not c:
-            return {}
-        return {k: c * v for k, v in a.items()}
 
     def mul(self, a, b):
         """Product in the path algebra quotient; non-composable pairs give 0."""
@@ -184,10 +169,6 @@ class Beilinson:
         if not (1 <= u <= self.ell and 1 <= v <= self.ell and u <= v):
             return []
         return [self.triple_word(a, b, c) for a, b, c in self.normal_triples(v - u)]
-
-    def dimension(self):
-        return sum(self.graded_dim(v - u)
-                   for u in range(1, self.ell + 1) for v in range(u, self.ell + 1))
 
     def cartan_matrix(self):
         """C[u][v] = dim e_{u+1} B e_{v+1} (0-indexed); upper unitriangular."""

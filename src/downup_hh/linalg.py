@@ -90,9 +90,6 @@ class QMatrix:
     def from_columns(cls, cols: list[list]) -> "QMatrix":
         return cls(cols).transpose()
 
-    def copy(self) -> "QMatrix":
-        return QMatrix._of([row[:] for row in self.rows], self.ncols)
-
     # -- basics -----------------------------------------------------------
 
     @property
@@ -157,10 +154,6 @@ class QMatrix:
 
     def __neg__(self) -> "QMatrix":
         return QMatrix._of([[-x for x in row] for row in self.rows], self.ncols)
-
-    def scale(self, c) -> "QMatrix":
-        c = _as_q(c)
-        return QMatrix._of([[c * x for x in row] for row in self.rows], self.ncols)
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.ncols != other.nrows:

@@ -24,6 +24,16 @@ stored as dicts mapping (generator, left source, left word, right word) to
 Fraction coefficients, the left path running into s(generator) and the right
 word starting at t(generator).
 
+The resolution has the standard contracting homotopy P0 -> P1 of a path
+algebra, which peels the right word off letter by letter:
+
+    contract(u (x) w_1...w_k) = sum_j  nf(u w_1...w_{j-1}) [w_j] w_{j+1}...w_k,
+
+[w_j] being the arrow generator of the letter w_j at its vertex.  The sum
+telescopes under d1, so  d1 . contract = id - (aug (x) e):  contract lifts
+every element of the kernel of the augmentation through d1, with no linear
+system to solve.
+
 Applying Hom_{B-bimod}(-, B) and using Hom(B e_u (x) e_v B, B) = e_u B e_v
 turns the resolution into the cochain complex
 
@@ -52,6 +62,8 @@ class Resolution:
     def __init__(self, inst: Instance):
         self.inst = inst
         self.B = Beilinson(inst)
+        self._d1 = {}
+        self._d2 = {}
 
     # -- generators -------------------------------------------------------
 
@@ -144,15 +156,21 @@ class Resolution:
         return out
 
     def d1(self, a):
-        """d1 on a P1 generator (an arrow)."""
-        B = self.B
-        av = B.path(a[1], a[0])
+        """d1 on a P1 generator (an arrow), computed once and kept; callers
+        only read the returned dict."""
+        if a in self._d1:
+            return self._d1[a]
+        av = self.B.path(a[1], a[0])
         lhs = self.rmul(self.gen_elem(("e", self.gen_source(a))), av)
         rhs = self.lmul(av, self.gen_elem(("e", self.gen_target(a))))
-        return self.p_add(lhs, self.p_scale(rhs, -1))
+        out = self._d1[a] = self.p_add(lhs, self.p_scale(rhs, -1))
+        return out
 
     def d2(self, h):
-        """d2 on a P2 generator (a relation)."""
+        """d2 on a P2 generator (a relation), computed once and kept; callers
+        only read the returned dict."""
+        if h in self._d2:
+            return self._d2[h]
         B = self.B
         src = self.gen_source(h)
         out = {}
@@ -165,6 +183,26 @@ class Resolution:
                 term = self.rmul(term, B.path(v + B.word_degree(letter), word[p + 1:]))
                 for k, cv in term.items():
                     acc(out, k, c * cv)
+        self._d2[h] = out
+        return out
+
+    def contract(self, p0_el):
+        """The contracting homotopy P0 -> P1 on a P0 element.
+
+        u (x) w_1...w_k goes to the sum over j of
+        nf(u w_1...w_{j-1}) [w_j] w_{j+1}...w_k.  The suffix needs no
+        rewriting: a factor of a normal word is normal.
+        """
+        B = self.B
+        out = {}
+        for (gen, ls, lw, rw), c in p0_el.items():
+            if gen[0] != "e":
+                raise ValueError(f"not a P0 element: generator {gen}")
+            v = gen[1]
+            for j, letter in enumerate(rw):
+                for w, c2 in B.normal_form(lw + rw[:j]).items():
+                    acc(out, ((letter, v), ls, w, rw[j + 1:]), c * c2)
+                v += B.word_degree(letter)
         return out
 
     def apply_map(self, fun, p_el):

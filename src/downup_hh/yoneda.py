@@ -12,9 +12,10 @@ phi . sigma^psi_1.
 
 Each distinguished HH^1 basis element has a closed-form lifting, assembled
 here literally (closed_form_lifts); an arbitrary cocycle is lifted by
-generic_lift, which places phi's value in a unit slot for sigma_0 and solves
-the sigma_1 equations per relation generator -- exactness of the resolution
-makes the linear systems solvable precisely for cocycles.  Cross-checking
+generic_lift, which places phi's value in a unit slot for sigma_0 and takes
+sigma_1(h) = contract(-sigma_0(d2(h))) through the resolution's contracting
+homotopy -- aug . sigma_0 . d2 = phi . d2 vanishes precisely for cocycles,
+and then d1 . contract is the identity on sigma_0(d2(h)).  Cross-checking
 the two liftings of the same class, and the left- against the right-slot
 generic lifting, exercises the fact that the induced product does not depend
 on the choice of lift.
@@ -283,8 +284,9 @@ def generic_lift(C: HomComplex, phi_vec, side="left"):
     """Lift an arbitrary degree-1 cocycle to a chain map.
 
     sigma_0 places the cochain value in the left (or right) unit slot;
-    sigma_1 is solved per relation generator over the spanning set
-    L (x) arrow (x) R.  Raises ValueError on a non-cocycle.
+    sigma_1(h) = contract(-sigma_0(d2(h))) through the resolution's
+    contracting homotopy, which lifts exactly when aug . sigma_0 . d2 = 0,
+    i.e. when phi is a cocycle.  Raises ValueError on a non-cocycle.
     """
     if not is_cocycle(C, phi_vec):
         raise ValueError("not a 1-cocycle")
@@ -306,34 +308,11 @@ def generic_lift(C: HomComplex, phi_vec, side="left"):
 
     s1 = {}
     for h in res.gens2():
-        rhs = res.apply_map(fun0, res.d2(h))
-        sh, th = res.gen_source(h), res.gen_target(h)
-        unknowns, cols = [], []
-        for a in res.gens1():
-            for L in B.hom_words(sh, res.gen_source(a)):
-                for R in B.hom_words(res.gen_target(a), th):
-                    key = (a, sh, L, R)
-                    unknowns.append(key)
-                    cols.append(res.apply_map(res.d1, {key: Q(1)}))
-        rows = {}
-        for col in cols:
-            for k in col:
-                rows.setdefault(k, len(rows))
-        for k in rhs:
-            rows.setdefault(k, len(rows))
-        if not rows:
-            continue
-        A = QMatrix.zeros(len(rows), len(unknowns))
-        for t, col in enumerate(cols):
-            for k, c in col.items():
-                A.rows[rows[k]][t] += c
-        bvec = [Q(0)] * len(rows)
-        for k, c in rhs.items():
-            bvec[rows[k]] -= c
-        u = A.solve(bvec)
-        if u is None:
-            raise AssertionError("lifting system unsolvable for a cocycle")
-        el = {k: c for k, c in zip(unknowns, u) if c}
+        z = res.p_scale(res.apply_map(fun0, res.d2(h)), -1)
+        if res.aug(z):
+            raise AssertionError("sigma_0 . d2 leaves the kernel of the "
+                                 "augmentation for a cocycle")
+        el = res.contract(z)
         if el:
             s1[h] = el
     return ChainMap(C, s0, s1)
@@ -406,8 +385,7 @@ def ring_structure(C: HomComplex):
             products[(pl, ql)] = cup_class(C, pv, lifts[ql].sigma1, vecs2)
     return {"labels": [lbl for lbl, _ in one],
             "classes2": [lbl for lbl, _ in two],
-            "products": products,
-            "lifts": lifts}
+            "products": products}
 
 
 def ring_presentation(C: HomComplex, rs=None):
@@ -547,14 +525,15 @@ def ring_row_report(C: HomComplex, rs=None):
             printed.append(v)
 
     computed = pres["ideal"]
-    ideal_match = dims_match and _row_space(printed, len(pairs)) == computed
+    printed_space = _row_space(printed, len(pairs))
+    ideal_match = dims_match and printed_space == computed
 
     match_rescaled, rescale = ideal_match, None
     if dims_match and not ideal_match:
         match_rescaled, rescale = _rescale_search(printed, computed,
                                                   pres["a"], pairs)
 
-    printed_rank = len(_row_space(printed, len(pairs))) if dims_match else \
+    printed_rank = len(printed_space) if dims_match else \
         len(_row_space([pairs_vec(g, row["a"]) for g in row["ideal"]],
                        row["a"] * (row["a"] - 1) // 2))
     ncomb = row["a"] * (row["a"] - 1) // 2

@@ -163,8 +163,8 @@ def test_criterion_3_defect_stored_hh2_row_verbatim():
 
 def test_criterion_4_chain_maps():
     """Each stored degree-1 lift satisfies both commuting squares generator
-    by generator, and the generic solver reproduces it up to coboundary
-    (equal product classes against every basis cocycle)."""
+    by generator, and the generic (homotopy) lift reproduces it up to
+    coboundary (equal product classes against every basis cocycle)."""
     for inst in all_instances():
         C = complex_for(inst)
         basis = dict(hh1_basis(C))

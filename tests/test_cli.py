@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from downup_hh.cli import CHECKS, sweep_weights, verify_workers
+from downup_hh.cli import CHECKS, main, sweep_weights, verify_workers
 from downup_hh.cohomology import sample_instances
+from downup_hh.resolution import Resolution
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -160,6 +161,24 @@ class TestVerify:
                                  else ("x-power-block",))}
         assert expected and failing == expected
         assert r.returncode == 1
+
+    def test_ring_group_fails_under_a_broken_homotopy(self, monkeypatch,
+                                                      capsys):
+        # dropping one term of every contraction breaks the generic lifts,
+        # and with them the products that the ring group checks
+        contract = Resolution.contract
+
+        def lossy(self, z):
+            out = contract(self, z)
+            return dict(list(out.items())[1:])
+
+        monkeypatch.setattr(Resolution, "contract", lossy)
+        monkeypatch.delenv("HH_THREADS", raising=False)
+        status = main(["verify", "--max-sum", "5", "--only", "ring",
+                       "--format", "json"])
+        summary = json.loads(capsys.readouterr().out)["summary"]
+        assert status == 1
+        assert summary["failed"] > 0
 
     @pytest.mark.parametrize("group", list(CHECKS))
     def test_only_reports_the_group_of_the_full_sweep(self, group, full_sweep_4):

@@ -1,5 +1,6 @@
 """The bimodule resolution, the Hom complex, and its matrices."""
 
+import random
 from fractions import Fraction as Q
 from math import gcd
 
@@ -74,6 +75,58 @@ class TestResolution:
                 assert ls + res.B.word_degree(lw) == res.gen_source(gen)
                 assert (res.gen_target(gen) + res.B.word_degree(rw)
                         == res.gen_target(h))
+
+
+def random_p0_element(res, rng, nterms=6):
+    """A random rational combination of tensors (("e", v), ls, lw, rw) with
+    lw and rw normal words through v."""
+    B = res.B
+    out = {}
+    while len(out) < nterms:
+        ls, v, t = sorted(rng.randint(1, B.ell) for _ in range(3))
+        lws, rws = B.hom_words(ls, v), B.hom_words(v, t)
+        if not (lws and rws):
+            continue
+        key = (("e", v), ls, rng.choice(lws), rng.choice(rws))
+        out[key] = out.get(key, 0) + Q(rng.randint(-5, 5), rng.randint(1, 4))
+    return {k: c for k, c in out.items() if c}
+
+
+class TestContractingHomotopy:
+    @pytest.mark.parametrize("n,m", WEIGHTS)
+    def test_d1_contract_is_identity_minus_augmentation(self, n, m):
+        rng = random.Random(100 * n + m)
+        res = Resolution(Instance(n, m, Q(2), Q(-3)))
+        for _ in range(20):
+            z = random_p0_element(res, rng)
+            want = dict(z)
+            for (ls, w), c in res.aug(z).items():
+                key = (("e", ls + res.B.word_degree(w)), ls, w, "")
+                want[key] = want.get(key, 0) - c
+            want = {k: c for k, c in want.items() if c}
+            assert res.apply_map(res.d1, res.contract(z)) == want
+
+    def test_contract_value(self):
+        # u (x) w_1 w_2 with u = x, w = yx at (1, 2): two terms, the first
+        # prefix x needing no rewriting, the second prefix x y neither
+        res = Resolution(Instance(1, 2, Q(3), Q(5)))
+        z = {(("e", 2), 1, "x", "yx"): Q(1)}
+        assert res.contract(z) == {(("y", 2), 1, "x", "x"): Q(1),
+                                   (("x", 4), 1, "xy", ""): Q(1)}
+
+    def test_differentials_are_computed_once_per_generator(self, monkeypatch):
+        runs = []
+        lmul = Resolution.lmul
+        monkeypatch.setattr(Resolution, "lmul",
+                            lambda self, a, p: runs.append(1) or lmul(self, a, p))
+        res = Resolution(Instance(1, 3, Q(0), Q(1)))
+        first = {g: res.d1(g) for g in res.gens1()}
+        first.update({h: res.d2(h) for h in res.gens2()})
+        assert runs
+        runs.clear()
+        assert all(res.d1(g) is first[g] for g in res.gens1())
+        assert all(res.d2(h) is first[h] for h in res.gens2())
+        assert runs == []
 
 
 def hat_dims(n, m):

@@ -1,5 +1,7 @@
 """Chain-map liftings, cup products and the ring structure of HH^*."""
 
+import random
+
 import pytest
 
 from downup_hh.core import Cond1, Cond2, Instance, Q, classify
@@ -10,6 +12,7 @@ from downup_hh.cohomology import (
     hh_dims_computed,
     sample_instances,
 )
+from downup_hh.linalg import QMatrix
 from downup_hh.resolution import HomComplex
 from downup_hh.yoneda import (
     LIFT_SIGN,
@@ -77,6 +80,37 @@ class TestGenericLift:
             cm = generic_lift(C, vec)
             assert cm.verify(), lbl
             assert cm.induced_vector() == vec, lbl
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("n,m,a,b", [
+        (1, 1, 0, 1), (1, 1, 2, -1), (1, 2, 1, -1), (1, 3, 0, 2),
+        (2, 3, 1, 1), (3, 5, 0, 1)])
+    def test_lifts_random_cocycles(self, n, m, a, b, side):
+        # random rational combinations of the basis plus a coboundary
+        rng = random.Random(f"{n},{m},{a},{b},{side}")
+        rand = lambda: Q(rng.randint(-4, 4), rng.randint(1, 3))
+        C = HomComplex(Instance(n, m, Q(a), Q(b)))
+        basis = [v for _, v in hh1_basis(C)]
+        for _ in range(3):
+            phi = C.D1.matvec([rand() for _ in C.basis0])
+            for v in basis:
+                c = rand()
+                phi = [x + c * y for x, y in zip(phi, v)]
+            cm = generic_lift(C, phi, side=side)
+            assert cm.verify()
+            assert cm.induced_vector() == phi
+
+    def test_builds_no_matrix(self, monkeypatch):
+        C = HomComplex(Instance(1, 3, Q(0), Q(1)))
+        basis = hh1_basis(C)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("generic_lift touched a matrix solver")
+
+        for name in ("zeros", "solve", "rref", "rank"):
+            monkeypatch.setattr(QMatrix, name, forbidden)
+        for lbl, vec in basis:
+            assert generic_lift(C, vec).induced_vector() == vec, lbl
 
     def test_rejects_non_cocycle(self):
         C = HomComplex(Instance(2, 3, Q(1), Q(1)))
