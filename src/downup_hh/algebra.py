@@ -64,9 +64,6 @@ class Beilinson:
     def is_valid(self, src, w):
         return 1 <= src <= self.ell and src + self.word_degree(w) <= self.ell
 
-    def redex_positions(self, w):
-        return [i for i in range(len(w) - 2) if w[i:i + 3] in (XXY, XYY)]
-
     def rewrite_at(self, w, i):
         """One rewriting step at position i; returns {word: coeff}."""
         red = w[i:i + 3]
@@ -126,19 +123,6 @@ class Beilinson:
         if not 1 <= i <= count:
             raise ValueError(f"{letter}_{i} is not an arrow")
         return self.path(i, letter)
-
-    def mul(self, a, b):
-        """Product in the path algebra quotient; non-composable pairs give 0."""
-        out = {}
-        for (s1, w1), c1 in a.items():
-            t1 = s1 + self.word_degree(w1)
-            for (s2, w2), c2 in b.items():
-                if s2 != t1:
-                    continue
-                c12 = c1 * c2
-                for w3, c3 in self.normal_form(w1 + w2).items():
-                    acc(out, (s1, w3), c12 * c3)
-        return out
 
     # -- graded structure -------------------------------------------------
 

@@ -57,6 +57,17 @@ def parse_rational(text: str) -> Q:
         raise argparse.ArgumentTypeError(f"{text!r} has denominator zero")
 
 
+def parse_max_sum(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    if value < 2:
+        raise argparse.ArgumentTypeError(
+            f"must be at least 2, the smallest n+m; got {value}")
+    return value
+
+
 def fmt_q(x) -> str:
     return str(Q(x))
 
@@ -430,8 +441,7 @@ def cmd_verify(args) -> int:
     items = []
     strata_notes = []
     for n, m in sweep_weights(args.max_sum):
-        for (c1, c2), rec in sorted(stratum_samples(n, m).items(),
-                                    key=lambda kv: (kv[0][0].value, kv[0][1].value)):
+        for (c1, c2), rec in stratum_samples(n, m).items():
             label = f"n={n} m={m} stratum (Case {c1.value}, Case {c2.value})"
             if rec["status"] != "reached":
                 strata_notes.append({"instance": label, "group": "sweep",
@@ -553,7 +563,7 @@ def main(argv=None) -> int:
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("verify", help="cross-check sweep; exit 0 iff clean")
-    p.add_argument("--max-sum", type=int, default=8,
+    p.add_argument("--max-sum", type=parse_max_sum, default=8,
                    help="largest n+m in the sweep")
     p.add_argument("--only", choices=list(CHECKS),
                    help="restrict to one check group")
@@ -565,7 +575,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("table", help="regime tables from computation")
     p.add_argument("--which", choices=list(TABLES), required=True)
-    p.add_argument("--max-sum", type=int, default=6)
+    p.add_argument("--max-sum", type=parse_max_sum, default=6)
     p.add_argument("--format", choices=["csv", "json", "tex"], default="csv")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_table)

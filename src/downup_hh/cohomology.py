@@ -22,7 +22,7 @@ transported by the weight swap rule when the input has n > m.
 from fractions import Fraction as Q
 from math import gcd
 
-from .core import Cond1, Cond2, Instance, canonical_instance, classify
+from .core import Cond1, Cond2, Instance, classify
 from .linalg import QMatrix, QPoly
 from .resolution import HomComplex
 
@@ -61,14 +61,6 @@ def hh_dims_closed_form(inst: Instance):
         raise ValueError(f"stratum {key} cannot occur at weights ({n}, {m})")
     h1, h2 = table[key]
     return (1, h1, h2)
-
-
-def hh_dims_general(n0: int, m0: int, alpha, beta):
-    """(h0, h1, h2) for arbitrary weights: gcd times the reduced value."""
-    inst, k, _ = canonical_instance(n0, m0, alpha, beta,
-                                    allow_reduce=True, allow_swap=True)
-    h0, h1, h2 = hh_dims_closed_form(inst)
-    return (k * h0, k * h1, k * h2)
 
 
 def euler_characteristic_closed_form(inst: Instance) -> int:
@@ -317,7 +309,8 @@ def rational_roots(p: QPoly):
 def stratum_samples(n: int, m: int):
     """For fixed coprime weights, one parameter pair per stratum.
 
-    Returns a dict mapping (Cond1, Cond2) to a record with keys
+    Returns a dict mapping (Cond1, Cond2) to a record, in report order
+    (Case I before Case II, then Case 1, 2, 3), with keys
     status ("reached" | "vacuous" | "no-rational-point"), and for reached
     strata the instance; the search for Case 1 with odd n uses the exact
     rational roots of lambda_{m+1}(1, beta).
@@ -327,9 +320,7 @@ def stratum_samples(n: int, m: int):
     C1, C2, C3 = Cond2.CASE_1, Cond2.CASE_2, Cond2.CASE_3
 
     if n % 2 == 1 and m % 2 == 1:
-        inst = Instance(n, m, Q(0), Q(1))
-        assert classify(inst) == (I, C1)
-        out[(I, C1)] = {"status": "reached", "instance": inst}
+        out[(I, C1)] = _reached(Instance(n, m, Q(0), Q(1)), (I, C1))
     else:
         out[(I, C1)] = {"status": "vacuous",
                         "reason": "Case I needs both weights odd"}
@@ -337,9 +328,7 @@ def stratum_samples(n: int, m: int):
         out[(I, c2)] = {"status": "vacuous", "reason": "Case I forces Case 1"}
 
     if n % 2 == 0:
-        inst = Instance(n, m, Q(0), Q(1))
-        assert classify(inst) == (II, C1)
-        out[(II, C1)] = {"status": "reached", "instance": inst}
+        out[(II, C1)] = _reached(Instance(n, m, Q(0), Q(1)), (II, C1))
     else:
         # alpha = 0 would land in Case I (m odd) or miss Case 1 (m even), so
         # alpha != 0, and by weighted homogeneity alpha can be scaled to 1:
@@ -348,10 +337,8 @@ def stratum_samples(n: int, m: int):
         p = lambda_poly_in_beta(m + 1)
         roots = [b for b in rational_roots(p) if b != 0]
         if roots:
-            inst = Instance(n, m, Q(1), roots[0])
-            assert classify(inst) == (II, C1)
-            out[(II, C1)] = {"status": "reached", "instance": inst,
-                             "all_beta": roots}
+            out[(II, C1)] = _reached(Instance(n, m, Q(1), roots[0]), (II, C1),
+                                     all_beta=roots)
         elif p.degree == 0:
             out[(II, C1)] = {"status": "vacuous",
                              "reason": "lambda_{m+1} is a nonzero multiple of "
@@ -363,19 +350,21 @@ def stratum_samples(n: int, m: int):
                                        "root, and every point of the stratum "
                                        "is a scale of one with alpha = 1"}
 
-    inst = Instance(n, m, Q(2), Q(-1))
-    assert classify(inst) == (II, C2)
-    out[(II, C2)] = {"status": "reached", "instance": inst}
-
-    inst = Instance(n, m, Q(1), Q(1))
-    assert classify(inst) == (II, C3)
-    out[(II, C3)] = {"status": "reached", "instance": inst}
+    out[(II, C2)] = _reached(Instance(n, m, Q(2), Q(-1)), (II, C2))
+    out[(II, C3)] = _reached(Instance(n, m, Q(1), Q(1)), (II, C3))
     return out
 
 
+def _reached(inst: Instance, stratum, **extra):
+    """The record of a sample; raises (not asserts, so that `python -O`
+    keeps the check) unless the sample lies in the stratum."""
+    if classify(inst) != stratum:
+        raise AssertionError(f"sample {inst.key()} is not in stratum "
+                             f"({stratum[0].value}, {stratum[1].value})")
+    return {"status": "reached", "instance": inst, **extra}
+
+
 def sample_instances(n: int, m: int):
-    """The reached instances from stratum_samples, in a fixed order."""
-    return [rec["instance"] for key, rec in sorted(
-        stratum_samples(n, m).items(),
-        key=lambda kv: (kv[0][0].value, kv[0][1].value))
-        if rec["status"] == "reached"]
+    """The reached instances from stratum_samples, in report order."""
+    return [rec["instance"] for rec in stratum_samples(n, m).values()
+            if rec["status"] == "reached"]

@@ -400,14 +400,6 @@ class QPoly:
             acc = acc * _as_q(x) + c
         return acc
 
-    def eval_matrix(self, m: QMatrix) -> QMatrix:
-        acc = QMatrix.zeros(m.nrows, m.ncols)
-        for c in reversed(self.coeffs):
-            acc = acc @ m
-            for i in range(m.nrows):
-                acc.rows[i][i] += c
-        return acc
-
     def pow(self, k: int) -> "QPoly":
         result = QPoly([1])
         base = self

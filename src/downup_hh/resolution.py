@@ -41,11 +41,14 @@ turns the resolution into the cochain complex
 
 whose spaces have bases of *functionals* tau[h]^w, one for each generator h
 and each normal word w from s(h) to t(h); tau[h]^w sends the generator h to
-the path w and every other generator to 0.  The matrices D1, D2 of the two
-maps (columns indexed by the domain basis, rows by the codomain basis) are
-assembled here in fixed, explicitly listed basis orders, and the distinguished
-submatrices L1 (rows of the four arrow-letter relation functionals against the
-arrow columns) and, for n = 1, the x-power block L2 are extracted from D2.
+the path w and every other generator to 0.  Pulled back along an assignment
+gen -> sum c lw [h] rw, tau[h]^w puts c nf(lw w rw) on gen; one walk over the
+terms (Resolution.pair) does this for every functional at once.  It builds
+D1, D2 from d1, d2 (columns indexed by the domain basis, rows by the codomain
+basis, in fixed, explicitly listed orders), and the cup and induced cochains
+of `yoneda` from chain maps.  The submatrices L1 (rows of the four
+arrow-letter relation functionals against the arrow columns) and, for n = 1,
+the x-power block L2 are extracted from D2.
 """
 
 from fractions import Fraction as Q
@@ -219,17 +222,21 @@ class Resolution:
                 acc(out, k, c * cv)
         return out
 
-    def apply_tau(self, tau, p_el):
-        """Value of the functional tau = (gen, word) on a P^r element."""
-        gen, w = tau
+    def pair(self, fun, gens):
+        """Pull the tau-functionals back along the assignment gen -> fun(gen):
+        yields ((gen, w2), (g, w), c * c2) for each gen, each term c lw [g] rw
+        of fun(gen), each functional word w of g and each term c2 w2 of
+        nf(lw w rw).  Raises AssertionError on a term not starting at gen's
+        source."""
         B = self.B
-        out = {}
-        for (g2, ls, lw, rw), c in p_el.items():
-            if g2 != gen:
-                continue
-            for w2, c2 in B.normal_form(lw + w + rw).items():
-                acc(out, (ls, w2), c * c2)
-        return out
+        for gen in gens:
+            src = self.gen_source(gen)
+            for (g, ls, lw, rw), c in fun(gen).items():
+                if ls != src:
+                    raise AssertionError(f"{gen} has a term at vertex {ls}")
+                for w in B.hom_words(self.gen_source(g), self.gen_target(g)):
+                    for w2, c2 in B.normal_form(lw + w + rw).items():
+                        yield (gen, w2), (g, w), c * c2
 
 
 def tau_label(tau):
@@ -250,12 +257,13 @@ class HomComplex:
         self.basis0 = [(g, "") for g in self.res.gens0()]
         self.basis1 = self._tau1_basis()
         self.basis2 = self._tau2_basis()
+        self.idx0 = {t: k for k, t in enumerate(self.basis0)}
         self.idx1 = {t: k for k, t in enumerate(self.basis1)}
         self.idx2 = {t: k for k, t in enumerate(self.basis2)}
-        self.D1 = self._build_matrix(self.basis0, self.res.gens1(),
-                                     self.basis1, self.idx1, self.res.d1)
-        self.D2 = self._build_matrix(self.basis1, self.res.gens2(),
-                                     self.basis2, self.idx2, self.res.d2)
+        self.D1 = self._build_matrix(self.idx0, self.idx1, self.res.gens1(),
+                                     self.res.d1)
+        self.D2 = self._build_matrix(self.idx1, self.idx2, self.res.gens2(),
+                                     self.res.d2)
         if not (self.D2 @ self.D1).is_zero():
             raise AssertionError("D2 * D1 != 0")
 
@@ -316,15 +324,10 @@ class HomComplex:
 
     # -- matrices ----------------------------------------------------------
 
-    def _build_matrix(self, basis_lo, gens_hi, basis_hi, idx_hi, d_fun):
-        res = self.res
-        D = QMatrix.zeros(len(basis_hi), len(basis_lo))
-        values = [(gen, d_fun(gen)) for gen in gens_hi]
-        for col, tau in enumerate(basis_lo):
-            for gen, val in values:
-                out = res.apply_tau(tau, val)
-                for (s, w), c in out.items():
-                    D.rows[idx_hi[(gen, w)]][col] += c
+    def _build_matrix(self, idx_lo, idx_hi, gens_hi, d_fun):
+        D = QMatrix.zeros(len(idx_hi), len(idx_lo))
+        for row, col, c in self.res.pair(d_fun, gens_hi):
+            D.rows[idx_hi[row]][idx_lo[col]] += c
         return D
 
     @property

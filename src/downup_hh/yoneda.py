@@ -8,7 +8,9 @@ P1 -> B.  Lifting it through the resolution gives a chain map
 with  aug . sigma_0 = phi  and  d1 . sigma_1 = - sigma_0 . d2  (the lifted
 complex sits one step to the left, whence the sign).  The product of the
 classes [phi][psi] in HH^2 is then represented by the degree-2 cochain
-phi . sigma^psi_1.
+phi . sigma^psi_1.  Resolution.pair, the walk that builds D1 and D2, pulls
+phi back along sigma_1 (cup_vector) and aug, the sum of the vertex
+functionals, back along sigma_0 (induced_vector).
 
 Each distinguished HH^1 basis element has a closed-form lifting, assembled
 here literally (closed_form_lifts); an arbitrary cocycle is lifted by
@@ -79,18 +81,9 @@ class ChainMap:
 
     def induced_vector(self):
         """The induced degree-1 cochain aug . sigma_0, in tau coordinates."""
-        C = self.C
-        res = C.res
-        vec = [Q(0)] * len(C.basis1)
-        for a in res.gens1():
-            el = self.sigma0.get(a)
-            if not el:
-                continue
-            for (s, w), c in res.aug(el).items():
-                if c:
-                    if s != res.gen_source(a):
-                        raise AssertionError("sigma0 value at a wrong vertex")
-                    vec[C.idx1[(a, w)]] += c
+        vec = [Q(0)] * len(self.C.basis1)
+        for row, _, c in self.C.res.pair(self.sigma0.get, self.sigma0):
+            vec[self.C.idx1[row]] += c
         return vec
 
     def verify(self) -> bool:
@@ -320,30 +313,13 @@ def generic_lift(C: HomComplex, phi_vec, side="left"):
 
 # -- cup products ------------------------------------------------------------
 
-def apply_cochain(C: HomComplex, vec, el):
-    """Apply the degree-1 cochain with tau coordinates vec to a P1 element."""
-    out = {}
-    for k, t in enumerate(C.basis1):
-        c = vec[k]
-        if c:
-            for key, d in C.res.apply_tau(t, el).items():
-                acc(out, key, c * d)
-    return out
-
-
 def cup_vector(C: HomComplex, phi_vec, sigma1):
     """The degree-2 cochain phi . sigma_1 in tau coordinates."""
-    res = C.res
     out = [Q(0)] * len(C.basis2)
-    for h in res.gens2():
-        el = sigma1.get(h)
-        if not el:
-            continue
-        for (s, w), c in apply_cochain(C, phi_vec, el).items():
-            if c:
-                if s != res.gen_source(h):
-                    raise AssertionError("cup value at a wrong vertex")
-            out[C.idx2[(h, w)]] += c
+    for row, tau, c in C.res.pair(sigma1.get, sigma1):
+        a = phi_vec[C.idx1[tau]]
+        if a:
+            out[C.idx2[row]] += a * c
     return out
 
 

@@ -1,5 +1,6 @@
 """CLI contract: exact flags, byte-stable output, exit-status discipline."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ from downup_hh.cohomology import sample_instances
 from downup_hh.resolution import Resolution
 
 GOLDEN = Path(__file__).parent / "golden"
+REFERENCE = Path(__file__).parent.parent / "perfbench" / "reference.json"
 
 
 def run_cli(*args, env_extra=None):
@@ -72,6 +74,17 @@ class TestArgumentDiscipline:
         direct = run_cli("compute", "--n", "1", "--m", "2", "--alpha=-1/2",
                          "--beta", "1/2")
         assert json.loads(direct.stdout)["dims"] == rep["dims"]
+
+    @pytest.mark.parametrize("command", [["verify"],
+                                         ["table", "--which", "ring"]])
+    @pytest.mark.parametrize("max_sum", ["1", "0", "-3"])
+    def test_rejects_max_sum_below_two(self, command, max_sum, capsys):
+        # below 2 no weight pair is sampled, so nothing would be checked
+        with pytest.raises(SystemExit) as exc:
+            main([*command, f"--max-sum={max_sum}"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert f"must be at least 2, the smallest n+m; got {max_sum}" in err
 
     def test_out_flag_writes_the_report(self, tmp_path):
         target = tmp_path / "report.json"
@@ -203,6 +216,32 @@ class TestVerify:
         notes = [c for c in rep["checks"] if c["name"] == "stratum-status"]
         assert notes and all(c["detail"] in ("vacuous", "no-rational-point")
                              for c in notes)
+
+
+class TestBenchmarkReference:
+    """The outputs the benchmark gates on, recorded in perfbench's
+    reference.json, reproduced in-process so that drift fails the suite."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return json.loads(REFERENCE.read_text())
+
+    def test_verify_sweep_has_the_recorded_sha256(self, reference, capsys,
+                                                 monkeypatch):
+        ref = reference["verify-sweep"]
+        assert ref["argv"] == ["verify", "--max-sum", "6", "--format", "json"]
+        monkeypatch.delenv("HH_THREADS", raising=False)
+        assert main(ref["argv"]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["summary"]["total"] == ref["checks"]
+        assert hashlib.sha256(out.encode()).hexdigest() == ref["sha256"]
+
+    def test_ring_table_has_the_recorded_lines(self, reference, capsys):
+        ref = reference["ring-table"]
+        assert ref["argv"] == ["table", "--which", "ring", "--max-sum", "8",
+                               "--format", "csv"]
+        assert main(ref["argv"]) == 0
+        assert capsys.readouterr().out.splitlines() == ref["lines"]
 
 
 class TestReportCommands:

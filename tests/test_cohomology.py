@@ -8,7 +8,8 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from downup_hh.core import Cond1, Cond2, Instance, classify
+from downup_hh.core import (Cond1, Cond2, Instance, canonical_instance,
+                            classify)
 from downup_hh.cohomology import (
     coords_mod_image,
     euler_characteristic_closed_form,
@@ -19,7 +20,6 @@ from downup_hh.cohomology import (
     hh2_table_row,
     hh_dims_closed_form,
     hh_dims_computed,
-    hh_dims_general,
     independent_mod_image,
     is_cocycle,
     lambda_poly_in_beta,
@@ -33,6 +33,14 @@ from downup_hh.resolution import HomComplex
 
 I, II = Cond1.CASE_I, Cond1.CASE_II
 C1, C2, C3 = Cond2.CASE_1, Cond2.CASE_2, Cond2.CASE_3
+
+
+def hh_dims_general(n0, m0, alpha, beta):
+    """(h0, h1, h2) for arbitrary weights: gcd times the reduced value."""
+    inst, k, _ = canonical_instance(n0, m0, alpha, beta,
+                                    allow_reduce=True, allow_swap=True)
+    return tuple(k * d for d in hh_dims_closed_form(inst))
+
 
 SMALL_WEIGHTS = [(n, m) for m in range(1, 8) for n in range(1, m + 1)
                  if gcd(n, m) == 1 and n + m <= 9]
@@ -322,3 +330,30 @@ class TestStrata:
             for key, rec in stratum_samples(n, m).items():
                 if rec["status"] == "reached":
                     assert classify(rec["instance"]) == key
+
+    def test_strata_come_in_report_order(self):
+        order = [(c1, c2) for c1 in (I, II) for c2 in (C1, C2, C3)]
+        pairs = [(n, m) for m in range(1, 30) for n in range(1, m + 1)
+                 if gcd(n, m) == 1 and n + m <= 30]
+        assert len(pairs) == 139
+        for n, m in pairs:
+            assert list(stratum_samples(n, m)) == order
+
+    def test_a_misplaced_sample_is_rejected_under_python_O(self):
+        # `python -O` strips assert statements; a sample that leaves its
+        # stratum must be rejected all the same.
+        script = "\n".join([
+            "assert False, 'this interpreter keeps asserts'",
+            "from downup_hh import cohomology",
+            "from downup_hh.core import Cond1, Cond2",
+            "cohomology.classify = lambda inst: (Cond1.CASE_II, Cond2.CASE_3)",
+            "try:",
+            "    cohomology.stratum_samples(1, 2)",
+            "except AssertionError as exc:",
+            "    print('rejected:', exc)",
+        ])
+        r = subprocess.run([sys.executable, "-O", "-c", script],
+                           capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == ("rejected: sample n=1 m=2 alpha=1 beta=-1 is not "
+                            "in stratum (II, 1)\n")

@@ -19,6 +19,16 @@ def mat(rows, ncols):
     return QMatrix(rows) if rows else QMatrix.zeros(0, ncols)
 
 
+def eval_matrix(p, M):
+    """p(M) by Horner's rule, for the Cayley-Hamilton checks."""
+    acc = QMatrix.zeros(M.nrows, M.ncols)
+    for c in reversed(p.coeffs):
+        acc = acc @ M
+        for i in range(M.nrows):
+            acc.rows[i][i] += c
+    return acc
+
+
 # -- test-only references: textbook Fraction Gauss-Jordan, product and the
 # Faddeev-LeVerrier recurrence, for the differential tests below -----------
 
@@ -138,7 +148,7 @@ class TestQMatrix:
         M = qmat(rows)
         p = M.char_poly()
         assert p.coeffs[-1] == 1 and p.degree == 3
-        assert p.eval_matrix(M).is_zero()
+        assert eval_matrix(p, M).is_zero()
         # det and trace sit in the char poly coefficients
         assert p.coeffs[0] == (-1) ** 3 * M.det()
         assert p.coeffs[2] == -M.trace()

@@ -18,6 +18,7 @@ from downup_hh.resolution import (
     rank_L2_closed_form,
     tau_label,
 )
+from downup_hh.yoneda import ChainMap, cup_vector
 
 WEIGHTS = [(1, 1), (1, 2), (1, 3), (1, 4), (2, 3), (2, 5), (3, 4), (3, 5), (4, 5)]
 PARAMS = [(Q(0), Q(1)), (Q(1), Q(1)), (Q(2), Q(-1)), (Q(1), Q(-1)), (Q(3), Q(2))]
@@ -127,6 +128,100 @@ class TestContractingHomotopy:
         assert all(res.d1(g) is first[g] for g in res.gens1())
         assert all(res.d2(h) is first[h] for h in res.gens2())
         assert runs == []
+
+
+# -- test-only reference: the textbook pairing, one scan over every term of
+# the element per functional, for the differential tests below ------------
+
+def apply_tau(res, tau, p_el):
+    """Value of the functional tau = (gen, word) on a P^r element, as
+    {(left source, normal word): coefficient}."""
+    gen, w = tau
+    out = {}
+    for (g, ls, lw, rw), c in p_el.items():
+        if g != gen:
+            continue
+        for w2, c2 in res.B.normal_form(lw + w + rw).items():
+            out[(ls, w2)] = out.get((ls, w2), 0) + c * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def pull_back(res, vec, basis_lo, basis_hi, fun, gens):
+    """The cochain vec (coordinates over basis_lo) pulled back along the
+    generator assignment fun, in coordinates over basis_hi."""
+    idx_hi = {t: k for k, t in enumerate(basis_hi)}
+    out = [Q(0)] * len(basis_hi)
+    for gen in gens:
+        for tau, c in zip(basis_lo, vec):
+            for (ls, w), d in apply_tau(res, tau, fun(gen)).items():
+                assert ls == res.gen_source(gen)
+                out[idx_hi[(gen, w)]] += c * d
+    return out
+
+
+def scan_matrix(C, basis_lo, basis_hi, fun, gens):
+    """The matrix of a differential, one pull-back per domain functional."""
+    cols = []
+    for k in range(len(basis_lo)):
+        unit = [Q(0)] * len(basis_lo)
+        unit[k] = Q(1)
+        cols.append(pull_back(C.res, unit, basis_lo, basis_hi, fun, gens))
+    return QMatrix(cols).transpose()
+
+
+def random_value(res, rng, gen, gens_lo, nterms=4):
+    """A random rational combination of tensors lw [g] rw, g in gens_lo,
+    starting at the source of gen and ending at its target."""
+    B = res.B
+    src, tgt = res.gen_source(gen), res.gen_target(gen)
+    cands = [(g, src, lw, rw) for g in gens_lo
+             for lw in B.hom_words(src, res.gen_source(g))
+             for rw in B.hom_words(res.gen_target(g), tgt)]
+    out = {}
+    for key in rng.sample(cands, min(nterms, len(cands))):
+        out[key] = Q(rng.randint(-5, 5), rng.randint(1, 4))
+    return {k: c for k, c in out.items() if c}
+
+
+class TestTauPairing:
+    @pytest.mark.parametrize("n,m", WEIGHTS)
+    @pytest.mark.parametrize("a,b", [(Q(0), Q(1)), (Q(2), Q(-3))])
+    def test_matrices_equal_the_scan(self, n, m, a, b):
+        C = HomComplex(Instance(n, m, a, b))
+        res = C.res
+        assert C.D1 == scan_matrix(C, C.basis0, C.basis1, res.d1, res.gens1())
+        assert C.D2 == scan_matrix(C, C.basis1, C.basis2, res.d2, res.gens2())
+
+    @pytest.mark.parametrize("n,m", WEIGHTS)
+    def test_cup_and_induced_vectors_equal_the_scan(self, n, m):
+        rng = random.Random(100 * n + m)
+        C = HomComplex(Instance(n, m, Q(2), Q(-3)))
+        res = C.res
+        for _ in range(5):
+            s0 = {a: random_value(res, rng, a, res.gens0())
+                  for a in res.gens1()}
+            s1 = {h: random_value(res, rng, h, res.gens1())
+                  for h in res.gens2()}
+            phi = [Q(rng.randint(-3, 3), rng.randint(1, 3))
+                   for _ in C.basis1]
+            unit = [Q(1)] * len(C.basis0)
+            assert cup_vector(C, phi, s1) == pull_back(
+                res, phi, C.basis1, C.basis2, lambda h: s1.get(h, {}),
+                res.gens2())
+            assert ChainMap(C, s0, s1).induced_vector() == pull_back(
+                res, unit, C.basis0, C.basis1, lambda a: s0.get(a, {}),
+                res.gens1())
+
+    def test_a_term_at_a_wrong_vertex_is_rejected(self):
+        C = HomComplex(Instance(1, 2, Q(1), Q(1)))
+        # each value starts one vertex after its generator's source
+        s0 = {("x", 1): {(("e", 2), 2, "", ""): Q(1)}}
+        s1 = {("f", 1): {(("x", 2), 2, "", "xy"): Q(1)}}
+        phi = [Q(1)] * len(C.basis1)
+        with pytest.raises(AssertionError, match="vertex 2"):
+            ChainMap(C, s0, {}).induced_vector()
+        with pytest.raises(AssertionError, match="vertex 2"):
+            cup_vector(C, phi, s1)
 
 
 def hat_dims(n, m):

@@ -16,7 +16,6 @@ from downup_hh.linalg import QMatrix
 from downup_hh.resolution import HomComplex
 from downup_hh.yoneda import (
     LIFT_SIGN,
-    apply_cochain,
     classes_equal,
     closed_form_lifts,
     cup_class,
@@ -376,15 +375,6 @@ class TestRingTableRows:
 
 
 class TestCochainApplication:
-    def test_apply_cochain_is_the_tau_pairing(self):
-        C = HomComplex(Instance(2, 3, Q(1), Q(2)))
-        res = C.res
-        el = res.d2(("f", 1))
-        for k, t in enumerate(C.basis1):
-            vec = [Q(0)] * len(C.basis1)
-            vec[k] = Q(1)
-            assert apply_cochain(C, vec, el) == res.apply_tau(t, el)
-
     def test_cup_class_coordinates(self):
         C = HomComplex(Instance(1, 2, Q(1), Q(-1)))
         hv = dict(hh1_basis(C))
