@@ -55,6 +55,7 @@ class Beilinson:
         self.nx = inst.n + 2 * inst.m  # arrows x_1 .. x_nx
         self.ny = 2 * inst.n + inst.m  # arrows y_1 .. y_ny
         self._nf = {}
+        self._words = {}
 
     # -- words ------------------------------------------------------------
 
@@ -149,10 +150,18 @@ class Beilinson:
         return len(self.normal_triples(d))
 
     def hom_words(self, u, v):
-        """Normal words spanning e_u B e_v, in a fixed order."""
+        """Normal words spanning e_u B e_v, in a fixed order, as a tuple.
+
+        The words depend only on the degree v - u, so each degree's tuple is
+        built once and kept.
+        """
         if not (1 <= u <= self.ell and 1 <= v <= self.ell and u <= v):
-            return []
-        return [self.triple_word(a, b, c) for a, b, c in self.normal_triples(v - u)]
+            return ()
+        words = self._words.get(v - u)
+        if words is None:
+            words = self._words[v - u] = tuple(
+                self.triple_word(a, b, c) for a, b, c in self.normal_triples(v - u))
+        return words
 
     def cartan_matrix(self):
         """C[u][v] = dim e_{u+1} B e_{v+1} (0-indexed); upper unitriangular."""

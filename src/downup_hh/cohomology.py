@@ -244,12 +244,17 @@ def independent_mod_image(M: QMatrix, vecs, rank: int | None = None) -> bool:
 
 def coords_mod_image(M: QMatrix, basis_vecs, v):
     """Coordinates of [v] in the given basis of coker(M); None if [v] is not
-    in its span."""
+    in its span.  The one-vector case of coords_mod_image_many."""
+    return coords_mod_image_many(M, basis_vecs, [v])[0]
+
+
+def coords_mod_image_many(M: QMatrix, basis_vecs, vs):
+    """coords_mod_image for every v in vs, from one elimination of
+    [M | basis | v_1 ... v_k]: M and the basis are reduced once, not once
+    per vector."""
     A = QMatrix.from_columns(M.columns() + list(basis_vecs))
-    x = A.solve(list(v))
-    if x is None:
-        return None
-    return x[M.ncols:]
+    return [None if x is None else x[M.ncols:]
+            for x in A.solve_many(vs)]
 
 
 def verify_bases(C: HomComplex):

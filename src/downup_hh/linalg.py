@@ -14,9 +14,10 @@ columns; the other columns ride along as right-hand sides.  Every updated
 row is divided by its gcd, so rows stay primitive, and rows with a zero in
 the pivot column are not touched.  Next to the rows and the pivot columns
 it returns the rational factor by which it scaled the determinant.  So
-rank counts pivots, rref, solve ([M | b]) and inverse ([M | I]) divide
-pivot rows by their pivots, and det is the product of the pivots over that
-factor.
+rank counts pivots; rref, solve_many ([M | b_1 ... b_k], all right-hand
+sides in one pass, solve being its one-column case) and inverse ([M | I])
+divide pivot rows by their pivots; and det is the product of the pivots
+over that factor.
 
 The product A @ B clears row i of A by the lcm d_i of its denominators and
 all of B by one lcm e, adds a * (row k of e*B) over the nonzero entries a
@@ -256,18 +257,28 @@ class QMatrix:
 
     def solve(self, b: list) -> list[Fraction] | None:
         """One exact solution of Mx = b (free variables 0), or None if inconsistent."""
-        bb = [_as_q(x) for x in b]
-        if len(bb) != self.nrows:
+        return self.solve_many([b])[0]
+
+    def solve_many(self, bs: list[list]) -> list[list[Fraction] | None]:
+        """solve(b) for every b in bs from one elimination of [M | b_1 ... b_k]:
+        the right-hand sides ride along as extra columns, never as pivots."""
+        cols = [[_as_q(x) for x in b] for b in bs]
+        if any(len(b) != self.nrows for b in cols):
             raise ValueError("rhs length mismatch")
         n = self.ncols
-        aug = QMatrix([row + [bb[i]] for i, row in enumerate(self.rows)])
+        aug = QMatrix._of([row + [b[i] for b in cols]
+                           for i, row in enumerate(self.rows)], n + len(cols))
         rows, pivots, _ = aug._eliminate(n)
-        if any(row[n] for row in rows[len(pivots):]):
-            return None
-        x = [Q(0)] * n
-        for row, c in zip(rows, pivots):
-            x[c] = Q(row[n], row[c])
-        return x
+        rank, out = len(pivots), []
+        for k in range(n, n + len(cols)):
+            if any(row[k] for row in rows[rank:]):
+                out.append(None)
+                continue
+            x = [Q(0)] * n
+            for row, c in zip(rows, pivots):
+                x[c] = Q(row[k], row[c])
+            out.append(x)
+        return out
 
     def inverse(self) -> "QMatrix":
         if self.nrows != self.ncols:

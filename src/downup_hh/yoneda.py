@@ -37,7 +37,8 @@ of HH^2.
 from fractions import Fraction as Q
 
 from .algebra import acc
-from .cohomology import coords_mod_image, hh1_basis, hh2_basis, is_cocycle
+from .cohomology import (coords_mod_image, coords_mod_image_many, hh1_basis,
+                         hh2_basis, is_cocycle)
 from .core import Cond1, Cond2, Instance, classify
 from .linalg import QMatrix
 from .resolution import HomComplex
@@ -337,7 +338,11 @@ def cup_class(C: HomComplex, phi_vec, sigma1, basis2=None):
     """Coordinates of [phi . sigma_1] in the distinguished HH^2 basis."""
     if basis2 is None:
         basis2 = [v for _, v in hh2_basis(C)]
-    coords = coords_mod_image(C.D2, basis2, cup_vector(C, phi_vec, sigma1))
+    return _in_span(coords_mod_image(C.D2, basis2,
+                                     cup_vector(C, phi_vec, sigma1)))
+
+
+def _in_span(coords):
     if coords is None:
         raise AssertionError("cup product fell outside the HH^2 basis span")
     return coords
@@ -350,18 +355,19 @@ def ring_structure(C: HomComplex):
 
     products[(p, q)] is the class of  h_p . sigma_1  for the generic lifting
     sigma of h_q, i.e. the product [h_p][h_q] under the fixed convention.
+    The h1^2 cup vectors are built first and resolved against
+    [D2 | HH^2 basis] in one elimination (coords_mod_image_many), so the
+    cost of D2 is paid once per complex, not once per product.
     """
-    one = hh1_basis(C)
+    one = dict(hh1_basis(C))
     two = hh2_basis(C)
-    vecs2 = [v for _, v in two]
-    lifts = {lbl: generic_lift(C, v) for lbl, v in one}
-    products = {}
-    for pl, pv in one:
-        for ql, _ in one:
-            products[(pl, ql)] = cup_class(C, pv, lifts[ql].sigma1, vecs2)
-    return {"labels": [lbl for lbl, _ in one],
+    sigma1 = {lbl: generic_lift(C, v).sigma1 for lbl, v in one.items()}
+    pairs = [(p, q) for p in one for q in one]
+    cups = [cup_vector(C, one[p], sigma1[q]) for p, q in pairs]
+    coords = coords_mod_image_many(C.D2, [v for _, v in two], cups)
+    return {"labels": list(one),
             "classes2": [lbl for lbl, _ in two],
-            "products": products}
+            "products": {pq: _in_span(x) for pq, x in zip(pairs, coords)}}
 
 
 def ring_presentation(C: HomComplex, rs=None):

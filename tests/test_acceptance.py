@@ -1,4 +1,4 @@
-"""Acceptance sweep: one test per criterion over all coprime weights n+m <= 12.
+"""Acceptance sweep: one test per criterion over all coprime weights n+m <= 16.
 
 Every criterion runs in exact rational arithmetic with zero tolerance.  The
 three places where the stored closed-form tables are provably inconsistent
@@ -49,7 +49,7 @@ from downup_hh.yoneda import (
     ring_structure,
 )
 
-MAX_SUM = 12
+MAX_SUM = 16
 
 _COMPLEX = {}
 _RS = {}
@@ -95,7 +95,7 @@ def lifts_for(inst):
 
 def test_criterion_1_dimension_theorems():
     """Computed (h0, h1, h2) equals the closed form on every reachable
-    stratum with n+m <= 12, plus fixed spot values in all four regimes."""
+    stratum with n+m <= 16, plus fixed spot values in all four regimes."""
     for inst in all_instances():
         C = complex_for(inst)
         assert hh_dims_computed(C) == hh_dims_closed_form(inst), inst.key()

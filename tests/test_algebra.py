@@ -215,7 +215,15 @@ class TestGradedDimensions:
                     assert B.is_valid(u, w)
                     assert B.word_degree(w) == v - u
                     assert redex_positions(w) == []
-        assert B.hom_words(3, 2) == []
+        assert B.hom_words(3, 2) == ()
+
+    def test_hom_words_are_kept_per_degree(self):
+        B = alg(1, 2, 1, 1)
+        words = B.hom_words(1, 4)
+        assert isinstance(words, tuple)
+        assert B.hom_words(1, 4) is words
+        assert B.hom_words(2, 5) is words  # same degree, other vertices
+        assert list(words) == [B.triple_word(*t) for t in B.normal_triples(3)]
 
     def test_normal_words_linearly_independent_under_rewriting(self):
         # rewriting is the identity on the spanning words it reports

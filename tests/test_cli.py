@@ -11,7 +11,7 @@ import pytest
 
 from downup_hh.cli import CHECKS, main, sweep_weights, verify_workers
 from downup_hh.cohomology import sample_instances
-from downup_hh.resolution import Resolution
+from downup_hh.resolution import HomComplex, Resolution
 
 GOLDEN = Path(__file__).parent / "golden"
 REFERENCE = Path(__file__).parent.parent / "perfbench" / "reference.json"
@@ -192,6 +192,30 @@ class TestVerify:
         summary = json.loads(capsys.readouterr().out)["summary"]
         assert status == 1
         assert summary["failed"] > 0
+
+    def test_complex_group_fails_under_a_corrupted_differential(
+            self, monkeypatch, capsys):
+        # HomComplex refuses a matrix pair with D2 * D1 != 0; verify turns
+        # that refusal into one FAIL line per instance, not a traceback
+        build = HomComplex._build_matrix
+
+        def corrupted(self, *args):
+            D = build(self, *args)
+            D.rows[0][0] += 1
+            return D
+
+        monkeypatch.setattr(HomComplex, "_build_matrix", corrupted)
+        monkeypatch.delenv("HH_THREADS", raising=False)
+        status = main(["verify", "--max-sum", "3", "--only", "complex"])
+        out, err = capsys.readouterr()
+        failing = [ln for ln in out.splitlines() if ln.startswith("FAIL")]
+        assert status == 1
+        assert failing and all("d-squared-zero (D2 * D1 != 0)" in ln
+                               for ln in failing)
+        assert not any(ln.startswith("PASS") and "stratum" not in ln
+                       for ln in out.splitlines())
+        assert f"{len(failing)} failed" in out.splitlines()[-1]
+        assert "Traceback" not in out + err
 
     @pytest.mark.parametrize("group", list(CHECKS))
     def test_only_reports_the_group_of_the_full_sweep(self, group, full_sweep_4):

@@ -97,6 +97,24 @@ def sparse_matrices(draw, square=False):
     return rows
 
 
+@st.composite
+def solve_batches(draw):
+    """(rows, ncols, right-hand sides) for solve_many: a sparse matrix of any
+    shape, 0 rows or 0 columns included, and up to four right-hand sides,
+    each either M x (consistent) or drawn freely (inconsistent whenever it
+    leaves the column space)."""
+    nr, nc = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    rows = [[draw(entries) for _ in range(nc)] for _ in range(nr)]
+    if nr >= 3 and draw(st.booleans()):  # a dependent last row
+        c = draw(entries)
+        rows[-1] = [c * x + y for x, y in zip(rows[0], rows[1])]
+    M = mat(rows, nc)
+    bs = [M.matvec([draw(entries) for _ in range(nc)]) if draw(st.booleans())
+          else [draw(entries) for _ in range(nr)]
+          for _ in range(draw(st.integers(0, 4)))]
+    return rows, nc, bs
+
+
 class TestQMatrix:
     def test_rank_and_rref(self):
         M = qmat([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
@@ -118,6 +136,19 @@ class TestQMatrix:
         x = M.solve([Q(4), Q(9), Q(13)])
         assert x == [Q(2), Q(3)]
         assert M.solve([Q(4), Q(9), Q(14)]) is None
+
+    def test_solve_many_eliminates_once(self, monkeypatch):
+        M = qmat([[2, 0], [0, 3], [2, 3]])
+        calls = []
+        eliminate = QMatrix._eliminate
+        monkeypatch.setattr(QMatrix, "_eliminate",
+                            lambda self, *a: calls.append(1) or eliminate(self, *a))
+        xs = M.solve_many([[4, 9, 13], [4, 9, 14], [0, 0, 0], [2, 0, 2]])
+        assert xs == [[Q(2), Q(3)], None, [Q(0), Q(0)], [Q(1), Q(0)]]
+        assert len(calls) == 1
+        assert M.solve_many([]) == []
+        with pytest.raises(ValueError):
+            M.solve_many([[1, 2, 3], [1, 2]])
 
     def test_inverse_det(self):
         M = qmat([[2, 1], [1, 1]])
@@ -219,6 +250,22 @@ class TestKernelAgainstReferences:
         for rhs in (consistent, b[:M.nrows]):
             assert M.solve(rhs) == ref_solve(rows, rhs, M.ncols)
         assert M.solve(consistent) is not None
+
+    @given(solve_batches())
+    @example(([], 3, [[], []]))                     # 0 rows
+    @example(([[], []], 0, [[Q(0), Q(0)], [Q(1), Q(0)]]))  # 0 columns
+    @example(([[Q(1), Q(2)], [Q(2), Q(4)]], 2, []))  # an empty batch
+    @settings(max_examples=150, deadline=None)
+    def test_solve_many(self, batch):
+        rows, nc, bs = batch
+        M = mat(rows, nc)
+        xs = M.solve_many(bs)
+        assert len(xs) == len(bs)
+        for b, x in zip(bs, xs):
+            assert x == ref_solve(rows, b, nc)
+            assert x == M.solve(b)
+            if x is not None:
+                assert M.matvec(x) == b
 
     @given(sparse_matrices(square=True))
     @settings(max_examples=150, deadline=None)

@@ -305,6 +305,45 @@ class TestRingStructure:
         assert len(pres["ideal"]) == 6
 
 
+def batch_sweep():
+    """Every sampled instance with n + m <= 8."""
+    return [inst for n, m in SMALL_WEIGHTS if n + m <= 8
+            for inst in sample_instances(n, m)]
+
+
+class TestBatchedProducts:
+    @pytest.mark.parametrize("inst", batch_sweep(), ids=lambda i: i.key())
+    def test_products_equal_per_pair_cup_class(self, inst):
+        C = HomComplex(inst)
+        rs = ring_structure(C)
+        hv = dict(hh1_basis(C))
+        basis2 = [v for _, v in hh2_basis(C)]
+        sigma1 = {q: generic_lift(C, v).sigma1 for q, v in hv.items()}
+        assert set(rs["products"]) == {(p, q) for p in hv for q in hv}
+        for (p, q), coords in rs["products"].items():
+            assert coords == cup_class(C, hv[p], sigma1[q], basis2), (p, q)
+
+    def test_one_elimination_per_complex(self, monkeypatch):
+        calls = []
+        eliminate = QMatrix._eliminate
+        monkeypatch.setattr(QMatrix, "_eliminate",
+                            lambda self, *a: calls.append(1) or eliminate(self, *a))
+        for inst in batch_sweep():
+            C = HomComplex(inst)
+            calls.clear()
+            ring_structure(C)
+            assert len(calls) == 1, inst.key()
+
+    def test_a_product_outside_the_basis_span_is_refused(self, monkeypatch):
+        # at (1,1) Case I the products span HH^2, so some product needs the
+        # basis vector that the patched basis leaves out
+        monkeypatch.setattr("downup_hh.yoneda.hh2_basis",
+                            lambda C: hh2_basis(C)[:-1])
+        C = HomComplex(Instance(1, 1, Q(0), Q(1)))
+        with pytest.raises(AssertionError, match="outside the HH\\^2 basis span"):
+            ring_structure(C)
+
+
 class TestRingTableRows:
     @pytest.mark.parametrize("inst", sweep(), ids=lambda i: i.key())
     def test_rows_against_computation(self, inst):
