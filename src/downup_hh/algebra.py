@@ -28,6 +28,7 @@ a m + b(n + m) + c n = v - u.  Elements are stored as dicts mapping
 from fractions import Fraction as Q
 
 from .core import Instance
+from .linalg import QMatrix
 
 XXY = "xxy"
 XYY = "xyy"
@@ -165,8 +166,6 @@ class Beilinson:
 
     def cartan_matrix(self):
         """C[u][v] = dim e_{u+1} B e_{v+1} (0-indexed); upper unitriangular."""
-        from .linalg import QMatrix
-
         C = QMatrix.zeros(self.ell, self.ell)
         for u in range(self.ell):
             for v in range(self.ell):

@@ -21,8 +21,12 @@ The differentials on generators are
 
 and the augmentation P0 -> B sends e_v (x) e_v to e_v.  Elements of P^r are
 stored as dicts mapping (generator, left source, left word, right word) to
-Fraction coefficients, the left path running into s(generator) and the right
-word starting at t(generator).
+Fraction coefficients, the normal left word running from the left source
+into s(generator) and the normal right word starting at t(generator).  The
+bimodule action has one implementation, Resolution.act: it adds c * L el R
+into an accumulator for words L and R, taking each term u [g] v of el to
+nf(L u) [g] nf(v R).  d1, d2, apply_map and the closed-form lifts of
+`yoneda` are all built on it.
 
 The resolution has the standard contracting homotopy P0 -> P1 of a path
 algebra, which peels the right word off letter by letter:
@@ -55,8 +59,8 @@ from fractions import Fraction as Q
 from functools import cached_property
 
 from .algebra import Beilinson, acc
-from .core import Instance
-from .linalg import QMatrix
+from .core import Cond1, Cond2, Instance, classify
+from .linalg import QMatrix, QPoly, poly_gcd
 
 
 class Resolution:
@@ -105,44 +109,24 @@ class Resolution:
     def gen_elem(self, gen):
         return {(gen, self.gen_source(gen), "", ""): Q(1)}
 
-    def p_add(self, a, b):
-        out = dict(a)
-        for k, c in b.items():
-            acc(out, k, c)
-        return out
+    def act(self, out, c, src, lw, el, rw):
+        """Add c * lw.el.rw into out and return out.
 
-    def p_scale(self, a, c):
-        c = Q(c)
-        if not c:
-            return {}
-        return {k: c * v for k, v in a.items()}
-
-    def lmul(self, alg_el, p_el):
-        """Left action of an algebra element on a P^r element."""
+        The left word lw starts at vertex src and ends where every term of
+        el starts; each term (g, ls, u, v) becomes (g, src, nf(lw u),
+        nf(v rw)).  Raises AssertionError on a term starting elsewhere."""
         B = self.B
-        out = {}
-        for (s1, w1), c1 in alg_el.items():
-            t1 = s1 + B.word_degree(w1)
-            for (gen, ls, lw, rw), c2 in p_el.items():
-                if ls != t1:
-                    continue
-                c12 = c1 * c2
-                for w, c3 in B.normal_form(w1 + lw).items():
-                    acc(out, (gen, s1, w, rw), c12 * c3)
-        return out
-
-    def rmul(self, p_el, alg_el):
-        """Right action of an algebra element on a P^r element."""
-        B = self.B
-        out = {}
-        for (gen, ls, lw, rw), c1 in p_el.items():
-            t1 = self.gen_target(gen) + B.word_degree(rw)
-            for (s2, w2), c2 in alg_el.items():
-                if s2 != t1:
-                    continue
-                c12 = c1 * c2
-                for w, c3 in B.normal_form(rw + w2).items():
-                    acc(out, (gen, ls, lw, w), c12 * c3)
+        nf = B.normal_form
+        start = src + B.word_degree(lw)
+        for (g, ls, u, v), c1 in el.items():
+            if ls != start:
+                raise AssertionError(f"{g} has a term at vertex {ls}, "
+                                     f"not {start}")
+            rights = nf(v + rw).items()
+            for u2, c2 in nf(lw + u).items():
+                c12 = c * c1 * c2
+                for v2, c3 in rights:
+                    acc(out, (g, src, u2, v2), c12 * c3)
         return out
 
     # -- differentials and augmentation -----------------------------------
@@ -159,35 +143,26 @@ class Resolution:
         return out
 
     def d1(self, a):
-        """d1 on a P1 generator (an arrow), computed once and kept; callers
-        only read the returned dict."""
-        if a in self._d1:
-            return self._d1[a]
-        av = self.B.path(a[1], a[0])
-        lhs = self.rmul(self.gen_elem(("e", self.gen_source(a))), av)
-        rhs = self.lmul(av, self.gen_elem(("e", self.gen_target(a))))
-        out = self._d1[a] = self.p_add(lhs, self.p_scale(rhs, -1))
-        return out
+        """d1 on a P1 generator (an arrow), e_s (x) a - a (x) e_t, computed
+        once and kept; callers only read the returned dict."""
+        if a not in self._d1:
+            s = self.gen_source(a)
+            self._d1[a] = {(("e", s), s, "", a[0]): Q(1),
+                           (("e", self.gen_target(a)), s, a[0], ""): Q(-1)}
+        return self._d1[a]
 
     def d2(self, h):
         """d2 on a P2 generator (a relation), computed once and kept; callers
         only read the returned dict."""
-        if h in self._d2:
-            return self._d2[h]
-        B = self.B
-        src = self.gen_source(h)
-        out = {}
-        for word, c in self.relation(h):
-            for p in range(len(word)):
-                letter = word[p]
-                v = src + B.word_degree(word[:p])
-                term = self.gen_elem((letter, v))
-                term = self.lmul(B.path(src, word[:p]), term)
-                term = self.rmul(term, B.path(v + B.word_degree(letter), word[p + 1:]))
-                for k, cv in term.items():
-                    acc(out, k, c * cv)
-        self._d2[h] = out
-        return out
+        if h not in self._d2:
+            src = self.gen_source(h)
+            out = self._d2[h] = {}
+            for word, c in self.relation(h):
+                for p, letter in enumerate(word):
+                    v = src + self.B.word_degree(word[:p])
+                    self.act(out, c, src, word[:p],
+                             self.gen_elem((letter, v)), word[p + 1:])
+        return self._d2[h]
 
     def contract(self, p0_el):
         """The contracting homotopy P0 -> P1 on a P0 element.
@@ -208,18 +183,13 @@ class Resolution:
                 v += B.word_degree(letter)
         return out
 
-    def apply_map(self, fun, p_el):
+    def apply_map(self, fun, p_el, c=1):
         """Extend a generator assignment gen -> element (of another P^r)
-        over the bimodule structure:  L gen R  |->  L fun(gen) R."""
+        over the bimodule structure, scaled by c: each term L gen R goes to
+        c L fun(gen) R through one act."""
         out = {}
-        for (gen, ls, lw, rw), c in p_el.items():
-            val = fun(gen)
-            if not val:
-                continue
-            term = self.lmul({(ls, lw): Q(1)}, val)
-            term = self.rmul(term, {(self.gen_target(gen), rw): Q(1)})
-            for k, cv in term.items():
-                acc(out, k, c * cv)
+        for (gen, ls, lw, rw), c1 in p_el.items():
+            self.act(out, c * c1, ls, lw, fun(gen), rw)
         return out
 
     def pair(self, fun, gens):
@@ -390,15 +360,11 @@ def L2_display(inst: Instance) -> QMatrix:
 
 
 def rank_L1_closed_form(inst: Instance) -> int:
-    from .core import Cond1, classify
-
     n, m = inst.n, inst.m
     return n + m - 1 if classify(inst)[0] == Cond1.CASE_I else n + m
 
 
 def rank_L2_closed_form(inst: Instance) -> int:
-    from .core import Cond2, classify
-
     c2 = classify(inst)[1]
     drop = {Cond2.CASE_1: 2, Cond2.CASE_2: 1, Cond2.CASE_3: 0}[c2]
     return inst.m + 2 - drop
@@ -415,8 +381,6 @@ def circulant(r: int, coeffs) -> QMatrix:
 
 def circulant_rank(r: int, coeffs) -> int:
     """rank of circulant(r, f) = r - deg gcd(t^r - 1, f)."""
-    from .linalg import QPoly, poly_gcd
-
     f = QPoly([Q(c) for c in coeffs])
     if f.is_zero():
         return 0

@@ -49,27 +49,18 @@ LIFT_SIGN = {"h2": Q(-1)}
 
 
 def _el(res, terms):
-    """Assemble a P^r element from (coeff, src, lword, gen, rword) terms.
+    """Assemble a P^r element from (coeff, src, lword, gen, rword) terms,
+    one act per term.
 
     src is the source vertex of the whole tensor; lword runs from src into
     the generator's source, rword continues from its target.  Words need not
-    be normal; the bimodule action rewrites them.
+    be normal; act rewrites them, and raises AssertionError on a term whose
+    lword does not end at the generator's source.
     """
     out = {}
     for c, src, lw, gen, rw in terms:
-        c = Q(c)
-        if not c:
-            continue
-        el = res.gen_elem(gen)
-        if lw:
-            el = res.lmul({(src, lw): Q(1)}, el)
-        if rw:
-            el = res.rmul(el, {(res.gen_target(gen), rw): Q(1)})
-        if not el:
-            raise AssertionError(f"term vanished: {(c, src, lw, gen, rw)}")
-        for k, cv in el.items():
-            acc(out, k, c * cv)
-    return {k: c for k, c in out.items() if c}
+        res.act(out, c, src, lw, res.gen_elem(gen), rw)
+    return out
 
 
 class ChainMap:
@@ -88,16 +79,13 @@ class ChainMap:
         return vec
 
     def verify(self) -> bool:
-        """Whether d1 . sigma_1 + sigma_0 . d2 = 0 on every relation."""
+        """Whether d1 . sigma_1 = -sigma_0 . d2 on every relation."""
         res = self.C.res
         fun0 = lambda g: self.sigma0.get(g, {})
         fun1 = lambda g: self.sigma1.get(g, {})
-        for h in res.gens2():
-            tot = res.p_add(res.apply_map(res.d1, fun1(h)),
-                            res.apply_map(fun0, res.d2(h)))
-            if any(c != 0 for c in tot.values()):
-                return False
-        return True
+        return all(res.apply_map(res.d1, fun1(h))
+                   == res.apply_map(fun0, res.d2(h), -1)
+                   for h in res.gens2())
 
 
 # -- closed-form liftings of the distinguished HH^1 classes -----------------
@@ -302,7 +290,7 @@ def generic_lift(C: HomComplex, phi_vec, side="left"):
 
     s1 = {}
     for h in res.gens2():
-        z = res.p_scale(res.apply_map(fun0, res.d2(h)), -1)
+        z = res.apply_map(fun0, res.d2(h), -1)
         if res.aug(z):
             raise AssertionError("sigma_0 . d2 leaves the kernel of the "
                                  "augmentation for a cocycle")

@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from downup_hh.core import (Cond1, Cond2, Instance, canonical_instance,
                             classify)
@@ -52,6 +52,24 @@ def sweep():
             yield inst
 
 
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+nonzero = rationals.filter(lambda q: q != 0)
+
+
+@st.composite
+def stratum_params(draw):
+    """(alpha, beta) from one of three families: alpha = 0 with beta free
+    (Case I for even n + m, Case 1 for odd m), the discriminant curve
+    beta = -alpha^2/4 with alpha != 0 (Case 2 off Case 1), or both free."""
+    family = draw(st.sampled_from(["alpha-zero", "discriminant", "free"]))
+    if family == "alpha-zero":
+        return Q(0), draw(nonzero)
+    if family == "discriminant":
+        a = draw(nonzero)
+        return a, -a * a / 4
+    return draw(rationals), draw(nonzero)
+
+
 class TestDimensions:
     @pytest.mark.parametrize("inst", list(sweep()), ids=lambda i: i.key())
     def test_computed_equals_closed_form(self, inst):
@@ -89,6 +107,17 @@ class TestDimensions:
     def test_closed_form_any_parameters_2_3(self, a, b):
         inst = Instance(2, 3, a, b)
         assert hh_dims_computed(HomComplex(inst)) == hh_dims_closed_form(inst)
+
+    @given(st.sampled_from([(n, m) for n, m in SMALL_WEIGHTS if n + m <= 8]),
+           stratum_params())
+    @settings(max_examples=100, deadline=None)
+    def test_closed_form_and_bases_on_every_stratum(self, nm, ab):
+        inst = Instance(*nm, *ab)
+        c1, c2 = classify(inst)
+        event(f"stratum {c1.value}/{c2.value}")
+        C = HomComplex(inst)
+        assert hh_dims_computed(C) == hh_dims_closed_form(inst)
+        assert verify_bases(C) == hh_dims_computed(C)
 
     def test_dimension_table_values(self):
         # (1,1) strata

@@ -18,7 +18,7 @@ from downup_hh.resolution import (
     rank_L2_closed_form,
     tau_label,
 )
-from downup_hh.yoneda import ChainMap, cup_vector
+from downup_hh.yoneda import ChainMap, _el, cup_vector
 
 WEIGHTS = [(1, 1), (1, 2), (1, 3), (1, 4), (2, 3), (2, 5), (3, 4), (3, 5), (4, 5)]
 PARAMS = [(Q(0), Q(1)), (Q(1), Q(1)), (Q(2), Q(-1)), (Q(1), Q(-1)), (Q(3), Q(2))]
@@ -117,9 +117,9 @@ class TestContractingHomotopy:
 
     def test_differentials_are_computed_once_per_generator(self, monkeypatch):
         runs = []
-        lmul = Resolution.lmul
-        monkeypatch.setattr(Resolution, "lmul",
-                            lambda self, a, p: runs.append(1) or lmul(self, a, p))
+        act = Resolution.act
+        monkeypatch.setattr(Resolution, "act",
+                            lambda self, *a: runs.append(1) or act(self, *a))
         res = Resolution(Instance(1, 3, Q(0), Q(1)))
         first = {g: res.d1(g) for g in res.gens1()}
         first.update({h: res.d2(h) for h in res.gens2()})
@@ -144,6 +144,47 @@ def apply_tau(res, tau, p_el):
         for w2, c2 in res.B.normal_form(lw + w + rw).items():
             out[(ls, w2)] = out.get((ls, w2), 0) + c * c2
     return {k: c for k, c in out.items() if c}
+
+
+def lmul(res, alg_el, p_el):
+    """Left action of an algebra element {(source, word): c} on a P^r
+    element, term by term; a term not starting where the path ends is
+    skipped."""
+    B = res.B
+    out = {}
+    for (s1, w1), c1 in alg_el.items():
+        t1 = s1 + B.word_degree(w1)
+        for (gen, ls, lw, rw), c2 in p_el.items():
+            if ls != t1:
+                continue
+            for w, c3 in B.normal_form(w1 + lw).items():
+                key = (gen, s1, w, rw)
+                out[key] = out.get(key, 0) + c1 * c2 * c3
+    return {k: c for k, c in out.items() if c}
+
+
+def rmul(res, p_el, alg_el):
+    """Right action of an algebra element on a P^r element, term by term; a
+    path not starting where the term ends is skipped."""
+    B = res.B
+    out = {}
+    for (gen, ls, lw, rw), c1 in p_el.items():
+        t1 = res.gen_target(gen) + B.word_degree(rw)
+        for (s2, w2), c2 in alg_el.items():
+            if s2 != t1:
+                continue
+            for w, c3 in B.normal_form(rw + w2).items():
+                key = (gen, ls, lw, w)
+                out[key] = out.get(key, 0) + c1 * c2 * c3
+    return {k: c for k, c in out.items() if c}
+
+
+def letter_words(B, d):
+    """Every word in x and y, normal or not, of degree d."""
+    if d == 0:
+        return [""]
+    return [letter + w for letter in "xy" if B.word_degree(letter) <= d
+            for w in letter_words(B, d - B.word_degree(letter))]
 
 
 def pull_back(res, vec, basis_lo, basis_hi, fun, gens):
@@ -172,9 +213,15 @@ def scan_matrix(C, basis_lo, basis_hi, fun, gens):
 def random_value(res, rng, gen, gens_lo, nterms=4):
     """A random rational combination of tensors lw [g] rw, g in gens_lo,
     starting at the source of gen and ending at its target."""
+    return random_element(res, rng, gens_lo, res.gen_source(gen),
+                          res.gen_target(gen), nterms)
+
+
+def random_element(res, rng, gens, src, tgt, nterms=4):
+    """A random rational combination of tensors lw [g] rw, g in gens, with
+    normal words, starting at vertex src and ending at vertex tgt."""
     B = res.B
-    src, tgt = res.gen_source(gen), res.gen_target(gen)
-    cands = [(g, src, lw, rw) for g in gens_lo
+    cands = [(g, src, lw, rw) for g in gens
              for lw in B.hom_words(src, res.gen_source(g))
              for rw in B.hom_words(res.gen_target(g), tgt)]
     out = {}
@@ -222,6 +269,51 @@ class TestTauPairing:
             ChainMap(C, s0, {}).induced_vector()
         with pytest.raises(AssertionError, match="vertex 2"):
             cup_vector(C, phi, s1)
+
+
+class TestBimoduleAction:
+    @pytest.mark.parametrize("n,m", WEIGHTS)
+    @pytest.mark.parametrize("a,b", [(Q(0), Q(1)), (Q(2), Q(-3))])
+    def test_act_equals_lmul_then_rmul(self, n, m, a, b):
+        rng = random.Random(100 * n + m)
+        res = Resolution(Instance(n, m, a, b))
+        B = res.B
+        # (element, source, target): the d2 values, random P1 values of the
+        # relation generators and random P2 elements between two vertices
+        els = [(res.d2(h), res.gen_source(h), res.gen_target(h))
+               for h in res.gens2()]
+        els += [(random_value(res, rng, h, res.gens1()), res.gen_source(h),
+                 res.gen_target(h)) for h in res.gens2()]
+        p2 = [(random_element(res, rng, res.gens2(), s, t), s, t)
+              for s in range(1, B.ell + 1) for t in range(s, B.ell + 1)]
+        p2 = [e for e in p2 if e[0]]
+        els += rng.sample(p2, min(6, len(p2)))
+        for el, s, t in els:
+            assert el
+            lefts = [(u, lw) for u in range(1, s + 1)
+                     for lw in letter_words(B, s - u)]
+            rights = [rw for d in range(B.ell - t + 1)
+                      for rw in letter_words(B, d)]
+            for _ in range(4):
+                u, lw = rng.choice(lefts)
+                rw = rng.choice(rights)
+                c = Q(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4))
+                want = rmul(res, lmul(res, B.path(u, lw), el), B.path(t, rw))
+                want = {k: c * x for k, x in want.items()}
+                assert want
+                out = {}
+                assert res.act(out, c, u, lw, el, rw) is out
+                assert out == want
+                # act adds into what out holds, dropping the zeros
+                assert res.act(dict(want), -c, u, lw, el, rw) == {}
+
+    def test_a_term_at_a_wrong_vertex_is_rejected(self):
+        res = Resolution(Instance(1, 2, Q(1), Q(1)))
+        # x from vertex 1 ends at 2, but the generator x_3 starts at 3
+        with pytest.raises(AssertionError, match="vertex 3"):
+            res.act({}, Q(1), 1, "x", res.gen_elem(("x", 3)), "")
+        with pytest.raises(AssertionError, match="vertex 3"):
+            _el(res, [(1, 1, "x", ("x", 3), "")])
 
 
 def hat_dims(n, m):
