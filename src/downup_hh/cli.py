@@ -15,7 +15,6 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .cohomology import (
     euler_characteristic_closed_form,
@@ -459,6 +458,8 @@ def cmd_verify(args) -> int:
 
     workers = verify_workers(os.environ.get("HH_THREADS", ""), len(items))
     if workers > 1:
+        # Imported here: every serial command would pay for it at start-up.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_instance = list(pool.map(_verify_worker, items))
     else:

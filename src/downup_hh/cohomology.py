@@ -64,11 +64,12 @@ def hh_dims_closed_form(inst: Instance):
 
 
 def euler_characteristic_closed_form(inst: Instance) -> int:
-    """1 - h1 + h2, which only depends on the weights."""
+    """1 - h1 + h2, which only depends on the weights.  By Happel's trace
+    formula it is tr s, the sum of zeta^(-2(n+m)) over the roots zeta of
+    (1-t^n)(1-t^m)(1-t^{n+m}) (see `invariants`): (n+m) + n [n | 2m] +
+    m [m | 2n]."""
     n, m = inst.n, inst.m
-    if n == 1:
-        return {1: 4, 2: 6}.get(m, m + 2)
-    return m + 4 if n == 2 else n + m
+    return (n + m) + n * (2 * m % n == 0) + m * (2 * n % m == 0)
 
 
 # -- cocycle bases ----------------------------------------------------------

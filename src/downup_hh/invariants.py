@@ -9,26 +9,37 @@ the automorphism induced by the Serre functor,
     s = C^{-1} C^T,
 
 and the Coxeter matrix  Phi = -C^{-T} C.  Happel's trace formula identifies
--tr Phi with the alternating sum of the Hochschild cohomology dimensions;
-happel_trace_check verifies that identity against the direct computation of
-the dimensions.  If s acts unipotently -- as it must whenever the derived
-category is that of a smooth projective surface -- then tr s equals the
-rank 2(n+m) of the Grothendieck group.  The computed Euler characteristic
-meets that bar exactly at weights (1,1) and (1,2), and serre_unipotent
-confirms unipotence (by nilpotency of s - 1 and by the characteristic
-polynomial, cross-checked) precisely there; for m > n > 1 the mismatch
-rules the surface out.
+-tr Phi = tr s (cyclicity of the trace) with the alternating sum of the
+Hochschild cohomology dimensions; happel_trace_check verifies that identity
+against the direct computation of the dimensions.  If s acts unipotently --
+as it must whenever the derived category is that of a smooth projective
+surface -- then tr s equals the rank 2(n+m) of the Grothendieck group.  The
+computed Euler characteristic meets that bar exactly at weights (1,1) and
+(1,2), and serre_unipotent confirms unipotence precisely there; for
+m > n > 1 the mismatch rules the surface out.
 
 C is upper unitriangular Toeplitz: C[u][u+d] = h_d, the number of
 (a, b, c) with a*m + b*(n+m) + c*n = d, i.e. the coefficients of the
-Hilbert series 1/((1-t^n)(1-t^m)(1-t^{n+m})).  Its inverse is therefore
-the banded Toeplitz matrix of the polynomial (1-t^n)(1-t^m)(1-t^{n+m}),
-and s and Phi are integer matrices.  cartan_inverse builds C^{-1} from that
-closed form and certifies it by the exact product C^{-1} C = I on every
-call; each derived_invariants call builds C once and C^{-1} once.
+Hilbert series 1/p(t) with p(t) = (1-t^n)(1-t^m)(1-t^{n+m}), a polynomial
+of degree ell = 2(n+m) with p(0) = 1.  Its inverse is therefore the banded
+Toeplitz matrix of p, and s and Phi are integer matrices.  cartan_inverse
+builds C^{-1} from that closed form and certifies it by the exact product
+C^{-1} C = I on every call.
+
+On K_0 the Serre functor is the Gorenstein twist by ell (Yekutieli-Zhang,
+Serre duality for noncommutative projective schemes, 1997): s = T^{-ell},
+where T is the companion matrix of p, multiplication by t on Z[t]/(p) in
+the basis 1, t, ..., t^{ell-1}.  derived_invariants builds T^{-ell} by
+polynomial arithmetic (column j is t^{j-ell} mod p) and requires it to equal
+s exactly.  The minimal polynomial of T is p, so (s - 1)^ell = 0 exactly
+when p divides (t^ell - 1)^ell, which _unipotent decides mod p and
+cross-checks against the characteristic polynomial of s.  Each weight pair
+costs one C, one C^{-1}, two ell x ell products and one characteristic
+polynomial.
 """
 
 from fractions import Fraction as Q
+from functools import cache
 
 from .algebra import Beilinson
 from .cohomology import hh_dims_computed
@@ -41,13 +52,21 @@ def cartan_matrix(inst: Instance) -> QMatrix:
     return Beilinson(inst).cartan_matrix()
 
 
+@cache
+def hilbert_numerator(n: int, m: int) -> tuple[int, ...]:
+    """Integer coefficients of p(t) = (1-t^n)(1-t^m)(1-t^{n+m}), lowest
+    degree first."""
+    p = [1]
+    for d in (n, m, n + m):
+        p = [a - b for a, b in zip(p + [0] * d, [0] * d + p)]
+    return tuple(p)
+
+
 def cartan_inverse(inst: Instance, C: QMatrix) -> QMatrix:
     """The banded Toeplitz C^{-1} of (1-t^n)(1-t^m)(1-t^{n+m}), certified
     by the exact product C^{-1} C = I against the Cartan matrix C."""
     n, m, ell = inst.n, inst.m, C.nrows
-    p = -(QPoly.x_pow_minus_one(n) * QPoly.x_pow_minus_one(m)
-          * QPoly.x_pow_minus_one(n + m))
-    band = p.coeffs + [Q(0)] * ell
+    band = hilbert_numerator(n, m) + (0,) * ell
     inv = QMatrix([[band[v - u] if v >= u else 0 for v in range(ell)]
                    for u in range(ell)])
     if inv @ C != QMatrix.identity(ell):
@@ -55,20 +74,67 @@ def cartan_inverse(inst: Instance, C: QMatrix) -> QMatrix:
     return inv
 
 
-def _serre_and_coxeter(inst: Instance) -> tuple[QMatrix, QMatrix]:
-    """s = C^{-1} C^T and Phi = -C^{-T} C from one Cartan matrix and one
-    certified inverse."""
-    C = cartan_matrix(inst)
-    inv = cartan_inverse(inst, C)
-    return inv @ C.transpose(), -(inv.transpose() @ C)
+def gorenstein_shift(p: tuple[int, ...]) -> list[list[int]]:
+    """The rows of T^{-ell}, T the companion matrix of p (p(0) = 1, degree
+    ell): column j holds t^{j-ell} mod p, reached from 1 by ell divisions
+    by the unit t, each r -> (r - r(0) p) / t."""
+    ell = len(p) - 1
+    r, cols = [1] + [0] * (ell - 1), []
+    for _ in range(ell):
+        c = r[0]
+        r = [a - c * b for a, b in zip(r + [0], p)][1:]
+        cols.append(r)
+    cols.reverse()
+    return [list(row) for row in zip(*cols)]
+
+
+def _mulmod(a: list[int], b: list[int], p: tuple[int, ...]) -> list[int]:
+    """a * b mod p over the integers; p's leading coefficient is a unit."""
+    ell, lead = len(p) - 1, p[-1]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    for i in range(len(out) - 1, ell - 1, -1):
+        q = out[i] * lead  # out[i] / lead, as lead = +-1
+        if q:
+            for j, c in enumerate(p):
+                out[i - ell + j] -= q * c
+    return out[:ell]
+
+
+def _unipotent(s: QMatrix, p: tuple[int, ...]) -> bool:
+    """Decided twice -- p | (t^ell - 1)^ell, by repeated squaring mod p,
+    which is (s - 1)^ell = 0 for s = T^{-ell} with T of minimal polynomial
+    p; and char poly = (t - 1)^ell through Berkowitz's matrix-vector sums --
+    and the two verdicts are required to agree."""
+    ell = s.nrows
+    base = _mulmod([0] * ell + [1], [1], p)  # t^ell mod p
+    base[0] -= 1
+    acc, k = [1], ell
+    while k:
+        if k & 1:
+            acc = _mulmod(acc, base, p)
+        base = _mulmod(base, base, p) if k > 1 else base
+        k >>= 1
+    divides = not any(acc)
+    poly = s.char_poly() == QPoly([Q(-1), Q(1)]).pow(ell)
+    if divides != poly:
+        raise AssertionError("unipotence criteria disagree")
+    return divides
 
 
 def serre_matrix(inst: Instance) -> QMatrix:
-    return _serre_and_coxeter(inst)[0]
+    """s = C^{-1} C^T from the certified inverse."""
+    C = cartan_matrix(inst)
+    return cartan_inverse(inst, C) @ C.transpose()
 
 
 def coxeter_matrix(inst: Instance) -> QMatrix:
-    return _serre_and_coxeter(inst)[1]
+    """Phi = -C^{-T} C from the certified inverse."""
+    C = cartan_matrix(inst)
+    return -(cartan_inverse(inst, C).transpose() @ C)
 
 
 def euler_characteristic_trace(inst: Instance) -> Q:
@@ -78,19 +144,7 @@ def euler_characteristic_trace(inst: Instance) -> Q:
 
 def serre_unipotent(inst: Instance) -> bool:
     """Whether the Serre automorphism acts unipotently."""
-    return _unipotent(serre_matrix(inst))
-
-
-def _unipotent(s: QMatrix) -> bool:
-    """Decided twice -- (s - 1)^ell = 0 through matrix products, and char
-    poly = (t - 1)^ell through Berkowitz's matrix-vector sums -- and the
-    two verdicts are required to agree."""
-    ell = s.nrows
-    nil = (s - QMatrix.identity(ell)).pow(ell).is_zero()
-    poly = s.char_poly() == QPoly([Q(-1), Q(1)]).pow(ell)
-    if nil != poly:
-        raise AssertionError("unipotence criteria disagree")
-    return nil
+    return derived_invariants(inst)["serre_unipotent"]
 
 
 def happel_trace_check(C: HomComplex) -> dict:
@@ -103,8 +157,9 @@ def happel_trace_check(C: HomComplex) -> dict:
 
 
 def unipotent_closed_form(n: int, m: int) -> bool:
-    """The unipotency verdict in closed form: exactly weights (1,1) and (1,2)."""
-    return (n, m) in ((1, 1), (1, 2))
+    """The unipotency verdict in closed form: every root zeta of p has
+    zeta^ell = 1, i.e. n | 2m and m | 2n -- exactly weights (1,1), (1,2)."""
+    return 2 * m % n == 0 and 2 * n % m == 0
 
 
 # derived_invariants results by weight pair; the Cartan matrix, and with it
@@ -117,15 +172,19 @@ def derived_invariants(inst: Instance) -> dict:
 
     trace_matches_rank is the necessary condition (tr s = rank K_0) for the
     Serre action to be unipotent -- failing it obstructs derived equivalence
-    with a smooth projective surface.  Computed once per weight pair.
+    with a smooth projective surface.  Computed once per weight pair, with
+    s certified equal to the Gorenstein shift T^{-ell}.
     """
     key = (inst.n, inst.m)
     if key not in _INVARIANTS:
         rank = 2 * (inst.n + inst.m)
-        s, phi = _serre_and_coxeter(inst)
-        chi = -phi.trace()
+        p = hilbert_numerator(*key)
+        s = serre_matrix(inst)
+        if s.rows != gorenstein_shift(p):
+            raise AssertionError(f"s = C^-1 C^T is not T^-ell at {key}")
+        chi = s.trace()
         _INVARIANTS[key] = {"rank_K0": rank,
                             "chi_trace": chi,
-                            "serre_unipotent": _unipotent(s),
+                            "serre_unipotent": _unipotent(s, p),
                             "trace_matches_rank": chi == Q(rank)}
     return dict(_INVARIANTS[key])

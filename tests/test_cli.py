@@ -234,6 +234,16 @@ class TestVerify:
         assert serial.returncode == parallel.returncode == 0
         assert serial.stdout == parallel.stdout
 
+    def test_import_leaves_the_process_pool_unloaded(self):
+        # Only `verify` with HH_THREADS > 1 uses the pool, so no command
+        # should pay for importing it at start-up.
+        probe = ("import sys, downup_hh.cli; print([m for m in "
+                 "('concurrent.futures', 'multiprocessing') if m in sys.modules])")
+        r = subprocess.run([sys.executable, "-c", probe],
+                           capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == "[]\n"
+
     def test_unreachable_strata_are_listed(self):
         r = run_cli("verify", "--max-sum", "3", "--format", "json")
         rep = json.loads(r.stdout)

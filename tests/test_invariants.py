@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from downup_hh import invariants
 from downup_hh.core import Instance, Q
 from downup_hh.cohomology import (
     euler_characteristic_closed_form,
@@ -15,7 +16,9 @@ from downup_hh.invariants import (
     coxeter_matrix,
     derived_invariants,
     euler_characteristic_trace,
+    gorenstein_shift,
     happel_trace_check,
+    hilbert_numerator,
     serre_matrix,
     serre_unipotent,
     unipotent_closed_form,
@@ -23,14 +26,33 @@ from downup_hh.invariants import (
 from downup_hh.linalg import QMatrix
 from downup_hh.resolution import HomComplex
 
-WEIGHTS = [(n, m) for m in range(1, 13) for n in range(1, m + 1)
-           if n + m <= 13 and math.gcd(n, m) == 1]
+
+def coprime_weights(max_sum):
+    return [(n, m) for m in range(1, max_sum) for n in range(1, m + 1)
+            if n + m <= max_sum and math.gcd(n, m) == 1]
+
+
+WEIGHTS = coprime_weights(13)
 
 UNIPOTENT_WEIGHTS = {(1, 1), (1, 2)}
 
 
 def an_instance(n, m):
     return Instance(n, m, Q(1), Q(-1))
+
+
+def ref_unipotent(s):
+    """The matrix-power verdict (s - 1)^ell = 0: the reference for the
+    divisibility verdict of derived_invariants."""
+    return (s - QMatrix.identity(s.nrows)).pow(s.nrows).is_zero()
+
+
+def ref_euler_characteristic(n, m):
+    """1 - h1 + h2 as a stratum table: the reference for the arithmetic
+    closed form."""
+    if n == 1:
+        return {1: 4, 2: 6}.get(m, m + 2)
+    return m + 4 if n == 2 else n + m
 
 
 def eval_matrix(p, M):
@@ -122,7 +144,8 @@ class TestUnipotence:
         # with the direct computation on that very instance.
         for inst in sample_instances(n, m) if n + m <= 7 else []:
             got = derived_invariants(inst)
-            assert got["serre_unipotent"] == serre_unipotent(inst), inst.key()
+            assert got["serre_unipotent"] == ref_unipotent(serre_matrix(inst)), \
+                inst.key()
             assert got["chi_trace"] == euler_characteristic_trace(inst), inst.key()
 
     @pytest.mark.parametrize("n,m", [(2, 3), (2, 5), (3, 4), (3, 5), (4, 5)])
@@ -132,3 +155,84 @@ class TestUnipotence:
         inv = derived_invariants(an_instance(n, m))
         assert not inv["trace_matches_rank"]
         assert inv["chi_trace"] == Q(m + 4 if n == 2 else n + m)
+
+
+class TestGorensteinShift:
+    """s = C^{-1} C^T is T^{-ell} for the companion matrix T of
+    p = (1-t^n)(1-t^m)(1-t^{n+m}), certified inside derived_invariants."""
+
+    @pytest.fixture
+    def fresh(self, monkeypatch):
+        monkeypatch.setattr(invariants, "_INVARIANTS", {})
+
+    def test_serre_matrix_is_the_gorenstein_shift(self):
+        weights = coprime_weights(16)
+        assert len(weights) == 40
+        for n, m in weights:
+            s = serre_matrix(an_instance(n, m))
+            assert s.rows == gorenstein_shift(hilbert_numerator(n, m)), (n, m)
+
+    def test_hilbert_numerator_is_the_banded_inverse(self):
+        p = hilbert_numerator(2, 3)
+        assert p == (1, 0, -1, -1, 0, 0, 0, 1, 1, 0, -1)
+        assert list(p[:-1]) == cartan_inverse(an_instance(2, 3),
+                                         cartan_matrix(an_instance(2, 3))).rows[0]
+
+    @pytest.mark.parametrize("u,v", [(0, 0), (0, 9), (4, 2), (13, 13)])
+    def test_certificate_rejects_a_perturbed_serre_matrix(self, fresh,
+                                                          monkeypatch, u, v):
+        true_serre = invariants.serre_matrix
+
+        def perturbed(inst):
+            s = true_serre(inst)
+            s.rows[u][v] += 1
+            return s
+
+        monkeypatch.setattr(invariants, "serre_matrix", perturbed)
+        with pytest.raises(AssertionError, match="T\\^-ell"):
+            derived_invariants(an_instance(3, 4))
+
+    def test_no_matrix_power_and_two_products_per_weight_pair(self, fresh,
+                                                              monkeypatch):
+        def refuse(self, k):
+            raise AssertionError("derived_invariants took a matrix power")
+
+        products = []
+        matmul = QMatrix.__matmul__
+
+        def counted(a, b):
+            products.append((a.shape, b.shape))
+            return matmul(a, b)
+
+        monkeypatch.setattr(QMatrix, "pow", refuse)
+        monkeypatch.setattr(QMatrix, "__matmul__", counted)
+        pairs = [(1, 1), (1, 2), (2, 3), (3, 8), (7, 9)]
+        for n, m in pairs:
+            ell = 2 * (n + m)
+            before = len(products)
+            got = derived_invariants(an_instance(n, m))
+            assert got["serre_unipotent"] == ((n, m) in UNIPOTENT_WEIGHTS)
+            assert products[before:] == [((ell, ell), (ell, ell))] * 2
+            derived_invariants(Instance(n, m, Q(2), Q(3)))
+        assert len(products) == 2 * len(pairs)
+
+    @pytest.mark.parametrize("n,m", coprime_weights(12))
+    def test_divisibility_verdict_equals_the_matrix_power(self, n, m):
+        inst = an_instance(n, m)
+        assert serre_unipotent(inst) == ref_unipotent(serre_matrix(inst))
+
+
+class TestClosedForms:
+    """The arithmetic closed forms against the stratum tables they replaced."""
+
+    WIDE = coprime_weights(60)
+
+    def test_euler_characteristic_formula_equals_the_table(self):
+        for n, m in self.WIDE:
+            assert (euler_characteristic_closed_form(an_instance(n, m))
+                    == ref_euler_characteristic(n, m)), (n, m)
+
+    def test_unipotency_formula_equals_the_table(self):
+        for n, m in self.WIDE:
+            assert unipotent_closed_form(n, m) == ((n, m) in UNIPOTENT_WEIGHTS), \
+                (n, m)
