@@ -3,10 +3,13 @@
 Everything is rational end to end: arguments accept only integer or p/q
 literals, reports serialize rationals as strings, and no value ever passes
 through a float.  Output for a fixed command line is deterministic byte for
-byte, so the table and JSON emitters are golden-file testable.  The exit
-status is 0 exactly when every emitted check passed, which makes `verify`
-usable as a batch gate; `--inject-fault lambda-sign` corrupts one closed
-form on purpose so that the gate's failure path can itself be tested.
+byte, so the table and JSON emitters are golden-file testable.  One
+registry of check groups, `CHECKS`, serves every command: `verify` runs its
+groups over a sweep of sampled instances, and each single-instance command
+(`REPORTS`) reports the checks of the group it names on its instance.  The
+exit status is 0 exactly when every emitted check passed, which makes
+`verify` usable as a batch gate; `--inject-fault lambda-sign` corrupts one
+closed form on purpose so that the gate's failure path can itself be tested.
 """
 
 import argparse
@@ -79,10 +82,6 @@ def _emit(args, payload: str):
         sys.stdout.write(payload)
 
 
-def _emit_json(args, obj) -> None:
-    _emit(args, json.dumps(obj, indent=2) + "\n")
-
-
 def _check(name: str, ok: bool, detail: str) -> dict:
     return {"name": name, "pass": bool(ok), "detail": detail}
 
@@ -104,10 +103,8 @@ def _build(args, reduced_only=None):
             args.n, args.m, args.alpha, args.beta,
             allow_reduce=args.reduce, allow_swap=args.canonicalize)
     except ValueError as exc:
-        msg = str(exc).replace("pass allow_reduce to work with",
-                               "pass --reduce to work with") \
-                      .replace("pass allow_swap to exchange",
-                               "pass --canonicalize to exchange")
+        msg = (str(exc).replace("allow_reduce", "--reduce")
+               .replace("allow_swap", "--canonicalize"))
         sys.stderr.write(f"error: {msg}\n")
         raise SystemExit(2)
     if reduced_only and k != 1:
@@ -117,18 +114,10 @@ def _build(args, reduced_only=None):
     return inst, k, swapped
 
 
-def _base_report(args, inst: Instance, k: int, swapped: bool, dims) -> dict:
-    c1, c2 = classify(inst)
-    return {
-        "instance": {"n": args.n, "m": args.m,
-                     "alpha": fmt_q(args.alpha), "beta": fmt_q(args.beta)},
-        "classification": {"cond1": c1.value, "cond2": c2.value},
-        "dims": dict(zip(("h0", "h1", "h2"), dims)),
-        "closed_form": {"k": k, "swapped": swapped, "canonical": inst.key()},
-    }
-
-
-# -- compute ----------------------------------------------------------------
+# -- single-instance reports ------------------------------------------------
+# Each section fills in its command's part of the report and returns the text
+# lines of that part (compute's CSV lines under --format csv) and the keyword
+# arguments that its check group takes.
 
 DIMS_HEADER = ["instance", "case1", "case2", "h0", "h1", "h2", "chi",
                "unipotent"]
@@ -146,123 +135,54 @@ def _dims_row(label: str, inst: Instance, dims, chi: int,
             + [str(chi), "true" if unipotent else "false"])
 
 
-def cmd_compute(args) -> int:
-    inst, k, swapped = _build(args)
-    C = HomComplex(inst)
-    comp = tuple(k * d for d in hh_dims_computed(C))
+def _compute_section(args, inst: Instance, C: HomComplex, rep: dict):
+    k, comp = rep["closed_form"]["k"], tuple(rep["dims"].values())
     closed = tuple(k * d for d in hh_dims_closed_form(inst))
     chi = k * euler_characteristic_closed_form(inst)
-    rep = _base_report(args, inst, k, swapped, comp)
-    rep["closed_form"].update({"h0": closed[0], "h1": closed[1],
-                               "h2": closed[2], "chi": chi})
-    rep["checks"] = [
-        _check("dims-match", comp == closed,
-               f"computed {comp} vs closed form {closed}"),
-        _check("euler-characteristic", comp[0] - comp[1] + comp[2] == chi,
-               f"{comp[0]} - {comp[1]} + {comp[2]} = {chi}"),
-    ]
-    if args.format == "json":
-        _emit_json(args, rep)
-    elif args.format == "csv":
+    rep["closed_form"].update(zip(("h0", "h1", "h2", "chi"), closed + (chi,)))
+    if args.format == "csv":
         row = _dims_row(f"n={args.n} m={args.m} alpha={fmt_q(args.alpha)} "
                         f"beta={fmt_q(args.beta)}", inst, comp, chi,
                         derived_invariants(inst)["serre_unipotent"])
-        _emit(args, ",".join(DIMS_HEADER) + "\n" + ",".join(row) + "\n")
-    else:
-        lines = [f"instance: {inst.key()}" + (f"  (k = {k}, swapped = {swapped})"
-                                              if k != 1 or swapped else ""),
-                 f"stratum:  Case {rep['classification']['cond1']}, "
-                 f"Case {rep['classification']['cond2']}",
-                 f"dims:     h0={comp[0]} h1={comp[1]} h2={comp[2]}  chi={chi}"]
-        lines += [f"check:    {c['name']} {'PASS' if c['pass'] else 'FAIL'} ({c['detail']})"
-                  for c in rep["checks"]]
-        _emit(args, "\n".join(lines) + "\n")
-    return _failed(rep["checks"])
+        return [",".join(DIMS_HEADER), ",".join(row)], {}
+    cls = rep["classification"]
+    return [f"stratum:  Case {cls['cond1']}, Case {cls['cond2']}",
+            f"dims:     h0={comp[0]} h1={comp[1]} h2={comp[2]}  chi={chi}"], {}
 
 
-# -- basis ------------------------------------------------------------------
-
-def _support(C: HomComplex, basis, vec) -> dict:
+def _support(basis, vec) -> dict:
     return {tau_label(basis[i]): fmt_q(c)
             for i, c in enumerate(vec) if c != 0}
 
 
-def cmd_basis(args) -> int:
-    inst, k, swapped = _build(args, reduced_only="basis reporting works")
-    C = HomComplex(inst)
-    h0, h1, h2 = hh_dims_computed(C)
-    rep = _base_report(args, inst, k, swapped, (h0, h1, h2))
-    try:
-        verify_bases(C)
-        ok, why = True, "cocycles, independent modulo the image, full cardinality"
-    except AssertionError as exc:
-        ok, why = False, f"verification failed: {exc}"
-    rep["hh0"] = [lbl for lbl, _ in hh0_basis(C)]
-    rep["hh1"] = [{"label": lbl, "value": _support(C, C.basis1, v)}
-                  for lbl, v in hh1_basis(C)]
-    rep["hh2"] = [{"label": lbl, "value": _support(C, C.basis2, v)}
-                  for lbl, v in hh2_basis(C)]
-    rep["checks"] = [
-        _check("bases-verified", ok, why),
-        _check("cardinality",
-               (len(rep["hh1"]), len(rep["hh2"])) == (h1, h2),
-               f"listed ({len(rep['hh1'])}, {len(rep['hh2'])}) vs computed ({h1}, {h2})"),
-    ]
+def _basis_section(args, inst: Instance, C: HomComplex, rep: dict):
     rep["closed_form"]["hh2_substituted"] = hh2_substitution_needed(inst)
-    if args.format == "json":
-        _emit_json(args, rep)
-    else:
-        lines = [f"instance: {inst.key()}",
-                 "hh1: " + " ".join(d["label"] for d in rep["hh1"]),
-                 "hh2: " + " ".join(d["label"] for d in rep["hh2"])]
-        lines += [f"check: {c['name']} {'PASS' if c['pass'] else 'FAIL'}"
-                  for c in rep["checks"]]
-        _emit(args, "\n".join(lines) + "\n")
-    return _failed(rep["checks"])
+    rep["hh0"] = [lbl for lbl, _ in hh0_basis(C)]
+    rep["hh1"] = [{"label": lbl, "value": _support(C.basis1, v)}
+                  for lbl, v in hh1_basis(C)]
+    rep["hh2"] = [{"label": lbl, "value": _support(C.basis2, v)}
+                  for lbl, v in hh2_basis(C)]
+    return ["hh1: " + " ".join(d["label"] for d in rep["hh1"]),
+            "hh2: " + " ".join(d["label"] for d in rep["hh2"])], {}
 
-
-# -- ring -------------------------------------------------------------------
 
 def _ideal_strings(pairs, ideal_rows) -> list:
     out = []
     for v in ideal_rows:
-        terms = []
-        for t, c in enumerate(v):
-            if c == 0:
-                continue
-            i, j = pairs[t]
-            mono = f"s{i + 1}s{j + 1}"
-            if c == 1:
-                terms.append(f"+ {mono}" if terms else mono)
-            elif c == -1:
-                terms.append(f"- {mono}" if terms else f"-{mono}")
-            else:
-                cs = fmt_q(c if not terms else abs(c))
-                terms.append(f"{'+ ' if c > 0 else '- '}{cs}*{mono}" if terms
-                             else f"{cs}*{mono}")
-        out.append(" ".join(terms) if terms else "0")
+        text = ""
+        for (i, j), c in zip(pairs, v):
+            if c != 0:
+                sign = "-" if c < 0 else "+"
+                coef = f"{fmt_q(abs(c))}*" if abs(c) != 1 else ""
+                text += f" {sign} " if text else ("-" if c < 0 else "")
+                text += f"{coef}s{i + 1}s{j + 1}"
+        out.append(text or "0")
     return out
 
 
-def _ring_facts(C: HomComplex, report: dict):
-    """What the ring checks of `ring` and `verify` test: (stored row agrees,
-    defect row expected, C(a,2)-|I|+b == h2, that sum written out, dims)."""
-    pres = report["presentation"]
-    agree = (report["dims_match"] and report["row_self_consistent"]
-             and report["ideal_match_after_rescale"])
-    dims = hh_dims_computed(C)
-    ncomb, nrel = pres["a"] * (pres["a"] - 1) // 2, len(pres["ideal"])
-    return (agree, ring_row_defect_expected(C.inst),
-            ncomb - nrel + pres["b"] == dims[2],
-            f"C(a,2)-|I|+b = {ncomb}-{nrel}+{pres['b']}", dims)
-
-
-def cmd_ring(args) -> int:
-    inst, k, swapped = _build(args, reduced_only="ring reporting works")
-    C = HomComplex(inst)
+def _ring_section(args, inst: Instance, C: HomComplex, rep: dict):
     report = ring_row_report(C)
     pres = report["presentation"]
-    rep = _base_report(args, inst, k, swapped, hh_dims_computed(C))
     rep["ring"] = {
         "a": pres["a"], "b": pres["b"],
         "generators": pres["labels"],
@@ -274,58 +194,64 @@ def cmd_ring(args) -> int:
         "stored_row_matches_after_rescale": report["ideal_match_after_rescale"],
         "rescale": [fmt_q(c) for c in report["rescale"]] if report["rescale"] else None,
     }
-    agree, expected_defect, count_ok, count, (_, h1, h2) = _ring_facts(C, report)
-    rep["checks"] = [
-        _check("presentation-degree-counts", pres["a"] == h1 and count_ok,
-               f"a={pres['a']} (h1={h1}), {count} (h2={h2})"),
-        _check("table-row-agreement", agree != expected_defect,
-               ("stored row reproduced" if agree else
-                "stored row fails its own degree-2 count; computed ideal kept")
-               + (", defect expected on this stratum" if expected_defect else "")),
-    ]
-    if args.format == "json":
-        _emit_json(args, rep)
-    else:
-        lines = [f"instance: {inst.key()}",
-                 f"Lambda({pres['a']}, {pres['b']}) / I,  I generated by:"]
-        lines += [f"  {s}" for s in rep["ring"]["ideal"]] or ["  0"]
-        lines += [f"check: {c['name']} {'PASS' if c['pass'] else 'FAIL'} ({c['detail']})"
-                  for c in rep["checks"]]
-        _emit(args, "\n".join(lines) + "\n")
-    return _failed(rep["checks"])
+    lines = [f"Lambda({pres['a']}, {pres['b']}) / I,  I generated by:"]
+    lines += [f"  {s}" for s in rep["ring"]["ideal"]] or ["  0"]
+    return lines, {"report": report}
 
 
-# -- invariants -------------------------------------------------------------
-
-def cmd_invariants(args) -> int:
-    inst, k, swapped = _build(args, reduced_only="invariants work")
+def _invariants_section(args, inst: Instance, C: HomComplex, rep: dict):
     inv = derived_invariants(inst)
-    hap = happel_trace_check(HomComplex(inst))
-    rep = _base_report(args, inst, k, swapped, hh_dims_closed_form(inst))
-    rep["invariants"] = {
+    iv = rep["invariants"] = {
         "rank_K0": inv["rank_K0"],
         "chi_hh": fmt_q(inv["chi_trace"]),
         "serre_unipotent": inv["serre_unipotent"],
         "surface_obstructed": not inv["serre_unipotent"],
     }
-    rep["checks"] = [
-        _check("happel-trace",
-               hap["match"],
-               f"alternating sum {hap['chi_direct']} vs -tr Phi = {hap['chi_trace']}"),
-        _check("trace-matches-rank-iff-unipotent",
-               inv["trace_matches_rank"] == inv["serre_unipotent"],
-               f"tr s = {fmt_q(inv['chi_trace'])}, rank K0 = {inv['rank_K0']}"),
-    ]
+    return [f"chi_HH = {iv['chi_hh']},  rank K0 = {iv['rank_K0']}",
+            f"Serre action unipotent: {iv['serre_unipotent']}",
+            f"surface obstructed: {iv['surface_obstructed']}"], {}
+
+
+# The single-instance commands: command -> (its `verify` check group, its
+# report section, why it needs coprime weights or None, formats, help).
+REPORTS = {
+    "compute": ("dims", _compute_section, None, ["json", "csv", "text"],
+                "dimensions and classification"),
+    "basis": ("bases", _basis_section, "basis reporting works",
+              ["json", "text"], "distinguished cocycle bases"),
+    "ring": ("ring", _ring_section, "ring reporting works", ["json", "text"],
+             "Yoneda ring presentation"),
+    "invariants": ("invariants", _invariants_section, "invariants work",
+                   ["json", "text"], "Cartan, Coxeter trace, unipotency"),
+}
+
+
+def cmd_report(args) -> int:
+    """One single-instance command: the report head, the command's section
+    and the checks of its `verify` group on the instance."""
+    group, section, reason, _, _ = REPORTS[args.command]
+    inst, k, swapped = _build(args, reason)
+    C = HomComplex(inst)
+    c1, c2 = classify(inst)
+    rep = {
+        "instance": {"n": args.n, "m": args.m,
+                     "alpha": fmt_q(args.alpha), "beta": fmt_q(args.beta)},
+        "classification": {"cond1": c1.value, "cond2": c2.value},
+        "dims": dict(zip(("h0", "h1", "h2"),
+                         (k * d for d in hh_dims_computed(C)))),
+        "closed_form": {"k": k, "swapped": swapped, "canonical": inst.key()},
+    }
+    lines, context = section(args, inst, C, rep)
+    rep["checks"] = [_check(*c) for c in CHECKS[group](inst, C, None, **context)]
+    if args.format == "text":
+        head = f"instance: {inst.key()}" + (
+            f"  (k = {k}, swapped = {swapped})" if k != 1 or swapped else "")
+        lines = [head] + lines + [
+            f"check: {c['name']} {'PASS' if c['pass'] else 'FAIL'} ({c['detail']})"
+            for c in rep["checks"]]
     if args.format == "json":
-        _emit_json(args, rep)
+        _emit(args, json.dumps(rep, indent=2) + "\n")
     else:
-        iv = rep["invariants"]
-        lines = [f"instance: {inst.key()}",
-                 f"chi_HH = {iv['chi_hh']},  rank K0 = {iv['rank_K0']}",
-                 f"Serre action unipotent: {iv['serre_unipotent']}",
-                 f"surface obstructed: {iv['surface_obstructed']}"]
-        lines += [f"check: {c['name']} {'PASS' if c['pass'] else 'FAIL'} ({c['detail']})"
-                  for c in rep["checks"]]
         _emit(args, "\n".join(lines) + "\n")
     return _failed(rep["checks"])
 
@@ -339,7 +265,10 @@ def sweep_weights(max_sum: int):
 
 def _dims_checks(inst: Instance, C: HomComplex, fault) -> list:
     comp, closed = hh_dims_computed(C), hh_dims_closed_form(inst)
-    return [("dims-match", comp == closed, f"{comp} vs {closed}")]
+    chi = comp[0] - comp[1] + comp[2]
+    return [("dims-match",
+             comp == closed and chi == euler_characteristic_closed_form(inst),
+             f"{comp} vs {closed}")]
 
 
 def _complex_checks(inst: Instance, C: HomComplex, fault) -> list:
@@ -384,20 +313,31 @@ def _lifts_checks(inst: Instance, C: HomComplex, fault) -> list:
              "all lifted maps" if not bad else f"failing: {' '.join(bad)}")]
 
 
-def _ring_group_checks(inst: Instance, C: HomComplex, fault) -> list:
-    agree, expected_defect, count_ok, count, (_, _, h2) = _ring_facts(
-        C, ring_row_report(C))
-    return [("table-row-agreement", agree != expected_defect,
+def _ring_group_checks(inst: Instance, C: HomComplex, fault,
+                       report=None) -> list:
+    """`report` is the complex's ring_row_report when the caller has it."""
+    report = ring_row_report(C) if report is None else report
+    pres = report["presentation"]
+    agree = (report["dims_match"] and report["row_self_consistent"]
+             and report["ideal_match_after_rescale"])
+    _, h1, h2 = hh_dims_computed(C)
+    ncomb, nrel = pres["a"] * (pres["a"] - 1) // 2, len(pres["ideal"])
+    return [("table-row-agreement", agree != ring_row_defect_expected(inst),
              "row reproduced" if agree else "documented defect row"),
-            ("presentation-degree-counts", count_ok, f"{count}, h2 = {h2}")]
+            ("presentation-degree-counts",
+             pres["a"] == h1 and ncomb - nrel + pres["b"] == h2,
+             f"C(a,2)-|I|+b = {ncomb}-{nrel}+{pres['b']}, h2 = {h2}")]
 
 
 def _invariants_checks(inst: Instance, C: HomComplex, fault) -> list:
     hap = happel_trace_check(C)
-    uni = derived_invariants(inst)["serre_unipotent"]
+    inv = derived_invariants(inst)
+    uni = inv["serre_unipotent"]
     return [("happel-trace", hap["match"],
              f"{hap['chi_direct']} vs {fmt_q(hap['chi_trace'])}"),
-            ("unipotency-verdict", uni == unipotent_closed_form(inst.n, inst.m),
+            ("unipotency-verdict",
+             uni == unipotent_closed_form(inst.n, inst.m)
+             and inv["trace_matches_rank"] == uni,
              f"unipotent = {uni}")]
 
 
@@ -472,7 +412,7 @@ def cmd_verify(args) -> int:
            "checks": checks,
            "summary": {"total": len(checks), "failed": failed}}
     if args.format == "json":
-        _emit_json(args, rep)
+        _emit(args, json.dumps(rep, indent=2) + "\n")
     else:
         lines = [f"{'PASS' if c['pass'] else 'FAIL'}  {c['instance']:<34} "
                  f"{c['name']} ({c['detail']})" for c in checks]
@@ -559,17 +499,11 @@ def main(argv=None) -> int:
                     "graded down-up algebras")
     sub = top.add_subparsers(dest="command", required=True)
 
-    for name, fn, helptext, formats in (
-            ("compute", cmd_compute, "dimensions and classification",
-             ["json", "csv", "text"]),
-            ("basis", cmd_basis, "distinguished cocycle bases", ["json", "text"]),
-            ("ring", cmd_ring, "Yoneda ring presentation", ["json", "text"]),
-            ("invariants", cmd_invariants, "Cartan, Coxeter trace, unipotency",
-             ["json", "text"])):
+    for name, (_, _, _, formats, helptext) in REPORTS.items():
         p = sub.add_parser(name, help=helptext)
         _add_instance_flags(p, with_params=name != "invariants")
         p.add_argument("--format", choices=formats, default="json")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=cmd_report)
 
     p = sub.add_parser("verify", help="cross-check sweep; exit 0 iff clean")
     p.add_argument("--max-sum", type=parse_max_sum, default=8,

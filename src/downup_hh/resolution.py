@@ -50,9 +50,9 @@ gen -> sum c lw [h] rw, tau[h]^w puts c nf(lw w rw) on gen; one walk over the
 terms (Resolution.pair) does this for every functional at once.  It builds
 D1, D2 from d1, d2 (columns indexed by the domain basis, rows by the codomain
 basis, in fixed, explicitly listed orders), and the cup and induced cochains
-of `yoneda` from chain maps.  The submatrices L1 (rows of the four
-arrow-letter relation functionals against the arrow columns) and, for n = 1,
-the x-power block L2 are extracted from D2.
+of `yoneda` from chain maps.  The relations are homogeneous in the letter
+content (#x, #y), so D1 and D2 are block-diagonal in the weight of tau[h]^w
+(`tau_weight`); L1 and, for n = 1, the x-power block L2 are blocks of D2.
 """
 
 from fractions import Fraction as Q
@@ -209,6 +209,16 @@ class Resolution:
                         yield (gen, w2), (g, w), c * c2
 
 
+_CONTENT = {"e": (0, 0), "x": (1, 0), "y": (0, 1), "f": (2, 1), "g": (1, 2)}
+
+
+def tau_weight(tau):
+    """content(w) - content(h) for tau[h]^w, content being (#x, #y)."""
+    (kind, _), w = tau
+    cx, cy = _CONTENT[kind]
+    return (w.count("x") - cx, w.count("y") - cy)
+
+
 def tau_label(tau):
     """ASCII name of a functional basis element, e.g. tau[f2]^yxx."""
     (kind, i), w = tau
@@ -239,13 +249,14 @@ class HomComplex:
 
     # -- bases ------------------------------------------------------------
 
-    def _enumerate_tau(self, gens):
+    def _checked(self, order, gens, space):
+        """`order`, checked to list each functional of `gens` exactly once."""
         res = self.res
-        out = []
-        for g in gens:
-            for w in self.B.hom_words(res.gen_source(g), res.gen_target(g)):
-                out.append((g, w))
-        return out
+        brute = [(g, w) for g in gens
+                 for w in self.B.hom_words(res.gen_source(g), res.gen_target(g))]
+        if set(order) != set(brute) or len(order) != len(brute):
+            raise AssertionError(f"tau basis of {space} does not match enumeration")
+        return order
 
     def _tau1_basis(self):
         n, m = self.B.n, self.B.m
@@ -259,10 +270,7 @@ class HomComplex:
             order = (xs + ys
                      + [(("y", j), "x") for j in (3, 2, 1)]
                      + [(("x", i), "y") for i in (1, 2, 3)])
-        brute = self._enumerate_tau(self.res.gens1())
-        if set(order) != set(brute) or len(order) != len(brute):
-            raise AssertionError("tau basis of P1^ does not match enumeration")
-        return order
+        return self._checked(order, self.res.gens1(), "P1^")
 
     def _tau2_basis(self):
         n, m = self.B.n, self.B.m
@@ -286,11 +294,7 @@ class HomComplex:
         else:  # n = m = 1
             tail = [f(1, "xxx"), g(1, "yxx"), g(1, "xyx"), g(1, "xxx"),
                     g(1, "yyy"), f(1, "yyx"), f(1, "yxy"), f(1, "yyy")]
-        order = head + tail
-        brute = self._enumerate_tau(self.res.gens2())
-        if set(order) != set(brute) or len(order) != len(brute):
-            raise AssertionError("tau basis of P2^ does not match enumeration")
-        return order
+        return self._checked(head + tail, self.res.gens2(), "P2^")
 
     # -- matrices ----------------------------------------------------------
 
@@ -309,29 +313,31 @@ class HomComplex:
         """(rank D1, rank D2), eliminated on first use and kept."""
         return (self.D1.rank(), self.D2.rank())
 
+    def block(self, weight):
+        """The D2 rows and P1^ columns (D1's codomain) of the given weight."""
+        return self.D2.submatrix(
+            [k for k, t in enumerate(self.basis2) if tau_weight(t) == weight],
+            [k for k, t in enumerate(self.basis1) if tau_weight(t) == weight])
+
     def L1(self):
-        """Rows of the arrow-letter relation functionals against the arrow
-        columns of D2: a 2(n+m) x 3(n+m) matrix."""
-        n, m = self.B.n, self.B.m
-        return self.D2.submatrix(list(range(2 * (n + m))), list(range(3 * (n + m))))
+        """The weight-(0,0) block: rows of the arrow-letter relation
+        functionals against the arrow columns, a 2(n+m) x 3(n+m) matrix."""
+        return self.block((0, 0))
 
     def L2(self):
-        """For n = 1: the x-power block of D2, an (m+2) x (m+2) matrix with
-        rows tau[f_m..f_1]^{x^(m+2)}, tau[g_1]^{y x^(m+1)}, tau[g_1]^{x y x^m}
+        """For n = 1: the x-power block, of weight (m,-1), with rows
+        tau[f_m..f_1]^{x^(m+2)}, tau[g_1]^{y x^(m+1)}, tau[g_1]^{x y x^m}
         and columns tau[y_(m+2)..y_1]^{x^m}."""
-        n, m = self.B.n, self.B.m
-        if n != 1:
+        if self.B.n != 1:
             raise ValueError("the x-power block exists only for n = 1")
-        rows = list(range(2 * (n + m), 2 * (n + m) + m + 2))
-        cols = list(range(3 * (n + m), 3 * (n + m) + m + 2))
-        return self.D2.submatrix(rows, cols)
+        return self.block((self.B.m, -1))
 
     def L2_star(self):
-        """For n = m = 1 only: the mirror block of D2 with rows
+        """For n = m = 1 only: the mirror block, of weight (-1,1), with rows
         tau[g1]^yyy, tau[f1]^yyx, tau[f1]^yxy and columns tau[x_1..x_3]^y."""
         if not (self.B.n == 1 and self.B.m == 1):
             raise ValueError("the mirror block exists only for n = m = 1")
-        return self.D2.submatrix([8, 9, 10], [9, 10, 11])
+        return self.block((-1, 1))
 
 
 # -- closed forms against which the matrices are tested ---------------------

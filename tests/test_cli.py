@@ -1,6 +1,7 @@
 """CLI contract: exact flags, byte-stable output, exit-status discipline."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -9,12 +10,22 @@ from pathlib import Path
 
 import pytest
 
-from downup_hh.cli import CHECKS, main, sweep_weights, verify_workers
+from downup_hh import cli
+from downup_hh.cli import CHECKS, REPORTS, main, sweep_weights, verify_workers
 from downup_hh.cohomology import sample_instances
 from downup_hh.resolution import HomComplex, Resolution
 
 GOLDEN = Path(__file__).parent / "golden"
 REFERENCE = Path(__file__).parent.parent / "perfbench" / "reference.json"
+
+
+def perfbench_workloads():
+    """perfbench/workloads.py, which defines the benchmark's gates."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", REFERENCE.parent / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def run_cli(*args, env_extra=None):
@@ -277,6 +288,24 @@ class TestBenchmarkReference:
         assert main(ref["argv"]) == 0
         assert capsys.readouterr().out.splitlines() == ref["lines"]
 
+    def test_invariants_large_has_the_recorded_fields(self, reference,
+                                                      capsys):
+        wl = perfbench_workloads()
+        fields = reference["invariants-large"]["fields"]
+        results = []
+        for n, m in wl.LARGE_WEIGHTS:
+            argv = wl.invariants_argv(n, m, 1, 1)
+            code = main(argv)
+            out = capsys.readouterr().out
+            rep = json.loads(out)
+            assert code == 0
+            assert [c["pass"] for c in rep["checks"]] == [True, True]
+            assert {k: rep["invariants"][k] for k in wl.INVARIANT_FIELDS} \
+                == fields[f"{n},{m}"]
+            results.append((argv, code, out.encode()))
+        assert wl.gate_invariants(results, reference["invariants-large"]) \
+            == (len(wl.LARGE_WEIGHTS), 0, [])
+
 
 class TestReportCommands:
     def test_basis_text_smoke(self):
@@ -301,6 +330,70 @@ class TestReportCommands:
         assert rep["invariants"]["serre_unipotent"] is False
         assert rep["invariants"]["surface_obstructed"] is True
         assert rep["invariants"]["chi_hh"] == "7"
+
+
+def instance_argv(command, inst):
+    return [command, "--n", str(inst.n), "--m", str(inst.m),
+            f"--alpha={inst.alpha}", f"--beta={inst.beta}", "--format", "json"]
+
+
+class TestCheckRegistry:
+    """Each single-instance command reports the checks of its `verify`
+    group, and the conditions folded into those groups can fail."""
+
+    @pytest.mark.parametrize("command", list(REPORTS))
+    def test_command_checks_equal_its_verify_group(self, command, capsys,
+                                                   monkeypatch):
+        monkeypatch.delenv("HH_THREADS", raising=False)
+        group = REPORTS[command][0]
+        assert main(["verify", "--max-sum", "5", "--only", group,
+                     "--format", "json"]) == 0
+        by_instance = {}
+        for c in json.loads(capsys.readouterr().out)["checks"]:
+            if c["group"] == group:
+                by_instance.setdefault(c["instance"], []).append(
+                    (c["name"], c["pass"], c["detail"]))
+        insts = [inst for n, m in sweep_weights(5)
+                 for inst in sample_instances(n, m)]
+        assert sorted(by_instance) == sorted(inst.key() for inst in insts)
+        for inst in insts:
+            assert main(instance_argv(command, inst)) == 0
+            checks = json.loads(capsys.readouterr().out)["checks"]
+            assert [(c["name"], c["pass"], c["detail"]) for c in checks] \
+                == by_instance[inst.key()], inst.key()
+
+    def test_wrong_euler_characteristic_fails_compute_and_dims(
+            self, monkeypatch, capsys):
+        chi = cli.euler_characteristic_closed_form
+        monkeypatch.setattr(cli, "euler_characteristic_closed_form",
+                            lambda inst: chi(inst) + 1)
+        monkeypatch.delenv("HH_THREADS", raising=False)
+        assert main(["compute", "--n", "2", "--m", "3", "--alpha", "0",
+                     "--beta", "1"]) == 1
+        assert json.loads(capsys.readouterr().out)["checks"][0]["pass"] is False
+        assert main(["verify", "--max-sum", "3", "--only", "dims",
+                     "--format", "json"]) == 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert {c["name"] for c in checks if not c["pass"]} == {"dims-match"}
+
+    def test_flipped_trace_verdict_fails_invariants(self, monkeypatch, capsys):
+        derived = cli.derived_invariants
+
+        def flipped(inst):
+            inv = derived(inst)
+            return {**inv, "trace_matches_rank": not inv["trace_matches_rank"]}
+
+        monkeypatch.setattr(cli, "derived_invariants", flipped)
+        monkeypatch.delenv("HH_THREADS", raising=False)
+        assert main(["invariants", "--n", "1", "--m", "2"]) == 1
+        failing = [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]
+                   if not c["pass"]]
+        assert failing == ["unipotency-verdict"]
+        assert main(["verify", "--max-sum", "3", "--only", "invariants",
+                     "--format", "json"]) == 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert {c["name"] for c in checks if not c["pass"]} \
+            == {"unipotency-verdict"}
 
 
 class TestVerifyWorkers:

@@ -6,6 +6,7 @@ from math import gcd
 
 import pytest
 
+from downup_hh.cohomology import sample_instances
 from downup_hh.core import Cond1, Cond2, Instance, classify
 from downup_hh.linalg import QMatrix, QPoly, poly_gcd
 from downup_hh.resolution import (
@@ -17,6 +18,7 @@ from downup_hh.resolution import (
     rank_L1_closed_form,
     rank_L2_closed_form,
     tau_label,
+    tau_weight,
 )
 from downup_hh.yoneda import ChainMap, _el, cup_vector
 
@@ -478,6 +480,67 @@ class TestHomComplex:
         C = HomComplex(Instance(1, 2, Q(1), Q(1)))
         for r in (10, 11, 12):
             assert all(c == 0 for c in C.D2.rows[r])
+
+
+def letter_weight(tau):
+    """Reference weight of tau[h]^w: the letters of w minus the letters of h
+    itself (an arrow is its letter, f is xxy and g is xyy)."""
+    (kind, _), w = tau
+    own = {"e": "", "x": "x", "y": "y", "f": "xxy", "g": "xyy"}[kind]
+    return (w.count("x") - own.count("x"), w.count("y") - own.count("y"))
+
+
+def block_instances(max_sum):
+    return [inst for m in range(1, max_sum) for n in range(1, m + 1)
+            if n + m <= max_sum and gcd(n, m) == 1
+            for inst in sample_instances(n, m)]
+
+
+class TestLetterContentBlocks:
+    @pytest.mark.parametrize("inst", block_instances(10), ids=lambda i: i.key())
+    def test_differentials_have_no_off_block_entries(self, inst):
+        C = HomComplex(inst)
+        for D, lo, hi in ((C.D1, C.basis0, C.basis1),
+                          (C.D2, C.basis1, C.basis2)):
+            for r, row in enumerate(D.rows):
+                for c, x in enumerate(row):
+                    if x:
+                        assert tau_weight(hi[r]) == tau_weight(lo[c]), (r, c)
+
+    @pytest.mark.parametrize("inst", block_instances(10), ids=lambda i: i.key())
+    def test_blocks_equal_the_position_ranges(self, inst):
+        # the rows and columns the blocks were once cut out by, by position
+        n, m = inst.n, inst.m
+        C = HomComplex(inst)
+        r0, c0 = 2 * (n + m), 3 * (n + m)
+        assert C.L1() == C.D2.submatrix(list(range(r0)), list(range(c0)))
+        if n == 1:
+            assert C.L2() == C.D2.submatrix(list(range(r0, r0 + m + 2)),
+                                            list(range(c0, c0 + m + 2)))
+        if n == m == 1:
+            assert C.L2_star() == C.D2.submatrix([8, 9, 10], [9, 10, 11])
+
+    @pytest.mark.parametrize("n,m", WEIGHTS)
+    def test_weight_agrees_with_the_letter_count(self, n, m):
+        C = HomComplex(Instance(n, m, Q(1), Q(1)))
+        for t in C.basis0 + C.basis1 + C.basis2:
+            assert tau_weight(t) == letter_weight(t), tau_label(t)
+
+    def test_weights_by_case(self):
+        # n >= 3: one block; n = 2 adds (m,-2); n = 1 adds (m,-1) and (2m,-2)
+        def weights(n, m):
+            C = HomComplex(Instance(n, m, Q(1), Q(1)))
+            return {tau_weight(t) for t in C.basis1 + C.basis2}
+        assert weights(3, 5) == {(0, 0)}
+        assert weights(2, 5) == {(0, 0), (5, -2)}
+        assert weights(1, 4) == {(0, 0), (4, -1), (8, -2)}
+        assert weights(1, 1) == {(0, 0), (1, -1), (-1, 1), (2, -2), (-2, 2)}
+
+    def test_blocks_keep_their_guards(self):
+        with pytest.raises(ValueError, match="only for n = 1"):
+            HomComplex(Instance(2, 3, Q(1), Q(1))).L2()
+        with pytest.raises(ValueError, match="only for n = m = 1"):
+            HomComplex(Instance(1, 2, Q(1), Q(1))).L2_star()
 
 
 class TestCirculant:
