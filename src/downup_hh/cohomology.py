@@ -181,26 +181,23 @@ def _hh2_specs(C: HomComplex, substitute: bool):
     I, II = Cond1.CASE_I, Cond1.CASE_II
     C1, C2, C3 = Cond2.CASE_1, Cond2.CASE_2, Cond2.CASE_3
 
-    def taus(*specs):
-        return [(kind, i, w) for kind, i, w in specs]
-
     if n == 1 and m == 1:
         rows = {
-            (I, C1): taus(("g", 1, "yyx"), ("g", 1, "yxy"), ("f", 1, "xyx"),
-                          ("g", 1, "yxx"), ("g", 1, "xyx"), ("f", 1, "yyx"),
-                          ("f", 1, "yxy"), ("g", 1, "xxx"), ("f", 1, "yyy")),
-            (II, C2): taus(("g", 1, "yxy"), ("f", 1, "xyx"), ("g", 1, "xyx"),
-                           ("f", 1, "yxy"), ("g", 1, "xxx"), ("f", 1, "yyy")),
-            (II, C3): taus(("g", 1, "yxy"), ("f", 1, "xyx"),
-                           ("g", 1, "xxx"), ("f", 1, "yyy")),
+            (I, C1): [("g", 1, "yyx"), ("g", 1, "yxy"), ("f", 1, "xyx"),
+                      ("g", 1, "yxx"), ("g", 1, "xyx"), ("f", 1, "yyx"),
+                      ("f", 1, "yxy"), ("g", 1, "xxx"), ("f", 1, "yyy")],
+            (II, C2): [("g", 1, "yxy"), ("f", 1, "xyx"), ("g", 1, "xyx"),
+                       ("f", 1, "yxy"), ("g", 1, "xxx"), ("f", 1, "yyy")],
+            (II, C3): [("g", 1, "yxy"), ("f", 1, "xyx"),
+                       ("g", 1, "xxx"), ("f", 1, "yyy")],
         }
         specs = rows[(c1, c2)]
     elif n == 1 and m == 2:
-        base = taus(("f", 1, "xyx"), ("f", 2, "xyx"), ("g", 1, "yxy"))
+        base = [("f", 1, "xyx"), ("f", 2, "xyx"), ("g", 1, "yxy")]
         drop = {C1: [], C2: ["yxxx"], C3: ["yxxx", "xyxx"]}[c2]
         mids = [w for w in ("yxxx", "xyxx") if w not in drop]
         specs = (base + [("g", 1, w) for w in mids]
-                 + taus(("g", 1, "xxxxx"), ("f", 1, "yy"), ("f", 2, "yy")))
+                 + [("g", 1, "xxxxx"), ("f", 1, "yy"), ("f", 2, "yy")])
     elif n == 1:
         specs = [("f", i, "xyx") for i in range(1, m + 1)] + [("g", 1, "yxy")]
         if (c1, c2) == (I, C1):
@@ -234,47 +231,32 @@ def is_cocycle(C: HomComplex, vec) -> bool:
     return all(c == 0 for c in C.D2.matvec(vec))
 
 
-def independent_mod_image(M: QMatrix, vecs, rank: int | None = None) -> bool:
-    """True iff the vectors stay independent modulo the column space of M;
-    `rank` is rank M when the caller already knows it."""
-    if not vecs:
-        return True
-    A = QMatrix.from_columns(M.columns() + list(vecs))
-    return A.rank() == (M.rank() if rank is None else rank) + len(vecs)
+def independent_mod_image(C: HomComplex, k: int, vecs) -> bool:
+    """True iff the vectors of P_k^ stay independent modulo im Dk: the
+    block of their classes has full rank (vacuously for no vectors)."""
+    return QMatrix([C.coker(k, v) for v in vecs]).rank() == len(vecs)
 
 
-def coords_mod_image(M: QMatrix, basis_vecs, v):
-    """Coordinates of [v] in the given basis of coker(M); None if [v] is not
-    in its span.  The one-vector case of coords_mod_image_many."""
-    return coords_mod_image_many(M, basis_vecs, [v])[0]
-
-
-def coords_mod_image_many(M: QMatrix, basis_vecs, vs):
-    """coords_mod_image for every v in vs, from one elimination of
-    [M | basis | v_1 ... v_k]: M and the basis are reduced once, not once
-    per vector."""
-    A = QMatrix.from_columns(M.columns() + list(basis_vecs))
-    return [None if x is None else x[M.ncols:]
-            for x in A.solve_many(vs)]
+def coords_mod_image(C: HomComplex, basis_vecs, vs):
+    """For each v in vs, the coordinates of [v] in the given classes of
+    coker D2, or None if [v] is not in their span: one solve for all vs."""
+    basis = QMatrix.from_columns([C.coker(2, b) for b in basis_vecs])
+    return basis.solve_many([C.coker(2, v) for v in vs])
 
 
 def verify_bases(C: HomComplex):
     """Check both distinguished bases against the matrices; returns dims."""
     h0, h1, h2 = hh_dims_computed(C)
-    r1, r2 = C.ranks
     # Explicit raises, not asserts: `python -O` must not switch the check off.
-    b1 = hh1_basis(C)
-    if not all(is_cocycle(C, v) for _, v in b1):
-        raise AssertionError("an HH^1 vector is not a cocycle")
-    if not independent_mod_image(C.D1, [v for _, v in b1], r1):
-        raise AssertionError("the HH^1 vectors are dependent modulo im D1")
-    if len(b1) != h1:
-        raise AssertionError(f"{len(b1)} HH^1 vectors for h1 = {h1}")
-    b2 = hh2_basis(C)
-    if not independent_mod_image(C.D2, [v for _, v in b2], r2):
-        raise AssertionError("the HH^2 vectors are dependent modulo im D2")
-    if len(b2) != h2:
-        raise AssertionError(f"{len(b2)} HH^2 vectors for h2 = {h2}")
+    for k, basis, h in ((1, hh1_basis(C), h1), (2, hh2_basis(C), h2)):
+        vecs = [v for _, v in basis]
+        if k == 1 and not all(is_cocycle(C, v) for v in vecs):
+            raise AssertionError("an HH^1 vector is not a cocycle")
+        if not independent_mod_image(C, k, vecs):
+            raise AssertionError(f"the HH^{k} vectors are dependent "
+                                 f"modulo im D{k}")
+        if len(vecs) != h:
+            raise AssertionError(f"{len(vecs)} HH^{k} vectors for h{k} = {h}")
     return (h0, h1, h2)
 
 

@@ -56,7 +56,7 @@ content (#x, #y), so D1 and D2 are block-diagonal in the weight of tau[h]^w
 """
 
 from fractions import Fraction as Q
-from functools import cached_property
+from math import lcm
 
 from .algebra import Beilinson, acc
 from .core import Cond1, Cond2, Instance, classify
@@ -228,7 +228,11 @@ def tau_label(tau):
 
 
 class HomComplex:
-    """The complex 0 -> P0^ -> P1^ -> P2^ -> 0 in the tau-functional bases."""
+    """The complex 0 -> P0^ -> P1^ -> P2^ -> 0 in the tau-functional bases.
+
+    Every question modulo im Dk (ranks, HH^1 and HH^2 classes) reads
+    image(k), Dk^T eliminated once on first use, through coker(k, v).
+    """
 
     def __init__(self, inst: Instance):
         self.inst = inst
@@ -246,6 +250,7 @@ class HomComplex:
                                      self.res.d2)
         if not (self.D2 @ self.D1).is_zero():
             raise AssertionError("D2 * D1 != 0")
+        self._images = {}
 
     # -- bases ------------------------------------------------------------
 
@@ -308,10 +313,39 @@ class HomComplex:
     def dims(self):
         return (len(self.basis0), len(self.basis1), len(self.basis2))
 
-    @cached_property
+    @property
     def ranks(self):
-        """(rank D1, rank D2), eliminated on first use and kept."""
-        return (self.D1.rank(), self.D2.rank())
+        """(rank D1, rank D2): the lengths of the two images."""
+        return (len(self.image(1)[2]), len(self.image(2)[2]))
+
+    def image(self, k):
+        """The echelon basis (s, free, rows) of im Dk, one elimination of Dk^T
+        kept: pivot column c carries s e_c + sum_j rows[c][j] e_free[j], s the
+        lcm of the pivots and free the non-pivot columns (Gauss-Jordan)."""
+        if k not in self._images:
+            D = {1: self.D1, 2: self.D2}[k]
+            rows, pivots, _ = D.transpose()._eliminate()
+            s = lcm(*(row[c] for row, c in zip(rows, pivots)))
+            free = sorted(set(range(D.nrows)) - set(pivots))
+            self._images[k] = (s, free, {
+                c: [s // row[c] * row[j] for j in free]
+                for row, c in zip(rows, pivots)})
+        return self._images[k]
+
+    def coker(self, k, v):
+        """The class of v in P_k^ / im Dk: v reduced against image(k), read
+        on the non-pivot columns.  Linear in v, and zero exactly when v lies
+        in im Dk.  Raises ValueError unless len(v) = dim P_k^."""
+        if len(v) != self.dims[k]:
+            raise ValueError("vector length mismatch")
+        s, free, rows = self.image(k)
+        d = lcm(*(x.denominator for x in v))
+        w = [x.numerator * (d // x.denominator) for x in v]
+        out = [s * w[j] for j in free]
+        for c, row in rows.items():
+            if w[c]:
+                out = [x - w[c] * y for x, y in zip(out, row)]
+        return [Q(x, s * d) for x in out]
 
     def block(self, weight):
         """The D2 rows and P1^ columns (D1's codomain) of the given weight."""

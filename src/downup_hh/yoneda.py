@@ -22,8 +22,8 @@ the two liftings of the same class, and the left- against the right-slot
 generic lifting, exercises the fact that the induced product does not depend
 on the choice of lift.
 
-ring_structure multiplies the whole HH^1 basis pairwise and expresses the
-products in the distinguished HH^2 basis; ring_presentation derives from it
+ring_structure multiplies the whole HH^1 basis pairwise and solves for all
+products in the HH^2 basis modulo im D2 at once; ring_presentation derives
 the presentation data (a, b, I) of the cohomology ring as an exterior
 algebra Lambda(a, b) modulo an ideal I of degree-2 relations (everything in
 degrees >= 3 vanishes).  ring_table_row holds the fixed per-stratum
@@ -37,8 +37,7 @@ of HH^2.
 from fractions import Fraction as Q
 
 from .algebra import acc
-from .cohomology import (coords_mod_image, coords_mod_image_many, hh1_basis,
-                         hh2_basis, is_cocycle)
+from .cohomology import coords_mod_image, hh1_basis, hh2_basis, is_cocycle
 from .core import Cond1, Cond2, Instance, classify
 from .linalg import QMatrix
 from .resolution import HomComplex
@@ -312,22 +311,22 @@ def cup_vector(C: HomComplex, phi_vec, sigma1):
     return out
 
 
-def in_image(M: QMatrix, v) -> bool:
-    """Whether v lies in the column space of M."""
-    return M.solve(list(v)) is not None
+def in_image(C: HomComplex, k: int, v) -> bool:
+    """Whether v lies in im Dk: whether its class modulo im Dk is zero."""
+    return not any(C.coker(k, v))
 
 
 def classes_equal(C: HomComplex, u, v) -> bool:
     """Whether two degree-2 cochain vectors represent the same HH^2 class."""
-    return in_image(C.D2, [a - b for a, b in zip(u, v)])
+    return in_image(C, 2, [a - b for a, b in zip(u, v)])
 
 
 def cup_class(C: HomComplex, phi_vec, sigma1, basis2=None):
     """Coordinates of [phi . sigma_1] in the distinguished HH^2 basis."""
     if basis2 is None:
         basis2 = [v for _, v in hh2_basis(C)]
-    return _in_span(coords_mod_image(C.D2, basis2,
-                                     cup_vector(C, phi_vec, sigma1)))
+    return _in_span(coords_mod_image(C, basis2,
+                                     [cup_vector(C, phi_vec, sigma1)])[0])
 
 
 def _in_span(coords):
@@ -343,16 +342,16 @@ def ring_structure(C: HomComplex):
 
     products[(p, q)] is the class of  h_p . sigma_1  for the generic lifting
     sigma of h_q, i.e. the product [h_p][h_q] under the fixed convention.
-    The h1^2 cup vectors are built first and resolved against
-    [D2 | HH^2 basis] in one elimination (coords_mod_image_many), so the
-    cost of D2 is paid once per complex, not once per product.
+    The h1^2 cup vectors are built first and resolved together by
+    coords_mod_image: one solve of the h2 x h2 system of the basis classes
+    modulo im D2, whose elimination the complex keeps.
     """
     one = dict(hh1_basis(C))
     two = hh2_basis(C)
     sigma1 = {lbl: generic_lift(C, v).sigma1 for lbl, v in one.items()}
     pairs = [(p, q) for p in one for q in one]
     cups = [cup_vector(C, one[p], sigma1[q]) for p, q in pairs]
-    coords = coords_mod_image_many(C.D2, [v for _, v in two], cups)
+    coords = coords_mod_image(C, [v for _, v in two], cups)
     return {"labels": list(one),
             "classes2": [lbl for lbl, _ in two],
             "products": {pq: _in_span(x) for pq, x in zip(pairs, coords)}}
@@ -371,18 +370,15 @@ def ring_presentation(C: HomComplex, rs=None):
     a = len(labels)
     h2 = len(rs["classes2"])
     pairs = [(i, j) for i in range(a) for j in range(i + 1, a)]
-    if not pairs:
-        return {"a": a, "b": h2, "pairs": pairs, "ideal": [], "rank": 0,
-                "labels": labels}
-    P = QMatrix.from_columns(
-        [list(rs["products"][(labels[i], labels[j])]) for i, j in pairs])
-    r = P.rank()
-    ideal = _row_space(P.kernel_basis(), len(pairs))
-    return {"a": a, "b": h2 - r, "pairs": pairs, "ideal": ideal, "rank": r,
-            "labels": labels}
+    kernel = QMatrix.from_columns(
+        [list(rs["products"][(labels[i], labels[j])]) for i, j in pairs]
+    ).kernel_basis() if pairs else []
+    r = len(pairs) - len(kernel)
+    return {"a": a, "b": h2 - r, "pairs": pairs, "ideal": _row_space(kernel),
+            "rank": r, "labels": labels}
 
 
-def _row_space(vecs, ncols):
+def _row_space(vecs):
     """Reduced echelon basis of the span, zero rows dropped."""
     if not vecs:
         return []
@@ -475,40 +471,29 @@ def ring_row_report(C: HomComplex, rs=None):
     pres = ring_presentation(C, rs)
     row = ring_table_row(C.inst)
     labels = pres["labels"]
-    pairs = pres["pairs"]
-    pair_idx = {pq: t for t, pq in enumerate(pairs)}
-    pos = {lbl: k for k, lbl in enumerate(labels)}
 
     dims_match = (pres["a"] == row["a"] and pres["b"] == row["b"]
                   and set(row["order"]) == set(labels))
 
-    printed = []
-    if dims_match:
-        for gdict in row["ideal"]:
-            v = [Q(0)] * len(pairs)
-            for (p, q), c in gdict.items():
-                i, j = pos[row["order"][p - 1]], pos[row["order"][q - 1]]
-                sgn = Q(1)
-                if i > j:
-                    i, j, sgn = j, i, Q(-1)
-                v[pair_idx[(i, j)]] += sgn * c
-            printed.append(v)
-
+    # The printed ideal, renumbered into the computed label order when the
+    # labels match; renumbering never changes its rank.
+    num = ({p: labels.index(lbl) + 1 for p, lbl in enumerate(row["order"], 1)}
+           if dims_match else {})
+    printed = [pairs_vec({(num.get(p, p), num.get(q, q)): c
+                          for (p, q), c in g.items()}, row["a"])
+               for g in row["ideal"]]
     computed = pres["ideal"]
-    printed_space = _row_space(printed, len(pairs))
+    printed_space = _row_space(printed)
     ideal_match = dims_match and printed_space == computed
 
     match_rescaled, rescale = ideal_match, None
     if dims_match and not ideal_match:
         match_rescaled, rescale = _rescale_search(printed, computed,
-                                                  pres["a"], pairs)
+                                                  pres["a"], pres["pairs"])
 
-    printed_rank = len(printed_space) if dims_match else \
-        len(_row_space([pairs_vec(g, row["a"]) for g in row["ideal"]],
-                       row["a"] * (row["a"] - 1) // 2))
     ncomb = row["a"] * (row["a"] - 1) // 2
     h2 = len(rs["classes2"])
-    row_self_consistent = (ncomb - printed_rank + row["b"] == h2)
+    row_self_consistent = (ncomb - len(printed_space) + row["b"] == h2)
 
     return {"a": pres["a"], "b": pres["b"], "dims_match": dims_match,
             "ideal_match": ideal_match,
@@ -520,13 +505,12 @@ def ring_row_report(C: HomComplex, rs=None):
 def pairs_vec(gdict, a):
     """A row-numbering ideal generator as a vector over its own pair order."""
     pairs = [(i, j) for i in range(1, a + 1) for j in range(i + 1, a + 1)]
-    idx = {pq: t for t, pq in enumerate(pairs)}
     v = [Q(0)] * len(pairs)
     for (p, q), c in gdict.items():
         if p < q:
-            v[idx[(p, q)]] += c
+            v[pairs.index((p, q))] += c
         elif q < p:
-            v[idx[(q, p)]] -= c
+            v[pairs.index((q, p))] -= c
     return v
 
 
@@ -555,7 +539,7 @@ def _rescale_search(printed, computed, a, pairs):
             scaled = [[v[t] * scales[i] * scales[j]
                        for t, (i, j) in enumerate(pairs)]
                       for v in printed]
-            if _row_space(scaled, len(pairs)) == computed:
+            if _row_space(scaled) == computed:
                 return tuple(scales)
             return None
         for c in cands:

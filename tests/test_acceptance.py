@@ -142,11 +142,11 @@ def test_criterion_3_basis_tables():
         assert len(b1) == h1, inst.key()
         for lbl, v in b1:
             assert is_cocycle(C, v), (inst.key(), lbl)
-            assert not in_image(C.D1, v), (inst.key(), lbl)
-        assert independent_mod_image(C.D1, [v for _, v in b1]), inst.key()
+            assert not in_image(C, 1, v), (inst.key(), lbl)
+        assert independent_mod_image(C, 1, [v for _, v in b1]), inst.key()
         b2 = hh2_basis(C)
         assert len(b2) == h2, inst.key()
-        assert independent_mod_image(C.D2, [v for _, v in b2]), inst.key()
+        assert independent_mod_image(C, 2, [v for _, v in b2]), inst.key()
 
 
 @pytest.mark.xfail(strict=True, reason="the stored degree-2 row is dependent "
@@ -156,7 +156,7 @@ def test_criterion_3_defect_stored_hh2_row_verbatim():
     inst = Instance(1, 3, Q(2), Q(-1))
     C = complex_for(inst)
     row = hh2_table_row(C)
-    assert independent_mod_image(C.D2, [v for _, v in row])
+    assert independent_mod_image(C, 2, [v for _, v in row])
 
 
 # -- criterion 4 ------------------------------------------------------------
@@ -212,12 +212,12 @@ def test_criterion_5_cup_products():
             want = unit2(C, "g", 1, "x" * (2 * m + 1), b * lam(m))
             assert classes_equal(C, rep, want), inst.key()
         if n == 1 and c1 == Cond1.CASE_I and c2 == Cond2.CASE_1:
-            assert in_image(C.D2, cup_vector(C, hv["h2"], lifts["h3"].sigma1))
+            assert in_image(C, 2, cup_vector(C, hv["h2"], lifts["h3"].sigma1))
             rep = cup_vector(C, hv["h2"], lifts["h4"].sigma1)
             want = unit2(C, "g", 1, "xy" + "x" * m, -b * lam(m))
             assert classes_equal(C, rep, want), inst.key()
         if n == 1 and m > 1 and c2 == Cond2.CASE_2:
-            assert in_image(C.D2, cup_vector(C, hv["h1"], lifts["h5"].sigma1))
+            assert in_image(C, 2, cup_vector(C, hv["h1"], lifts["h5"].sigma1))
         if (n, m) == (1, 1) and c2 == Cond2.CASE_1:
             values = [("h1", "h3p", "f", "yyx", b), ("h1", "h4p", "f", "yxy", -b),
                       ("h2", "h4p", "f", "yxy", -b), ("h3", "h4p", "g", "yxy", -b),
@@ -226,10 +226,10 @@ def test_criterion_5_cup_products():
                 rep = cup_vector(C, hv[p], lifts[q].sigma1)
                 assert classes_equal(C, rep, unit2(C, kind, 1, w, c)), (p, q)
             for p, q in [("h2", "h3p"), ("h4", "h4p"), ("h3", "h3p")]:
-                assert in_image(C.D2, cup_vector(C, hv[p], lifts[q].sigma1))
+                assert in_image(C, 2, cup_vector(C, hv[p], lifts[q].sigma1))
         if (n, m) == (1, 1) and c2 == Cond2.CASE_2:
             for p, q in [("h1", "h5p"), ("h5", "h5p")]:
-                assert in_image(C.D2, cup_vector(C, hv[p], lifts[q].sigma1))
+                assert in_image(C, 2, cup_vector(C, hv[p], lifts[q].sigma1))
         # graded commutativity and vanishing squares, all degree-1 pairs
         rs = rs_for(inst)
         for pl in rs["labels"]:

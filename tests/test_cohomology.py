@@ -8,6 +8,7 @@ from math import gcd
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+from downup_hh import cli
 from downup_hh.core import (Cond1, Cond2, Instance, canonical_instance,
                             classify)
 from downup_hh.cohomology import (
@@ -30,6 +31,7 @@ from downup_hh.cohomology import (
 )
 from downup_hh.linalg import QMatrix, QPoly
 from downup_hh.resolution import HomComplex
+from downup_hh.yoneda import classes_equal, in_image
 
 I, II = Cond1.CASE_I, Cond1.CASE_II
 C1, C2, C3 = Cond2.CASE_1, Cond2.CASE_2, Cond2.CASE_3
@@ -75,16 +77,6 @@ class TestDimensions:
     def test_computed_equals_closed_form(self, inst):
         C = HomComplex(inst)
         assert hh_dims_computed(C) == hh_dims_closed_form(inst)
-
-    def test_ranks_are_eliminated_once_on_first_use(self, monkeypatch):
-        calls = []
-        rank = QMatrix.rank
-        monkeypatch.setattr(QMatrix, "rank",
-                            lambda M: calls.append(M.shape) or rank(M))
-        C = HomComplex(Instance(1, 3, Q(0), Q(1)))
-        assert calls == []
-        assert hh_dims_computed(C) == hh_dims_computed(C) == (1, 4, 8)
-        assert calls == [C.D1.shape, C.D2.shape]
 
     def test_h0_is_one_and_higher_vanish(self):
         # the complex stops at P2^, so HH^r = 0 for r >= 3 by construction;
@@ -243,11 +235,11 @@ class TestBases:
         C = HomComplex(inst)
         basis = [v for _, v in hh2_basis(C)]
         # a basis vector has unit coordinates
-        coords = coords_mod_image(C.D2, basis, basis[0])
+        coords = coords_mod_image(C, basis, [basis[0]])[0]
         assert coords == [Q(1)] + [Q(0)] * (len(basis) - 1)
         # any image column has zero coordinates
         col = C.D2.column(0)
-        coords = coords_mod_image(C.D2, basis, col)
+        coords = coords_mod_image(C, basis, [col])[0]
         assert coords == [Q(0)] * len(basis)
 
     def test_hh2_substitution_strata(self):
@@ -271,7 +263,7 @@ class TestBases:
         row = hh2_table_row(C)
         assert len(row) == h2  # right count ...
         vecs = [v for _, v in row]
-        assert not independent_mod_image(C.D2, vecs)  # ... but dependent
+        assert not independent_mod_image(C, 2, vecs)  # ... but dependent
         from downup_hh.linalg import QMatrix
         A = QMatrix.from_columns(C.D2.columns() + vecs)
         assert A.rank() == C.D2.rank() + len(vecs) - 1  # exactly one relation
@@ -291,7 +283,7 @@ class TestBases:
                 assert abs(c) == 2 * abs(inst.alpha)
         # the substituted list is a basis and differs in exactly one entry
         fixed = hh2_basis(C)
-        assert independent_mod_image(C.D2, [v for _, v in fixed])
+        assert independent_mod_image(C, 2, [v for _, v in fixed])
         diff = [(r[0], f[0]) for r, f in zip(row, fixed) if r[0] != f[0]]
         assert diff == [(f"g{inst.n}^yxy", f"g{inst.n}^yyx")]
 
@@ -306,9 +298,127 @@ class TestBases:
         inst = Instance(1, 2, Q(1), Q(1))
         C = HomComplex(inst)
         basis = [v for _, v in hh2_basis(C)]
-        assert independent_mod_image(C.D2, basis)
-        assert not independent_mod_image(C.D2, basis + [C.D2.column(0)])
-        assert not independent_mod_image(C.D2, basis + [basis[0]])
+        assert independent_mod_image(C, 2, basis)
+        assert not independent_mod_image(C, 2, basis + [C.D2.column(0)])
+        assert not independent_mod_image(C, 2, basis + [basis[0]])
+
+
+# The augmented-matrix logic that the images kept on HomComplex replaced,
+# kept as the reference that they are tested against.
+
+def ref_independent(M, vecs):
+    """rank [M | vecs] = rank M + len(vecs)."""
+    if not vecs:
+        return True
+    A = QMatrix.from_columns(M.columns() + list(vecs))
+    return A.rank() == M.rank() + len(vecs)
+
+
+def ref_coords(M, basis, vs):
+    """The basis part of a solution of [M | basis] x = v, for each v."""
+    A = QMatrix.from_columns(M.columns() + list(basis))
+    return [None if x is None else x[M.ncols:] for x in A.solve_many(vs)]
+
+
+def ref_in_image(M, v):
+    return M.solve(list(v)) is not None
+
+
+def units(d):
+    return [[Q(int(i == j)) for j in range(d)] for i in range(d)]
+
+
+def eliminations(C, seen):
+    """[#D1^T, #D2^T] among the eliminated matrices `seen`.  Fails on an
+    eliminated matrix whose leading columns are a differential: the
+    augmented [Dk | vectors] that the images replace."""
+    out = []
+    for D in (C.D1, C.D2):
+        for M in seen:
+            assert not (M.nrows == D.nrows and M.ncols >= D.ncols
+                        and [r[:D.ncols] for r in M.rows] == D.rows)
+        out.append(sum(M.rows == D.transpose().rows for M in seen))
+    return out
+
+
+class TestImages:
+    @pytest.mark.parametrize("inst", [i for i in sweep()
+                                      if i.n + i.m <= 8],
+                             ids=lambda i: i.key())
+    def test_agrees_with_the_augmented_matrices(self, inst):
+        C = HomComplex(inst)
+        b1 = [v for _, v in hh1_basis(C)]
+        b2 = [v for _, v in hh2_basis(C)]
+        row = [v for _, v in hh2_table_row(C)]
+        for k, vecs in ((1, b1), (2, b2), (2, row),
+                        (2, b2 + [C.D2.column(0)]), (2, [b2[0], b2[0]])):
+            M = (C.D1, C.D2)[k - 1]
+            assert independent_mod_image(C, k, vecs) == ref_independent(
+                M, vecs), k
+        for k, M in ((1, C.D1), (2, C.D2)):
+            for v in M.columns() + units(M.nrows) + (b1 if k == 1 else b2):
+                assert in_image(C, k, v) == ref_in_image(M, v), k
+        probes = units(len(C.basis2)) + C.D2.columns()
+        assert coords_mod_image(C, b2, probes) == ref_coords(C.D2, b2, probes)
+        assert coords_mod_image(C, b2[:-1], probes) == ref_coords(
+            C.D2, b2[:-1], probes)
+
+    @given(st.sampled_from([i for i in sweep() if i.n + i.m <= 5]),
+           st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_image_plus_classes(self, inst, data):
+        """v = Dk x + sum c_i b_i: coordinates c, in the image iff c = 0."""
+        C = HomComplex(inst)
+        small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+        for k, M, basis in ((1, C.D1, [v for _, v in hh1_basis(C)]),
+                            (2, C.D2, [v for _, v in hh2_basis(C)])):
+            x = data.draw(st.lists(small, min_size=M.ncols,
+                                   max_size=M.ncols))
+            c = data.draw(st.lists(small, min_size=len(basis),
+                                   max_size=len(basis)))
+            v = [a + sum((ci * b[i] for ci, b in zip(c, basis)), Q(0))
+                 for i, a in enumerate(M.matvec(x))]
+            event(f"k={k} in image: {not any(c)}")
+            assert in_image(C, k, v) == (not any(c)) == ref_in_image(M, v)
+            assert independent_mod_image(C, k, [v]) == any(c)
+            assert not independent_mod_image(C, k, basis + [v])
+            u = M.matvec(x)
+            assert C.coker(k, [a + b for a, b in zip(u, v)]) == [
+                a + b for a, b in zip(C.coker(k, u), C.coker(k, v))]
+            if k == 2:
+                assert coords_mod_image(C, basis, [v]) == [c] == ref_coords(
+                    M, basis, [v])
+                assert classes_equal(C, v, [a - b for a, b in zip(v, u)])
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_coker_refuses_a_vector_of_the_wrong_length(self, k):
+        C = HomComplex(Instance(1, 2, Q(1), Q(1)))
+        d = C.dims[k]
+        for bad in ([Q(0)] * (d - 1), [Q(0)] * (d + 1)):
+            with pytest.raises(ValueError, match="length"):
+                C.coker(k, bad)
+            with pytest.raises(ValueError, match="length"):
+                in_image(C, k, bad)
+        assert not any(C.coker(k, [Q(0)] * d))
+
+    @pytest.mark.parametrize("only", [None] + list(cli.CHECKS))
+    def test_each_image_is_eliminated_once_per_complex(self, monkeypatch,
+                                                       only):
+        seen = []
+        eliminate = QMatrix._eliminate
+        monkeypatch.setattr(QMatrix, "_eliminate",
+                            lambda M, *a: seen.append(M) or eliminate(M, *a))
+        for inst in (i for i in sweep() if i.n + i.m <= 5):
+            C = HomComplex(inst)
+            seen.clear()
+            cli._verify_worker((inst, None, only))
+            counts = eliminations(C, seen)
+            assert max(counts) <= 1, (inst.key(), counts)
+            if only is None:
+                assert counts == [1, 1], inst.key()
+            seen.clear()
+            cli._ring_row(inst)  # a ring-table row never eliminates D1
+            assert eliminations(C, seen) == [0, 1], inst.key()
 
 
 class TestStrata:
