@@ -41,7 +41,7 @@ from .resolution import HomComplex, L2_display, rank_L1_closed_form, tau_label
 from .yoneda import (
     LIFT_SIGN,
     closed_form_lifts,
-    pairs_vec,
+    ring_presentation,
     ring_row_defect_expected,
     ring_row_report,
 )
@@ -187,9 +187,8 @@ def _ring_section(args, inst: Instance, C: HomComplex, rep: dict):
         "a": pres["a"], "b": pres["b"],
         "generators": pres["labels"],
         "ideal": _ideal_strings(pres["pairs"], pres["ideal"]),
-        "stored_row_ideal": _ideal_strings(
-            pres["pairs"],
-            [pairs_vec(g, pres["a"]) for g in report["row"]["ideal"]]),
+        "stored_row_ideal": _ideal_strings(report["printed_pairs"],
+                                           report["printed"]),
         "stored_row_matches": report["ideal_match"],
         "stored_row_matches_after_rescale": report["ideal_match_after_rescale"],
         "rescale": [fmt_q(c) for c in report["rescale"]] if report["rescale"] else None,
@@ -436,7 +435,7 @@ def _hh2_row(inst: Instance) -> list:
 
 
 def _ring_row(inst: Instance) -> list:
-    pres = ring_row_report(HomComplex(inst))["presentation"]
+    pres = ring_presentation(HomComplex(inst))
     gens = _ideal_strings(pres["pairs"], pres["ideal"])
     return _stratum_cells(inst.key(), inst) + [
         str(pres["a"]), str(pres["b"]), "; ".join(gens) if gens else "0"]

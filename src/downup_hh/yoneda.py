@@ -29,9 +29,9 @@ algebra Lambda(a, b) modulo an ideal I of degree-2 relations (everything in
 degrees >= 3 vanishes).  ring_table_row holds the fixed per-stratum
 presentation the computation is compared against; ring_row_report performs
 the comparison, allowing for a diagonal rescaling of the degree-1 generators
-(which is an automorphism of Lambda(a, b)) and flagging rows whose printed
-data cannot present the ring at all because it contradicts the dimension
-of HH^2.
+(which is an automorphism of Lambda(a, b)) that it reads off the two reduced
+ideals, and flagging rows whose printed data cannot present the ring at all
+because it contradicts the dimension of HH^2.
 """
 
 from fractions import Fraction as Q
@@ -369,7 +369,7 @@ def ring_presentation(C: HomComplex, rs=None):
     labels = rs["labels"]
     a = len(labels)
     h2 = len(rs["classes2"])
-    pairs = [(i, j) for i in range(a) for j in range(i + 1, a)]
+    pairs = _pairs(a)
     kernel = QMatrix.from_columns(
         [list(rs["products"][(labels[i], labels[j])]) for i, j in pairs]
     ).kernel_basis() if pairs else []
@@ -463,9 +463,10 @@ def ring_row_report(C: HomComplex, rs=None):
     """Compare the computed presentation against the fixed table row.
 
     Keys: a, b, dims_match, ideal_match, ideal_match_after_rescale, rescale,
-    row_self_consistent, presentation, row.  The rescale search runs over
-    diagonal automorphisms s_p -> c_p s_p with candidate ratios read off the
-    computed ideal.
+    row_self_consistent, presentation, row, printed, printed_pairs.  printed
+    holds the row's generators as vectors over printed_pairs, renumbered
+    into the computed label order when the labels match; rescale is the
+    scaling s_p -> c_p s_p that _rescale reads off, or None.
     """
     rs = rs if rs is not None else ring_structure(C)
     pres = ring_presentation(C, rs)
@@ -475,78 +476,77 @@ def ring_row_report(C: HomComplex, rs=None):
     dims_match = (pres["a"] == row["a"] and pres["b"] == row["b"]
                   and set(row["order"]) == set(labels))
 
-    # The printed ideal, renumbered into the computed label order when the
-    # labels match; renumbering never changes its rank.
+    # Renumbering never changes the rank of the printed ideal.
     num = ({p: labels.index(lbl) + 1 for p, lbl in enumerate(row["order"], 1)}
            if dims_match else {})
+    pairs = _pairs(row["a"])
     printed = [pairs_vec({(num.get(p, p), num.get(q, q)): c
                           for (p, q), c in g.items()}, row["a"])
                for g in row["ideal"]]
     computed = pres["ideal"]
     printed_space = _row_space(printed)
     ideal_match = dims_match and printed_space == computed
+    rescale = (_rescale(printed_space, computed, pres["a"], pres["pairs"])
+               if dims_match and not ideal_match else None)
 
-    match_rescaled, rescale = ideal_match, None
-    if dims_match and not ideal_match:
-        match_rescaled, rescale = _rescale_search(printed, computed,
-                                                  pres["a"], pres["pairs"])
-
-    ncomb = row["a"] * (row["a"] - 1) // 2
     h2 = len(rs["classes2"])
-    row_self_consistent = (ncomb - len(printed_space) + row["b"] == h2)
+    row_self_consistent = (len(pairs) - len(printed_space) + row["b"] == h2)
 
     return {"a": pres["a"], "b": pres["b"], "dims_match": dims_match,
             "ideal_match": ideal_match,
-            "ideal_match_after_rescale": match_rescaled, "rescale": rescale,
-            "row_self_consistent": row_self_consistent,
-            "presentation": pres, "row": row}
+            "ideal_match_after_rescale": ideal_match or rescale is not None,
+            "rescale": rescale, "row_self_consistent": row_self_consistent,
+            "presentation": pres, "row": row, "printed": printed,
+            "printed_pairs": pairs}
+
+
+def _pairs(a):
+    """The index pairs i < j < a of s_{i+1} s_{j+1}, in lexicographic order."""
+    return [(i, j) for i in range(a) for j in range(i + 1, a)]
 
 
 def pairs_vec(gdict, a):
     """A row-numbering ideal generator as a vector over its own pair order."""
-    pairs = [(i, j) for i in range(1, a + 1) for j in range(i + 1, a + 1)]
+    pairs = _pairs(a)
     v = [Q(0)] * len(pairs)
     for (p, q), c in gdict.items():
         if p < q:
-            v[pairs.index((p, q))] += c
+            v[pairs.index((p - 1, q - 1))] += c
         elif q < p:
-            v[pairs.index((q, p))] -= c
+            v[pairs.index((q - 1, p - 1))] -= c
     return v
 
 
-def _rescale_search(printed, computed, a, pairs):
-    """Search diagonal rescalings c (c_0 = 1) with span(c.printed) = computed.
+def _rescale(printed_space, computed, a, pairs):
+    """A scaling c (c_0 = 1) with span(c.printed_space) = computed, or None.
 
-    Candidate values for each c_p are ratios of nonzero coefficients seen in
-    the computed ideal, their inverses and negatives; this is finite and
-    covers the lambda-proportional relations that arise here.
+    Both ideals are reduced echelon rows over `pairs`.  Scaling pair (i, j)
+    by c_i c_j keeps the pivots and multiplies entry (r, t) by d_t / d_p
+    for the pivot p of row r: by c_x / c_y for the indices x of t and y of
+    p that the two pairs do not share.  The ratios spread from c_0 = 1, each
+    component they miss starting at 1; the closing elimination rejects
+    conflicting ratios and a span of another dimension.  Raises ValueError
+    when t and p share no index.
     """
-    if len(printed) != len(computed):
-        return False, None
-    cands = {Q(1), Q(-1)}
-    for v in computed + printed:
-        nz = [c for c in v if c]
-        for x in nz:
-            for y in nz:
-                r = x / y
-                cands.update({r, -r, 1 / r, -1 / r})
-    cands = sorted(cands)
-    if len(cands) ** max(a - 1, 0) > 100000:
-        return False, None
-
-    def search(scales):
-        if len(scales) == a:
-            scaled = [[v[t] * scales[i] * scales[j]
-                       for t, (i, j) in enumerate(pairs)]
-                      for v in printed]
-            if _row_space(scaled) == computed:
-                return tuple(scales)
-            return None
-        for c in cands:
-            hit = search(scales + [c])
-            if hit:
-                return hit
-        return None
-
-    hit = search([Q(1)])
-    return (True, hit) if hit else (False, None)
+    ratios = []  # (x, y, c_x / c_y)
+    for prow, crow in zip(printed_space, computed):
+        p = pairs[next(t for t, u in enumerate(prow) if u)]
+        for t, u, v in zip(pairs, prow, crow):
+            if (u == 0) != (v == 0):
+                return None
+            if u and t != p:
+                if not set(t) & set(p):
+                    raise ValueError(f"pair {t} shares no index with its "
+                                     f"pivot pair {p}")
+                (x,), (y,) = set(t) - set(p), set(p) - set(t)
+                ratios += [(x, y, v / u), (y, x, u / v)]
+    c = [None] * a
+    while None in c:
+        c[c.index(None)] = Q(1)
+        for _ in range(a):  # a path of ratios has fewer than a steps
+            for x, y, r in ratios:
+                if c[x] is None and c[y] is not None:
+                    c[x] = r * c[y]
+    scaled = [[u * c[i] * c[j] for u, (i, j) in zip(row, pairs)]
+              for row in printed_space]
+    return tuple(c) if _row_space(scaled) == computed else None

@@ -10,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from downup_hh import cli
+from downup_hh import cli, yoneda
 from downup_hh.cli import CHECKS, REPORTS, main, sweep_weights, verify_workers
 from downup_hh.cohomology import sample_instances
+from downup_hh.core import Q
 from downup_hh.resolution import HomComplex, Resolution
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -325,6 +326,49 @@ class TestReportCommands:
         rep = json.loads(r.stdout)
         assert rep["ring"]["stored_row_matches"] is False
         assert rep["ring"]["ideal"] == ["s1s2"]
+
+    def test_stored_row_is_rendered_in_the_computed_numbering(self, capsys):
+        # the row numbers h3p before h4; the computed ring and the rendered
+        # stored row both number h4 before h3p
+        assert main(["ring", "--n", "1", "--m", "1", "--alpha", "0",
+                     "--beta", "1", "--format", "json"]) == 0
+        ring = json.loads(capsys.readouterr().out)["ring"]
+        assert ring["generators"] == ["h1", "h2", "h3", "h4", "h3p", "h4p"]
+        assert ring["stored_row_ideal"] == [
+            "s2s3", "s2s5", "s3s5", "s4s6", "s1s4 - s2s4", "s1s6 - s2s6"]
+
+    def test_a_row_with_an_extra_generator_fails_without_a_traceback(
+            self, monkeypatch, capsys):
+        ring_table_row = yoneda.ring_table_row
+
+        def wider(inst):
+            row = ring_table_row(inst)
+            return {**row, "a": row["a"] + 1, "order": row["order"] + ["h9"],
+                    "ideal": row["ideal"] + [{(1, row["a"] + 1): Q(1)}]}
+
+        monkeypatch.setattr(yoneda, "ring_table_row", wider)
+        status = main(["ring", "--n", "1", "--m", "3", "--alpha", "0",
+                       "--beta", "1", "--format", "json"])
+        rep = json.loads(capsys.readouterr().out)
+        assert status == 1
+        assert rep["ring"]["stored_row_ideal"] == [
+            "s1s4 - s2s4", "s2s3", "s1s5"]
+        assert [(c["name"], c["pass"]) for c in rep["checks"]] == [
+            ("table-row-agreement", False),
+            ("presentation-degree-counts", True)]
+
+    def test_ring_table_never_reads_the_stored_rows(self, monkeypatch,
+                                                    capsys):
+        argv = ["table", "--which", "ring", "--max-sum", "8"]
+        assert main(argv) == 0
+        want = capsys.readouterr().out
+
+        def forbidden(inst):
+            raise AssertionError("the ring table read a stored row")
+
+        monkeypatch.setattr(yoneda, "ring_table_row", forbidden)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
 
     def test_invariants_surface_obstruction(self):
         r = run_cli("invariants", "--n", "2", "--m", "3", "--format", "json")

@@ -1,8 +1,10 @@
 """Chain-map liftings, cup products and the ring structure of HH^*."""
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from downup_hh.core import Cond1, Cond2, Instance, Q, classify
 from downup_hh.cohomology import (
@@ -27,6 +29,9 @@ from downup_hh.yoneda import (
     ring_row_report,
     ring_structure,
     ring_table_row,
+    _pairs,
+    _rescale,
+    _row_space,
 )
 
 SMALL_WEIGHTS = [(n, m) for m in range(1, 9) for n in range(1, m + 1)
@@ -366,7 +371,7 @@ class TestRingTableRows:
         rep = ring_row_report(C)
         assert not rep["ideal_match"]
         assert rep["ideal_match_after_rescale"]
-        assert rep["rescale"] is not None
+        assert rep["rescale"] == (1, 3, 1, 1)
         pres = rep["presentation"]
         pairs = pres["pairs"]
         lbl = pres["labels"]
@@ -400,6 +405,151 @@ class TestRingTableRows:
         for inst in sweep():
             row = ring_table_row(inst)
             assert row["a"] >= 1 and row["b"] >= 0
+
+
+def ref_rescale_search(printed, computed, a, pairs):
+    """Search diagonal rescalings c (c_0 = 1) with span(c.printed) = computed.
+
+    Candidate values for each c_p are ratios of nonzero coefficients seen in
+    the computed ideal, their inverses and negatives; this is finite and
+    covers the lambda-proportional relations that arise here.
+    """
+    if len(printed) != len(computed):
+        return False, None
+    cands = {Q(1), Q(-1)}
+    for v in computed + printed:
+        nz = [c for c in v if c]
+        for x in nz:
+            for y in nz:
+                r = x / y
+                cands.update({r, -r, 1 / r, -1 / r})
+    cands = sorted(cands)
+    if len(cands) ** max(a - 1, 0) > 100000:
+        return False, None
+
+    def search(scales):
+        if len(scales) == a:
+            scaled = [[v[t] * scales[i] * scales[j]
+                       for t, (i, j) in enumerate(pairs)]
+                      for v in printed]
+            if _row_space(scaled) == computed:
+                return tuple(scales)
+            return None
+        for c in cands:
+            hit = search(scales + [c])
+            if hit:
+                return hit
+        return None
+
+    hit = search([Q(1)])
+    return (True, hit) if hit else (False, None)
+
+
+def rescaled(rows, c, pairs):
+    return [[u * c[i] * c[j] for u, (i, j) in zip(row, pairs)]
+            for row in rows]
+
+
+def rescale_sweep():
+    """Every sampled instance with n + m <= 16."""
+    return [inst for m in range(1, 16) for n in range(1, m + 1)
+            if n + m <= 16 and math.gcd(n, m) == 1
+            for inst in sample_instances(n, m)]
+
+
+@st.composite
+def shared_index_ideals(draw):
+    """(a, reduced echelon rows) whose off-pivot entries all share an index
+    with their pivot's pair."""
+    a = draw(st.integers(2, 6))
+    pairs = _pairs(a)
+    pivots = sorted(draw(st.sets(st.integers(0, len(pairs) - 1),
+                                 max_size=len(pairs))))
+    coeff = st.fractions(-5, 5, max_denominator=4)
+    rows = []
+    for p in pivots:
+        row = [Q(0)] * len(pairs)
+        row[p] = Q(1)
+        for t in range(p + 1, len(pairs)):
+            if t not in pivots and set(pairs[t]) & set(pairs[p]):
+                row[t] = draw(coeff)
+        rows.append(row)
+    return a, rows
+
+
+class TestRescale:
+    """The diagonal rescaling read off the reduced ideals."""
+
+    @pytest.mark.parametrize("inst", rescale_sweep(), ids=lambda i: i.key())
+    def test_verdict_equals_the_search(self, inst):
+        rep = ring_row_report(HomComplex(inst))
+        pres = rep["presentation"]
+        found, _ = (ref_rescale_search(rep["printed"], pres["ideal"],
+                                       pres["a"], pres["pairs"])
+                    if rep["dims_match"] and not rep["ideal_match"]
+                    else (False, None))
+        assert rep["ideal_match_after_rescale"] == (rep["ideal_match"]
+                                                    or found)
+        assert (rep["rescale"] is not None) == found
+        if found:
+            assert _row_space(rescaled(rep["printed"], rep["rescale"],
+                                       pres["pairs"])) == pres["ideal"]
+
+    @pytest.mark.parametrize("m", [5, 7, 9])
+    def test_case_I_witness_scales_only_h2(self, m):
+        rep = ring_row_report(HomComplex(Instance(1, m, Q(0), Q(1))))
+        assert rep["presentation"]["labels"] == ["h1", "h2", "h3", "h4"]
+        assert rep["rescale"] == (1, m, 1, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(shared_index_ideals(), st.data())
+    def test_finds_a_scaling_of_a_scaled_ideal(self, ideal, data):
+        a, rows = ideal
+        pairs = _pairs(a)
+        assert _row_space(rows) == rows
+        nonzero = st.fractions(-6, 6, max_denominator=3).filter(bool)
+        c = [Q(1)] + [data.draw(nonzero) for _ in range(a - 1)]
+        computed = _row_space(rescaled(rows, c, pairs))
+        got = _rescale(rows, computed, a, pairs)
+        assert got is not None and got[0] == 1
+        assert _row_space(rescaled(rows, got, pairs)) == computed
+
+    def test_conflicting_ratios_give_none(self):
+        # over s1s2, s1s3, s1s4, s2s3, s2s4, s3s4: the first row fixes
+        # c3/c2 = 1 and c3/c1 = 2, the second c2/c1 = 1
+        pairs = _pairs(4)
+        printed = [[Q(x) for x in row] for row in
+                   ([1, 1, 0, 1, 0, 0], [0, 0, 1, 0, 1, 0])]
+        computed = [[Q(x) for x in row] for row in
+                    ([1, 1, 0, 2, 0, 0], [0, 0, 1, 0, 1, 0])]
+        assert _rescale(printed, computed, 4, pairs) is None
+        assert ref_rescale_search(printed, computed, 4, pairs) == (False,
+                                                                   None)
+
+    def test_different_supports_or_sizes_give_none(self):
+        pairs = _pairs(3)
+        one = [[Q(1), Q(1), Q(0)]]
+        assert _rescale(one, [[Q(1), Q(0), Q(0)]], 3, pairs) is None
+        assert _rescale(one, [[Q(0), Q(1), Q(0)]], 3, pairs) is None
+        assert _rescale(one, [], 3, pairs) is None
+
+    def test_a_pair_sharing_no_index_with_its_pivot_raises(self):
+        # s1s2 + s3s4 scales by c3 c4 / (c1 c2), not by one ratio
+        pairs = _pairs(4)
+        printed = [[Q(1), Q(0), Q(0), Q(0), Q(0), Q(1)]]
+        computed = [[Q(1), Q(0), Q(0), Q(0), Q(0), Q(2)]]
+        with pytest.raises(ValueError, match="shares no index"):
+            _rescale(printed, computed, 4, pairs)
+
+    def test_a_duplicated_stored_generator_still_matches(self, monkeypatch):
+        row = ring_table_row(Instance(1, 3, Q(0), Q(1)))
+        doubled = {**row, "ideal": row["ideal"] + row["ideal"][:1]}
+        monkeypatch.setattr("downup_hh.yoneda.ring_table_row",
+                            lambda inst: doubled)
+        rep = ring_row_report(HomComplex(Instance(1, 3, Q(0), Q(1))))
+        assert rep["ideal_match_after_rescale"]
+        assert rep["rescale"] == (1, 3, 1, 1)
+        assert len(rep["printed"]) == 3
 
 
 class TestCochainApplication:
