@@ -321,8 +321,10 @@ def _ring_group_checks(inst: Instance, C: HomComplex, fault,
              and report["ideal_match_after_rescale"])
     _, h1, h2 = hh_dims_computed(C)
     ncomb, nrel = pres["a"] * (pres["a"] - 1) // 2, len(pres["ideal"])
-    return [("table-row-agreement", agree != ring_row_defect_expected(inst),
-             "row reproduced" if agree else "documented defect row"),
+    defect = ring_row_defect_expected(inst)
+    return [("table-row-agreement", agree != defect,
+             "row reproduced" if agree else
+             "documented defect row" if defect else "row not reproduced"),
             ("presentation-degree-counts",
              pres["a"] == h1 and ncomb - nrel + pres["b"] == h2,
              f"C(a,2)-|I|+b = {ncomb}-{nrel}+{pres['b']}, h2 = {h2}")]

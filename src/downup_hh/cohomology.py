@@ -90,8 +90,10 @@ def hh1_basis(C: HomComplex):
     """The distinguished HH^1 basis for the stratum of C.inst.
 
     Returns [(label, vector in the P1^ basis)].  The labels h1..h5 and the
-    primed ones for n = m = 1 follow the fixed formulas below; which of them
-    form the basis depends on the stratum.
+    primed ones for n = m = 1 follow the fixed formulas below, each built
+    exactly on the strata whose basis it belongs to, in table order: h1;
+    h2 in Case I; for n = 1, h3, h4 (and h3p, h4p at m = 1) in Case 1 and
+    h5 (and h5p) in Case 2.  closed_form_lifts reads the labels here.
     """
     inst = C.inst
     n, m = inst.n, inst.m
@@ -102,44 +104,27 @@ def hh1_basis(C: HomComplex):
     def vec(entries):
         return _unit_vec(d1, [(C.idx1[t], c) for t, c in entries])
 
-    cand = {}
-    cand["h1"] = vec([((("x", r), "x"), Q(1)) for r in range(1, n + 2 * m + 1)])
+    basis = {}
+    basis["h1"] = vec([((("x", r), "x"), Q(1)) for r in range(1, n + 2 * m + 1)])
     if c1 == Cond1.CASE_I:
-        cand["h2"] = vec([((("x", n + r), "x"), Q(-1) ** (r - 1))
-                          for r in range(1, m + 1)])
+        basis["h2"] = vec([((("x", n + r), "x"), Q(-1) ** (r - 1))
+                           for r in range(1, m + 1)])
     if n == 1 and c2 == Cond2.CASE_1:
-        cand["h3"] = vec([((("y", r), "x" * m), lam(r - 1))
-                          for r in range(2, m + 3)])
-        cand["h4"] = vec([((("y", r), "x" * m), b * lam(r - 2))
-                          for r in range(1, m + 3)])
+        basis["h3"] = vec([((("y", r), "x" * m), lam(r - 1))
+                           for r in range(2, m + 3)])
+        basis["h4"] = vec([((("y", r), "x" * m), b * lam(r - 2))
+                           for r in range(1, m + 3)])
+        if m == 1:
+            basis["h3p"] = vec([((("x", 2), "y"), Q(1))])
+            basis["h4p"] = vec([((("x", 1), "y"), b), ((("x", 3), "y"), Q(1))])
     if n == 1 and c2 == Cond2.CASE_2:
-        cand["h5"] = vec([((("y", r), "x" * m), (a / 2) ** (r - 1))
-                          for r in range(1, m + 3)])
-    if n == 1 and m == 1:
-        if c2 == Cond2.CASE_1:
-            cand["h3p"] = vec([((("x", 2), "y"), Q(1))])
-            cand["h4p"] = vec([((("x", 1), "y"), b), ((("x", 3), "y"), Q(1))])
-        if c2 == Cond2.CASE_2:
-            cand["h5p"] = vec([((("x", 1), "y"), (a / 2) ** 2),
-                               ((("x", 2), "y"), a / 2),
-                               ((("x", 3), "y"), Q(1))])
-
-    if n == 1 and m == 1:
-        rows = {(Cond1.CASE_I, Cond2.CASE_1): ["h1", "h2", "h3", "h4", "h3p", "h4p"],
-                (Cond1.CASE_II, Cond2.CASE_2): ["h1", "h5", "h5p"],
-                (Cond1.CASE_II, Cond2.CASE_3): ["h1"]}
-    elif n == 1:
-        rows = {(Cond1.CASE_I, Cond2.CASE_1): ["h1", "h2", "h3", "h4"],
-                (Cond1.CASE_II, Cond2.CASE_1): ["h1", "h3", "h4"],
-                (Cond1.CASE_II, Cond2.CASE_2): ["h1", "h5"],
-                (Cond1.CASE_II, Cond2.CASE_3): ["h1"]}
-    else:
-        rows = {(Cond1.CASE_I, Cond2.CASE_1): ["h1", "h2"],
-                (Cond1.CASE_II, Cond2.CASE_1): ["h1"],
-                (Cond1.CASE_II, Cond2.CASE_2): ["h1"],
-                (Cond1.CASE_II, Cond2.CASE_3): ["h1"]}
-    labels = rows[(c1, c2)]
-    return [(lbl, cand[lbl]) for lbl in labels]
+        basis["h5"] = vec([((("y", r), "x" * m), (a / 2) ** (r - 1))
+                           for r in range(1, m + 3)])
+        if m == 1:
+            basis["h5p"] = vec([((("x", 1), "y"), (a / 2) ** 2),
+                                ((("x", 2), "y"), a / 2),
+                                ((("x", 3), "y"), Q(1))])
+    return list(basis.items())
 
 
 def hh2_substitution_needed(inst: Instance) -> bool:

@@ -24,7 +24,6 @@ lambda_{-1} = 1/beta (hence lambda_1 = 1).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -76,27 +75,42 @@ def swap_weight_params(alpha: Fraction, beta: Fraction) -> tuple[Fraction, Fract
     return (-alpha / beta, 1 / beta)
 
 
-@dataclass(frozen=True)
 class Instance:
-    """A graded down-up algebra in the canonical weight regime."""
+    """A graded down-up algebra in the canonical weight regime: immutable,
+    compared and hashed by (n, m, alpha, beta)."""
 
-    n: int
-    m: int
-    alpha: Fraction
-    beta: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", Q(self.alpha))
-        object.__setattr__(self, "beta", Q(self.beta))
-        if self.beta == 0:
+    def __init__(self, n: int, m: int, alpha: Fraction, beta: Fraction):
+        alpha, beta = Q(alpha), Q(beta)
+        if beta == 0:
             raise ValueError("beta = 0: not Artin-Schelter regular")
-        if not (1 <= self.n <= self.m):
-            raise ValueError(f"weights must satisfy m >= n >= 1, got ({self.n}, {self.m})")
-        if gcd(self.n, self.m) != 1:
+        if not (1 <= n <= m):
+            raise ValueError(f"weights must satisfy m >= n >= 1, got ({n}, {m})")
+        if gcd(n, m) != 1:
             raise ValueError(
-                f"weights ({self.n}, {self.m}) are not coprime; reduce them first"
+                f"weights ({n}, {m}) are not coprime; reduce them first"
             )
-        object.__setattr__(self, "_lam_cache", {-1: 1 / self.beta, 0: Q(0), 1: Q(1)})
+        for name, value in (("n", n), ("m", m), ("alpha", alpha), ("beta", beta),
+                            ("_lam_cache", {-1: 1 / beta, 0: Q(0), 1: Q(1)})):
+            object.__setattr__(self, name, value)
+
+    def _frozen(self, name, *value):
+        raise AttributeError(f"cannot change field {name!r} of an Instance")
+
+    __setattr__ = __delattr__ = _frozen
+
+    def _fields(self) -> tuple:
+        return (self.n, self.m, self.alpha, self.beta)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return "Instance(n={!r}, m={!r}, alpha={!r}, beta={!r})".format(*self._fields())
 
     @property
     def ell(self) -> int:

@@ -22,20 +22,19 @@ C is upper unitriangular Toeplitz: C[u][u+d] = h_d, the number of
 (a, b, c) with a*m + b*(n+m) + c*n = d, i.e. the coefficients of the
 Hilbert series 1/p(t) with p(t) = (1-t^n)(1-t^m)(1-t^{n+m}), a polynomial
 of degree ell = 2(n+m) with p(0) = 1.  Its inverse is therefore the banded
-Toeplitz matrix of p, and s and Phi are integer matrices.  cartan_inverse
-builds C^{-1} from that closed form and certifies it by the exact product
-C^{-1} C = I on every call.
+Toeplitz matrix of p, and s and Phi are integer matrices.
 
 On K_0 the Serre functor is the Gorenstein twist by ell (Yekutieli-Zhang,
 Serre duality for noncommutative projective schemes, 1997): s = T^{-ell},
 where T is the companion matrix of p, multiplication by t on Z[t]/(p) in
-the basis 1, t, ..., t^{ell-1}.  derived_invariants builds T^{-ell} by
-polynomial arithmetic (column j is t^{j-ell} mod p) and requires it to equal
-s exactly.  The minimal polynomial of T is p, so (s - 1)^ell = 0 exactly
-when p divides (t^ell - 1)^ell, which _unipotent decides mod p and
-cross-checks against the characteristic polynomial of s.  Each weight pair
-costs one C, one C^{-1}, two ell x ell products and one characteristic
-polynomial.
+the basis 1, t, ..., t^{ell-1}.  serre_matrix builds T^{-ell} by polynomial
+arithmetic (column j is t^{j-ell} mod p) and certifies it as C^{-1} C^T:
+C is upper unitriangular, hence invertible, and C T^{-ell} = C^T exactly.
+The minimal polynomial of T is p, so (s - 1)^ell = 0 exactly when p
+divides (t^ell - 1)^ell, which _unipotent decides mod p and cross-checks
+against the characteristic polynomial of s.  Each weight pair costs one C,
+one pass over its lower triangle, one ell x ell product and one
+characteristic polynomial.
 """
 
 from fractions import Fraction as Q
@@ -60,18 +59,6 @@ def hilbert_numerator(n: int, m: int) -> tuple[int, ...]:
     for d in (n, m, n + m):
         p = [a - b for a, b in zip(p + [0] * d, [0] * d + p)]
     return tuple(p)
-
-
-def cartan_inverse(inst: Instance, C: QMatrix) -> QMatrix:
-    """The banded Toeplitz C^{-1} of (1-t^n)(1-t^m)(1-t^{n+m}), certified
-    by the exact product C^{-1} C = I against the Cartan matrix C."""
-    n, m, ell = inst.n, inst.m, C.nrows
-    band = hilbert_numerator(n, m) + (0,) * ell
-    inv = QMatrix([[band[v - u] if v >= u else 0 for v in range(ell)]
-                   for u in range(ell)])
-    if inv @ C != QMatrix.identity(ell):
-        raise AssertionError(f"closed-form C^-1 fails C^-1 C = I at {(n, m)}")
-    return inv
 
 
 def gorenstein_shift(p: tuple[int, ...]) -> list[list[int]]:
@@ -126,15 +113,23 @@ def _unipotent(s: QMatrix, p: tuple[int, ...]) -> bool:
 
 
 def serre_matrix(inst: Instance) -> QMatrix:
-    """s = C^{-1} C^T from the certified inverse."""
+    """s = C^{-1} C^T as the Gorenstein shift T^{-ell}, certified by one
+    pass and one product: C is upper unitriangular and C T^{-ell} = C^T."""
     C = cartan_matrix(inst)
-    return cartan_inverse(inst, C) @ C.transpose()
+    key = (inst.n, inst.m)
+    s = QMatrix(gorenstein_shift(hilbert_numerator(*key)))
+    if any(C.rows[u][v] != (u == v)
+           for u in range(C.nrows) for v in range(u + 1)):
+        raise AssertionError(f"C is not upper unitriangular at {key}")
+    if C @ s != C.transpose():
+        raise AssertionError(f"C T^-ell != C^T at {key}")
+    return s
 
 
 def coxeter_matrix(inst: Instance) -> QMatrix:
-    """Phi = -C^{-T} C from the certified inverse."""
+    """Phi = -C^{-T} C, with C^{-1} by elimination."""
     C = cartan_matrix(inst)
-    return -(cartan_inverse(inst, C).transpose() @ C)
+    return -(C.inverse().transpose() @ C)
 
 
 def euler_characteristic_trace(inst: Instance) -> Q:
@@ -172,19 +167,16 @@ def derived_invariants(inst: Instance) -> dict:
 
     trace_matches_rank is the necessary condition (tr s = rank K_0) for the
     Serre action to be unipotent -- failing it obstructs derived equivalence
-    with a smooth projective surface.  Computed once per weight pair, with
-    s certified equal to the Gorenstein shift T^{-ell}.
+    with a smooth projective surface.  Computed once per weight pair from
+    serre_matrix's certified s.
     """
     key = (inst.n, inst.m)
     if key not in _INVARIANTS:
-        rank = 2 * (inst.n + inst.m)
         p = hilbert_numerator(*key)
         s = serre_matrix(inst)
-        if s.rows != gorenstein_shift(p):
-            raise AssertionError(f"s = C^-1 C^T is not T^-ell at {key}")
         chi = s.trace()
-        _INVARIANTS[key] = {"rank_K0": rank,
+        _INVARIANTS[key] = {"rank_K0": inst.ell,
                             "chi_trace": chi,
                             "serre_unipotent": _unipotent(s, p),
-                            "trace_matches_rank": chi == Q(rank)}
+                            "trace_matches_rank": chi == Q(inst.ell)}
     return dict(_INVARIANTS[key])

@@ -37,7 +37,7 @@ because it contradicts the dimension of HH^2.
 from fractions import Fraction as Q
 
 from .algebra import acc
-from .cohomology import coords_mod_image, hh1_basis, hh2_basis, is_cocycle
+from .cohomology import coords_mod_image, hh1_basis, hh2_basis
 from .core import Cond1, Cond2, Instance, classify
 from .linalg import QMatrix
 from .resolution import HomComplex
@@ -235,28 +235,18 @@ def _lift_h5p(C):
     return ChainMap(C, s0, s1)
 
 
+_LIFTS = {"h1": _lift_h1, "h2": _lift_h2, "h3": _lift_h3, "h4": _lift_h4,
+          "h5": _lift_h5, "h3p": _lift_h3p, "h4p": _lift_h4p, "h5p": _lift_h5p}
+
+
 def closed_form_lifts(C: HomComplex):
     """Closed-form chain maps for every label of the stratum's HH^1 basis.
 
-    Returns {label: ChainMap}; the induced cochain of the map for `label`
-    equals LIFT_SIGN.get(label, 1) times that label's basis vector.
+    Returns {label: ChainMap} in hh1_basis order, one _LIFTS entry per
+    label; the induced cochain of the map for `label` equals
+    LIFT_SIGN.get(label, 1) times that label's basis vector.
     """
-    n, m = C.B.n, C.B.m
-    c1, c2 = classify(C.inst)
-    out = {"h1": _lift_h1(C)}
-    if c1 == Cond1.CASE_I:
-        out["h2"] = _lift_h2(C)
-    if n == 1 and c2 == Cond2.CASE_1:
-        out["h3"] = _lift_h3(C)
-        out["h4"] = _lift_h4(C)
-        if m == 1:
-            out["h3p"] = _lift_h3p(C)
-            out["h4p"] = _lift_h4p(C)
-    if n == 1 and c2 == Cond2.CASE_2:
-        out["h5"] = _lift_h5(C)
-        if m == 1:
-            out["h5p"] = _lift_h5p(C)
-    return out
+    return {lbl: _LIFTS[lbl](C) for lbl, _ in hh1_basis(C)}
 
 
 # -- generic lifting ---------------------------------------------------------
@@ -264,13 +254,13 @@ def closed_form_lifts(C: HomComplex):
 def generic_lift(C: HomComplex, phi_vec, side="left"):
     """Lift an arbitrary degree-1 cocycle to a chain map.
 
-    sigma_0 places the cochain value in the left (or right) unit slot;
-    sigma_1(h) = contract(-sigma_0(d2(h))) through the resolution's
-    contracting homotopy, which lifts exactly when aug . sigma_0 . d2 = 0,
-    i.e. when phi is a cocycle.  Raises ValueError on a non-cocycle.
+    sigma_0 places the cochain value in the left (or right) unit slot, so
+    aug . sigma_0 = phi; sigma_1(h) = contract(-sigma_0(d2(h))) through the
+    resolution's contracting homotopy, which lifts exactly when
+    aug . sigma_0 . d2(h) = phi(d2(h)) vanishes.  That per-relation test is
+    the cocycle test, so no D2 product is formed; raises ValueError on a
+    non-cocycle.
     """
-    if not is_cocycle(C, phi_vec):
-        raise ValueError("not a 1-cocycle")
     res, B = C.res, C.B
     s0 = {}
     for a in res.gens1():
@@ -291,8 +281,7 @@ def generic_lift(C: HomComplex, phi_vec, side="left"):
     for h in res.gens2():
         z = res.apply_map(fun0, res.d2(h), -1)
         if res.aug(z):
-            raise AssertionError("sigma_0 . d2 leaves the kernel of the "
-                                 "augmentation for a cocycle")
+            raise ValueError("not a 1-cocycle")
         el = res.contract(z)
         if el:
             s1[h] = el

@@ -250,9 +250,11 @@ class TestVerify:
 
     def test_import_leaves_the_process_pool_unloaded(self):
         # Only `verify` with HH_THREADS > 1 uses the pool, so no command
-        # should pay for importing it at start-up.
+        # should pay for importing it at start-up.  Nor for `dataclasses`
+        # and the `inspect` it pulls in: Instance is a plain class.
         probe = ("import sys, downup_hh.cli; print([m for m in "
-                 "('concurrent.futures', 'multiprocessing') if m in sys.modules])")
+                 "('concurrent.futures', 'multiprocessing', 'dataclasses', "
+                 "'inspect') if m in sys.modules])")
         r = subprocess.run([sys.executable, "-c", probe],
                            capture_output=True, text=True)
         assert r.returncode == 0, r.stderr
@@ -356,6 +358,23 @@ class TestReportCommands:
         assert [(c["name"], c["pass"]) for c in rep["checks"]] == [
             ("table-row-agreement", False),
             ("presentation-degree-counts", True)]
+
+    def test_an_undocumented_failing_row_is_not_called_a_defect(
+            self, monkeypatch, capsys):
+        # (1,3,0,1) is not a documented defect stratum, so a stored row
+        # that fails there must not be reported as the documented defect.
+        ring_table_row = yoneda.ring_table_row
+
+        def fifth_generator(inst):
+            row = ring_table_row(inst)
+            return {**row, "a": row["a"] + 1, "order": row["order"] + ["h5"]}
+
+        monkeypatch.setattr(yoneda, "ring_table_row", fifth_generator)
+        status = main(["ring", "--n", "1", "--m", "3", "--alpha", "0",
+                       "--beta", "1", "--format", "text"])
+        lines = capsys.readouterr().out.splitlines()
+        assert status == 1
+        assert "check: table-row-agreement FAIL (row not reproduced)" in lines
 
     def test_ring_table_never_reads_the_stored_rows(self, monkeypatch,
                                                     capsys):

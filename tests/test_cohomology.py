@@ -181,6 +181,18 @@ class TestBases:
         (lbl, v), = hh0_basis(C)
         assert lbl == "unit" and C.D1.matvec(v) == [Q(0)] * len(C.basis1)
 
+    # The basis labels per stratum, one table each for n = m = 1, n = 1 < m
+    # and n >= 2.
+    H1_LABELS = {
+        "n=m=1": {(I, C1): ["h1", "h2", "h3", "h4", "h3p", "h4p"],
+                  (II, C2): ["h1", "h5", "h5p"], (II, C3): ["h1"]},
+        "n=1<m": {(I, C1): ["h1", "h2", "h3", "h4"],
+                  (II, C1): ["h1", "h3", "h4"], (II, C2): ["h1", "h5"],
+                  (II, C3): ["h1"]},
+        "n>=2": {(I, C1): ["h1", "h2"], (II, C1): ["h1"], (II, C2): ["h1"],
+                 (II, C3): ["h1"]},
+    }
+
     def test_labels_by_stratum(self):
         def labels(n, m, a, b):
             return [l for l, _ in hh1_basis(HomComplex(Instance(n, m, Q(a), Q(b))))]
@@ -194,6 +206,18 @@ class TestBases:
         assert labels(1, 2, 1, 1) == ["h1"]
         assert labels(3, 5, 0, 1) == ["h1", "h2"]
         assert labels(2, 3, 1, 1) == ["h1"]
+        # One stratum sample for every row of every table.
+        seen = set()
+        for n, m in [(1, 1), (1, 2), (1, 3), (1, 4), (2, 3), (3, 4), (3, 5)]:
+            table = "n=m=1" if m == 1 else "n=1<m" if n == 1 else "n>=2"
+            for stratum, rec in stratum_samples(n, m).items():
+                if rec["status"] == "reached":
+                    inst = rec["instance"]
+                    got = labels(n, m, inst.alpha, inst.beta)
+                    assert got == self.H1_LABELS[table][stratum], inst.key()
+                    seen.add((table, stratum))
+        assert seen == {(t, s) for t, rows in self.H1_LABELS.items()
+                        for s in rows}
 
     def test_h2_and_h4p_entries(self):
         C = HomComplex(Instance(1, 1, Q(0), Q(5)))

@@ -1,5 +1,6 @@
 """Weights, parameters, the lambda sequence, and case classification."""
 
+import pickle
 from fractions import Fraction as Q
 
 import pytest
@@ -25,6 +26,32 @@ def test_instance_validation():
         Instance(2, 1, Q(1), Q(1))  # n > m
     with pytest.raises(ValueError):
         Instance(2, 4, Q(1), Q(1))  # gcd > 1
+
+
+def test_instance_is_an_immutable_value():
+    inst = Instance(1, 2, 1, Q(-1))
+    assert (inst.alpha, inst.beta) == (Q(1), Q(-1))
+    for name in ("n", "alpha", "_lam_cache", "other"):
+        with pytest.raises(AttributeError):
+            setattr(inst, name, 3)
+        with pytest.raises(AttributeError):
+            delattr(inst, name)
+    inst.lam(6)  # memoizing lambda changes neither equality nor hash
+    same = Instance(1, 2, Q(1), Q(-1))
+    assert inst == same and hash(inst) == hash(same)
+    assert inst != Instance(1, 2, Q(1), Q(-2)) and inst != Instance(1, 3, Q(1), Q(-1))
+    assert inst != (1, 2, Q(1), Q(-1)) and inst != "n=1 m=2 alpha=1 beta=-1"
+    assert len({inst, same, Instance(1, 2, Q(2), Q(-1))}) == 2
+    assert repr(inst) == "Instance(n=1, m=2, alpha=Fraction(1, 1), beta=Fraction(-1, 1))"
+
+
+def test_instance_pickles_for_worker_processes():
+    inst = Instance(2, 5, Q(3, 7), Q(-2))
+    back = pickle.loads(pickle.dumps(inst))
+    assert back == inst and hash(back) == hash(inst)
+    assert back.lam(9) == inst.lam(9)
+    with pytest.raises(AttributeError):
+        back.m = 7
 
 
 def test_lambda_recurrence_and_seeds():

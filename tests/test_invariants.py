@@ -11,12 +11,10 @@ from downup_hh.cohomology import (
     sample_instances,
 )
 from downup_hh.invariants import (
-    cartan_inverse,
     cartan_matrix,
     coxeter_matrix,
     derived_invariants,
     euler_characteristic_trace,
-    gorenstein_shift,
     happel_trace_check,
     hilbert_numerator,
     serre_matrix,
@@ -85,20 +83,32 @@ class TestCartan:
         assert mats[0].rows == mats[1].rows == mats[2].rows
 
 
+def banded_inverse(n, m):
+    """The banded Toeplitz matrix of (1-t^n)(1-t^m)(1-t^{n+m})."""
+    ell, band = 2 * (n + m), hilbert_numerator(n, m)
+    return QMatrix([[band[v - u] if v >= u else 0 for v in range(ell)]
+                    for u in range(ell)])
+
+
 class TestClosedFormInverse:
     @pytest.mark.parametrize("n,m", [(n, m) for n, m in WEIGHTS if n + m <= 12])
     def test_banded_inverse_equals_the_eliminated_inverse(self, n, m):
-        inst = an_instance(n, m)
-        C = cartan_matrix(inst)
-        assert cartan_inverse(inst, C) == C.inverse()
+        C = cartan_matrix(an_instance(n, m))
+        assert banded_inverse(n, m) == C.inverse()
 
     @pytest.mark.parametrize("u,v", [(0, 0), (0, 5), (3, 9), (2, 1)])
-    def test_certificate_rejects_a_perturbed_cartan_matrix(self, u, v):
-        inst = an_instance(2, 5)
-        C = cartan_matrix(inst)
-        C.rows[u][v] += 1
+    def test_certificate_rejects_a_perturbed_cartan_matrix(self, monkeypatch,
+                                                           u, v):
+        # (0,0) and (2,1) break unitriangularity, (0,5) and (3,9) the
+        # product C T^{-ell} = C^T.
+        def perturbed(inst):
+            C = cartan_matrix(inst)
+            C.rows[u][v] += 1
+            return C
+
+        monkeypatch.setattr(invariants, "cartan_matrix", perturbed)
         with pytest.raises(AssertionError):
-            cartan_inverse(inst, C)
+            serre_matrix(an_instance(2, 5))
 
     @pytest.mark.parametrize("n,m", [(7, 9), (1, 15)])
     def test_cayley_hamilton_for_the_serre_matrix(self, n, m):
@@ -159,7 +169,7 @@ class TestUnipotence:
 
 class TestGorensteinShift:
     """s = C^{-1} C^T is T^{-ell} for the companion matrix T of
-    p = (1-t^n)(1-t^m)(1-t^{n+m}), certified inside derived_invariants."""
+    p = (1-t^n)(1-t^m)(1-t^{n+m}), certified inside serre_matrix."""
 
     @pytest.fixture
     def fresh(self, monkeypatch):
@@ -169,31 +179,31 @@ class TestGorensteinShift:
         weights = coprime_weights(16)
         assert len(weights) == 40
         for n, m in weights:
-            s = serre_matrix(an_instance(n, m))
-            assert s.rows == gorenstein_shift(hilbert_numerator(n, m)), (n, m)
+            inst = an_instance(n, m)
+            C = cartan_matrix(inst)
+            assert serre_matrix(inst) == C.inverse() @ C.transpose(), (n, m)
 
     def test_hilbert_numerator_is_the_banded_inverse(self):
         p = hilbert_numerator(2, 3)
         assert p == (1, 0, -1, -1, 0, 0, 0, 1, 1, 0, -1)
-        assert list(p[:-1]) == cartan_inverse(an_instance(2, 3),
-                                         cartan_matrix(an_instance(2, 3))).rows[0]
+        assert list(p[:-1]) == cartan_matrix(an_instance(2, 3)).inverse().rows[0]
 
     @pytest.mark.parametrize("u,v", [(0, 0), (0, 9), (4, 2), (13, 13)])
-    def test_certificate_rejects_a_perturbed_serre_matrix(self, fresh,
-                                                          monkeypatch, u, v):
-        true_serre = invariants.serre_matrix
+    def test_certificate_rejects_a_perturbed_gorenstein_shift(
+            self, fresh, monkeypatch, u, v):
+        true_shift = invariants.gorenstein_shift
 
-        def perturbed(inst):
-            s = true_serre(inst)
-            s.rows[u][v] += 1
-            return s
+        def perturbed(p):
+            rows = true_shift(p)
+            rows[u][v] += 1
+            return rows
 
-        monkeypatch.setattr(invariants, "serre_matrix", perturbed)
+        monkeypatch.setattr(invariants, "gorenstein_shift", perturbed)
         with pytest.raises(AssertionError, match="T\\^-ell"):
             derived_invariants(an_instance(3, 4))
 
-    def test_no_matrix_power_and_two_products_per_weight_pair(self, fresh,
-                                                              monkeypatch):
+    def test_no_matrix_power_and_one_product_per_weight_pair(self, fresh,
+                                                             monkeypatch):
         def refuse(self, k):
             raise AssertionError("derived_invariants took a matrix power")
 
@@ -212,9 +222,9 @@ class TestGorensteinShift:
             before = len(products)
             got = derived_invariants(an_instance(n, m))
             assert got["serre_unipotent"] == ((n, m) in UNIPOTENT_WEIGHTS)
-            assert products[before:] == [((ell, ell), (ell, ell))] * 2
+            assert products[before:] == [((ell, ell), (ell, ell))]
             derived_invariants(Instance(n, m, Q(2), Q(3)))
-        assert len(products) == 2 * len(pairs)
+        assert len(products) == len(pairs)
 
     @pytest.mark.parametrize("n,m", coprime_weights(12))
     def test_divisibility_verdict_equals_the_matrix_power(self, n, m):

@@ -111,18 +111,25 @@ class TestGenericLift:
         def forbidden(*args, **kwargs):
             raise AssertionError("generic_lift touched a matrix solver")
 
-        for name in ("zeros", "solve", "rref", "rank"):
+        for name in ("zeros", "solve", "rref", "rank", "matvec"):
             monkeypatch.setattr(QMatrix, name, forbidden)
         for lbl, vec in basis:
             assert generic_lift(C, vec).induced_vector() == vec, lbl
 
-    def test_rejects_non_cocycle(self):
-        C = HomComplex(Instance(2, 3, Q(1), Q(1)))
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("inst", [i for i in sweep() if i.n + i.m <= 6],
+                             ids=lambda i: i.key())
+    def test_rejects_non_cocycle(self, inst, side):
+        # The per-relation augmentation test is the only cocycle test.
+        C = HomComplex(inst)
         bad = [Q(0)] * len(C.basis1)
         bad[0] = Q(1)  # tau[x1]^x alone is not a cocycle
         assert any(c != 0 for c in C.D2.matvec(bad))
-        with pytest.raises(ValueError):
-            generic_lift(C, bad)
+        h1 = hh1_basis(C)[0][1]
+        for phi in (bad, [x + y for x, y in zip(h1, bad)]):
+            with pytest.raises(ValueError, match="not a 1-cocycle"):
+                generic_lift(C, phi, side=side)
+        assert generic_lift(C, h1, side=side).verify()
 
     @pytest.mark.parametrize("n,m,a,b", [
         (1, 1, 0, 1), (1, 2, 1, -1), (1, 3, 2, -1), (2, 3, 1, 1),
