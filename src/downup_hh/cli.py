@@ -116,8 +116,8 @@ def _build(args, reduced_only=None):
 
 # -- single-instance reports ------------------------------------------------
 # Each section fills in its command's part of the report and returns the text
-# lines of that part (compute's CSV lines under --format csv) and the keyword
-# arguments that its check group takes.
+# lines of that part (compute's CSV lines under --format csv).  What a section
+# and its check group both read, such as the ring report, the complex keeps.
 
 DIMS_HEADER = ["instance", "case1", "case2", "h0", "h1", "h2", "chi",
                "unipotent"]
@@ -144,10 +144,10 @@ def _compute_section(args, inst: Instance, C: HomComplex, rep: dict):
         row = _dims_row(f"n={args.n} m={args.m} alpha={fmt_q(args.alpha)} "
                         f"beta={fmt_q(args.beta)}", inst, comp, chi,
                         derived_invariants(inst)["serre_unipotent"])
-        return [",".join(DIMS_HEADER), ",".join(row)], {}
+        return [",".join(DIMS_HEADER), ",".join(row)]
     cls = rep["classification"]
     return [f"stratum:  Case {cls['cond1']}, Case {cls['cond2']}",
-            f"dims:     h0={comp[0]} h1={comp[1]} h2={comp[2]}  chi={chi}"], {}
+            f"dims:     h0={comp[0]} h1={comp[1]} h2={comp[2]}  chi={chi}"]
 
 
 def _support(basis, vec) -> dict:
@@ -163,7 +163,7 @@ def _basis_section(args, inst: Instance, C: HomComplex, rep: dict):
     rep["hh2"] = [{"label": lbl, "value": _support(C.basis2, v)}
                   for lbl, v in hh2_basis(C)]
     return ["hh1: " + " ".join(d["label"] for d in rep["hh1"]),
-            "hh2: " + " ".join(d["label"] for d in rep["hh2"])], {}
+            "hh2: " + " ".join(d["label"] for d in rep["hh2"])]
 
 
 def _ideal_strings(pairs, ideal_rows) -> list:
@@ -195,7 +195,7 @@ def _ring_section(args, inst: Instance, C: HomComplex, rep: dict):
     }
     lines = [f"Lambda({pres['a']}, {pres['b']}) / I,  I generated by:"]
     lines += [f"  {s}" for s in rep["ring"]["ideal"]] or ["  0"]
-    return lines, {"report": report}
+    return lines
 
 
 def _invariants_section(args, inst: Instance, C: HomComplex, rep: dict):
@@ -208,7 +208,7 @@ def _invariants_section(args, inst: Instance, C: HomComplex, rep: dict):
     }
     return [f"chi_HH = {iv['chi_hh']},  rank K0 = {iv['rank_K0']}",
             f"Serre action unipotent: {iv['serre_unipotent']}",
-            f"surface obstructed: {iv['surface_obstructed']}"], {}
+            f"surface obstructed: {iv['surface_obstructed']}"]
 
 
 # The single-instance commands: command -> (its `verify` check group, its
@@ -240,8 +240,8 @@ def cmd_report(args) -> int:
                          (k * d for d in hh_dims_computed(C)))),
         "closed_form": {"k": k, "swapped": swapped, "canonical": inst.key()},
     }
-    lines, context = section(args, inst, C, rep)
-    rep["checks"] = [_check(*c) for c in CHECKS[group](inst, C, None, **context)]
+    lines = section(args, inst, C, rep)
+    rep["checks"] = [_check(*c) for c in CHECKS[group](inst, C, None)]
     if args.format == "text":
         head = f"instance: {inst.key()}" + (
             f"  (k = {k}, swapped = {swapped})" if k != 1 or swapped else "")
@@ -312,10 +312,8 @@ def _lifts_checks(inst: Instance, C: HomComplex, fault) -> list:
              "all lifted maps" if not bad else f"failing: {' '.join(bad)}")]
 
 
-def _ring_group_checks(inst: Instance, C: HomComplex, fault,
-                       report=None) -> list:
-    """`report` is the complex's ring_row_report when the caller has it."""
-    report = ring_row_report(C) if report is None else report
+def _ring_group_checks(inst: Instance, C: HomComplex, fault) -> list:
+    report = ring_row_report(C)
     pres = report["presentation"]
     agree = (report["dims_match"] and report["row_self_consistent"]
              and report["ideal_match_after_rescale"])

@@ -24,7 +24,7 @@ from math import gcd
 
 from .core import Cond1, Cond2, Instance, classify
 from .linalg import QMatrix, QPoly
-from .resolution import HomComplex
+from .resolution import HomComplex, kept
 
 
 # -- dimensions -------------------------------------------------------------
@@ -86,8 +86,9 @@ def hh0_basis(C: HomComplex):
     return [("unit", [Q(1)] * len(C.basis0))]
 
 
+@kept
 def hh1_basis(C: HomComplex):
-    """The distinguished HH^1 basis for the stratum of C.inst.
+    """The distinguished HH^1 basis for the stratum of C.inst, kept on C.
 
     Returns [(label, vector in the P1^ basis)].  The labels h1..h5 and the
     primed ones for n = m = 1 follow the fixed formulas below, each built
@@ -150,8 +151,9 @@ def hh2_table_row(C: HomComplex):
     return _hh2_specs(C, substitute=False)
 
 
+@kept
 def hh2_basis(C: HomComplex):
-    """The distinguished HH^2 basis for the stratum of C.inst.
+    """The distinguished HH^2 basis for the stratum of C.inst, kept on C.
 
     Returns [(label, vector in the P2^ basis)]; each class is a single
     tau-functional, labelled like g1^yxy.
@@ -212,8 +214,9 @@ def _hh2_specs(C: HomComplex, substitute: bool):
 
 # -- verification helpers ---------------------------------------------------
 
-def is_cocycle(C: HomComplex, vec) -> bool:
-    return all(c == 0 for c in C.D2.matvec(vec))
+def is_cocycle(C: HomComplex, vecs) -> bool:
+    """Whether D2 v = 0 for each v in vecs (true for none), by one product."""
+    return not vecs or (C.D2 @ QMatrix.from_columns(vecs)).is_zero()
 
 
 def independent_mod_image(C: HomComplex, k: int, vecs) -> bool:
@@ -235,7 +238,7 @@ def verify_bases(C: HomComplex):
     # Explicit raises, not asserts: `python -O` must not switch the check off.
     for k, basis, h in ((1, hh1_basis(C), h1), (2, hh2_basis(C), h2)):
         vecs = [v for _, v in basis]
-        if k == 1 and not all(is_cocycle(C, v) for v in vecs):
+        if k == 1 and not is_cocycle(C, vecs):
             raise AssertionError("an HH^1 vector is not a cocycle")
         if not independent_mod_image(C, k, vecs):
             raise AssertionError(f"the HH^{k} vectors are dependent "

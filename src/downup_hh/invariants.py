@@ -157,26 +157,23 @@ def unipotent_closed_form(n: int, m: int) -> bool:
     return 2 * m % n == 0 and 2 * n % m == 0
 
 
-# derived_invariants results by weight pair; the Cartan matrix, and with it
-# every invariant, does not depend on (alpha, beta).
-_INVARIANTS: dict = {}
-
-
 def derived_invariants(inst: Instance) -> dict:
     """Summary of the derived-equivalence invariants for one instance.
 
     trace_matches_rank is the necessary condition (tr s = rank K_0) for the
     Serre action to be unipotent -- failing it obstructs derived equivalence
     with a smooth projective surface.  Computed once per weight pair from
-    serre_matrix's certified s.
+    serre_matrix's certified s; each call returns a fresh dict.
     """
-    key = (inst.n, inst.m)
-    if key not in _INVARIANTS:
-        p = hilbert_numerator(*key)
-        s = serre_matrix(inst)
-        chi = s.trace()
-        _INVARIANTS[key] = {"rank_K0": inst.ell,
-                            "chi_trace": chi,
-                            "serre_unipotent": _unipotent(s, p),
-                            "trace_matches_rank": chi == Q(inst.ell)}
-    return dict(_INVARIANTS[key])
+    return dict(_invariants(inst.n, inst.m))
+
+
+@cache
+def _invariants(n: int, m: int) -> dict:
+    """derived_invariants per weight pair: none depends on (alpha, beta)."""
+    ell = 2 * (n + m)
+    s = serre_matrix(Instance(n, m, Q(0), Q(1)))
+    chi = s.trace()
+    return {"rank_K0": ell, "chi_trace": chi,
+            "serre_unipotent": _unipotent(s, hilbert_numerator(n, m)),
+            "trace_matches_rank": chi == Q(ell)}

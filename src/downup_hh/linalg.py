@@ -172,12 +172,6 @@ class QMatrix:
             out.append([Q(v, de) if v else zero for v in acc])
         return QMatrix._of(out, other.ncols)
 
-    def matvec(self, v: list) -> list[Fraction]:
-        if len(v) != self.ncols:
-            raise ValueError("vector length mismatch")
-        vv = [_as_q(x) for x in v]
-        return [sum((a * b for a, b in zip(row, vv) if a), Q(0)) for row in self.rows]
-
     def pow(self, k: int) -> "QMatrix":
         if self.nrows != self.ncols:
             raise ValueError("power of non-square matrix")
@@ -218,7 +212,7 @@ class QMatrix:
                 rows[r], rows[piv] = rows[piv], rows[r]
                 factor = -factor
             prow, p = rows[r], rows[r][c]
-            # One Fraction product per column, not per row: ~25% of char_poly.
+            # The determinant factor takes one Fraction per pivot column.
             scaled, shrunk = 1, 1
             for i, row in enumerate(rows):
                 a = row[c]

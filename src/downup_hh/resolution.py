@@ -56,11 +56,26 @@ content (#x, #y), so D1 and D2 are block-diagonal in the weight of tau[h]^w
 """
 
 from fractions import Fraction as Q
+from functools import wraps
 from math import lcm
 
 from .algebra import Beilinson, acc
 from .core import Cond1, Cond2, Instance, classify
 from .linalg import QMatrix, QPoly, poly_gcd
+
+
+def kept(fn):
+    """fn(obj, *args), computed on the first call and kept in obj's one
+    `_kept` dict.  Callers only read it: a fault injection that drops one
+    HH^1 basis vector, say, must alter a copy, or every reader sees it."""
+    @wraps(fn)
+    def get(obj, *args):
+        memo = obj.__dict__.setdefault("_kept", {})
+        key = (fn, *args)
+        if key not in memo:
+            memo[key] = fn(obj, *args)
+        return memo[key]
+    return get
 
 
 class Resolution:
@@ -69,8 +84,6 @@ class Resolution:
     def __init__(self, inst: Instance):
         self.inst = inst
         self.B = Beilinson(inst)
-        self._d1 = {}
-        self._d2 = {}
 
     # -- generators -------------------------------------------------------
 
@@ -142,27 +155,23 @@ class Resolution:
                 acc(out, (ls, w), c * c2)
         return out
 
+    @kept
     def d1(self, a):
-        """d1 on a P1 generator (an arrow), e_s (x) a - a (x) e_t, computed
-        once and kept; callers only read the returned dict."""
-        if a not in self._d1:
-            s = self.gen_source(a)
-            self._d1[a] = {(("e", s), s, "", a[0]): Q(1),
-                           (("e", self.gen_target(a)), s, a[0], ""): Q(-1)}
-        return self._d1[a]
+        """d1 on a P1 generator (an arrow): e_s (x) a - a (x) e_t."""
+        s = self.gen_source(a)
+        return {(("e", s), s, "", a[0]): Q(1),
+                (("e", self.gen_target(a)), s, a[0], ""): Q(-1)}
 
+    @kept
     def d2(self, h):
-        """d2 on a P2 generator (a relation), computed once and kept; callers
-        only read the returned dict."""
-        if h not in self._d2:
-            src = self.gen_source(h)
-            out = self._d2[h] = {}
-            for word, c in self.relation(h):
-                for p, letter in enumerate(word):
-                    v = src + self.B.word_degree(word[:p])
-                    self.act(out, c, src, word[:p],
-                             self.gen_elem((letter, v)), word[p + 1:])
-        return self._d2[h]
+        """d2 on a P2 generator (a relation), one act per letter position."""
+        src, out = self.gen_source(h), {}
+        for word, c in self.relation(h):
+            for p, letter in enumerate(word):
+                v = src + self.B.word_degree(word[:p])
+                self.act(out, c, src, word[:p],
+                         self.gen_elem((letter, v)), word[p + 1:])
+        return out
 
     def contract(self, p0_el):
         """The contracting homotopy P0 -> P1 on a P0 element.
@@ -231,7 +240,8 @@ class HomComplex:
     """The complex 0 -> P0^ -> P1^ -> P2^ -> 0 in the tau-functional bases.
 
     Every question modulo im Dk (ranks, HH^1 and HH^2 classes) reads
-    image(k), Dk^T eliminated once on first use, through coker(k, v).
+    image(k), Dk^T eliminated once on first use, through coker(k, v).  It is
+    `kept`, as are the bases and ring data built on the complex: once each.
     """
 
     def __init__(self, inst: Instance):
@@ -250,7 +260,6 @@ class HomComplex:
                                      self.res.d2)
         if not (self.D2 @ self.D1).is_zero():
             raise AssertionError("D2 * D1 != 0")
-        self._images = {}
 
     # -- bases ------------------------------------------------------------
 
@@ -318,19 +327,17 @@ class HomComplex:
         """(rank D1, rank D2): the lengths of the two images."""
         return (len(self.image(1)[2]), len(self.image(2)[2]))
 
+    @kept
     def image(self, k):
         """The echelon basis (s, free, rows) of im Dk, one elimination of Dk^T
         kept: pivot column c carries s e_c + sum_j rows[c][j] e_free[j], s the
         lcm of the pivots and free the non-pivot columns (Gauss-Jordan)."""
-        if k not in self._images:
-            D = {1: self.D1, 2: self.D2}[k]
-            rows, pivots, _ = D.transpose()._eliminate()
-            s = lcm(*(row[c] for row, c in zip(rows, pivots)))
-            free = sorted(set(range(D.nrows)) - set(pivots))
-            self._images[k] = (s, free, {
-                c: [s // row[c] * row[j] for j in free]
-                for row, c in zip(rows, pivots)})
-        return self._images[k]
+        D = {1: self.D1, 2: self.D2}[k]
+        rows, pivots, _ = D.transpose()._eliminate()
+        s = lcm(*(row[c] for row, c in zip(rows, pivots)))
+        free = sorted(set(range(D.nrows)) - set(pivots))
+        return (s, free, {c: [s // row[c] * row[j] for j in free]
+                          for row, c in zip(rows, pivots)})
 
     def coker(self, k, v):
         """The class of v in P_k^ / im Dk: v reduced against image(k), read

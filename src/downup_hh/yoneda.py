@@ -40,7 +40,7 @@ from .algebra import acc
 from .cohomology import coords_mod_image, hh1_basis, hh2_basis
 from .core import Cond1, Cond2, Instance, classify
 from .linalg import QMatrix
-from .resolution import HomComplex
+from .resolution import HomComplex, kept
 
 # Sign relating the induced cochain aug . sigma_0 of the closed-form lifting
 # to the basis vector of its label (the h2 lifting induces minus h2).
@@ -310,10 +310,9 @@ def classes_equal(C: HomComplex, u, v) -> bool:
     return in_image(C, 2, [a - b for a, b in zip(u, v)])
 
 
-def cup_class(C: HomComplex, phi_vec, sigma1, basis2=None):
-    """Coordinates of [phi . sigma_1] in the distinguished HH^2 basis."""
-    if basis2 is None:
-        basis2 = [v for _, v in hh2_basis(C)]
+def cup_class(C: HomComplex, phi_vec, sigma1):
+    """Coordinates of [phi . sigma_1] in C's kept HH^2 basis."""
+    basis2 = [v for _, v in hh2_basis(C)]
     return _in_span(coords_mod_image(C, basis2,
                                      [cup_vector(C, phi_vec, sigma1)])[0])
 
@@ -326,8 +325,9 @@ def _in_span(coords):
 
 # -- the ring of HH^* --------------------------------------------------------
 
+@kept
 def ring_structure(C: HomComplex):
-    """All pairwise products of the HH^1 basis in HH^2 coordinates.
+    """All pairwise products of the HH^1 basis in HH^2 coordinates, kept on C.
 
     products[(p, q)] is the class of  h_p . sigma_1  for the generic lifting
     sigma of h_q, i.e. the product [h_p][h_q] under the fixed convention.
@@ -346,15 +346,15 @@ def ring_structure(C: HomComplex):
             "products": {pq: _in_span(x) for pq, x in zip(pairs, coords)}}
 
 
-def ring_presentation(C: HomComplex, rs=None):
+def ring_presentation(C: HomComplex):
     """Presentation data (a, b, ideal) of HH^* as Lambda(a, b) mod relations.
 
-    a = dim HH^1; the ideal is the kernel of  span{s_p s_q, p < q} -> HH^2
-    as a reduced row space over the pair monomials in lexicographic order;
-    b = dim HH^2 - rank of the product map, the number of exterior degree-2
-    generators needed to complete the products to all of HH^2.
+    Read off ring_structure(C): a = dim HH^1; the ideal is the kernel of
+    span{s_p s_q, p < q} -> HH^2 as a reduced row space over the pair
+    monomials in lexicographic order; b = dim HH^2 - rank of the product
+    map, the number of exterior degree-2 generators completing the products.
     """
-    rs = rs if rs is not None else ring_structure(C)
+    rs = ring_structure(C)
     labels = rs["labels"]
     a = len(labels)
     h2 = len(rs["classes2"])
@@ -448,8 +448,10 @@ def ring_row_defect_expected(inst: Instance) -> bool:
                                                         Cond2.CASE_2)
 
 
-def ring_row_report(C: HomComplex, rs=None):
-    """Compare the computed presentation against the fixed table row.
+@kept
+def ring_row_report(C: HomComplex):
+    """Compare the computed presentation against the fixed table row, once
+    per complex: the ring command and its checks read one kept report.
 
     Keys: a, b, dims_match, ideal_match, ideal_match_after_rescale, rescale,
     row_self_consistent, presentation, row, printed, printed_pairs.  printed
@@ -457,8 +459,7 @@ def ring_row_report(C: HomComplex, rs=None):
     into the computed label order when the labels match; rescale is the
     scaling s_p -> c_p s_p that _rescale reads off, or None.
     """
-    rs = rs if rs is not None else ring_structure(C)
-    pres = ring_presentation(C, rs)
+    pres = ring_presentation(C)
     row = ring_table_row(C.inst)
     labels = pres["labels"]
 
@@ -478,7 +479,7 @@ def ring_row_report(C: HomComplex, rs=None):
     rescale = (_rescale(printed_space, computed, pres["a"], pres["pairs"])
                if dims_match and not ideal_match else None)
 
-    h2 = len(rs["classes2"])
+    h2 = pres["b"] + pres["rank"]  # b = dim HH^2 - rank
     row_self_consistent = (len(pairs) - len(printed_space) + row["b"] == h2)
 
     return {"a": pres["a"], "b": pres["b"], "dims_match": dims_match,

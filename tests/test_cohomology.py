@@ -8,7 +8,7 @@ from math import gcd
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from downup_hh import cli
+from downup_hh import cli, cohomology
 from downup_hh.core import (Cond1, Cond2, Instance, canonical_instance,
                             classify)
 from downup_hh.cohomology import (
@@ -31,7 +31,8 @@ from downup_hh.cohomology import (
 )
 from downup_hh.linalg import QMatrix, QPoly
 from downup_hh.resolution import HomComplex
-from downup_hh.yoneda import classes_equal, in_image
+from downup_hh.yoneda import (classes_equal, in_image, ring_row_report,
+                              ring_structure)
 
 I, II = Cond1.CASE_I, Cond1.CASE_II
 C1, C2, C3 = Cond2.CASE_1, Cond2.CASE_2, Cond2.CASE_3
@@ -42,6 +43,11 @@ def hh_dims_general(n0, m0, alpha, beta):
     inst, k, _ = canonical_instance(n0, m0, alpha, beta,
                                     allow_reduce=True, allow_swap=True)
     return tuple(k * d for d in hh_dims_closed_form(inst))
+
+
+def times(M, v):
+    """M v as a list: the product of M with the one-column matrix of v."""
+    return (M @ QMatrix.from_columns([v])).column(0)
 
 
 SMALL_WEIGHTS = [(n, m) for m in range(1, 8) for n in range(1, m + 1)
@@ -179,7 +185,7 @@ class TestBases:
     def test_hh0(self):
         C = HomComplex(Instance(2, 3, Q(1), Q(1)))
         (lbl, v), = hh0_basis(C)
-        assert lbl == "unit" and C.D1.matvec(v) == [Q(0)] * len(C.basis1)
+        assert lbl == "unit" and times(C.D1, v) == [Q(0)] * len(C.basis1)
 
     # The basis labels per stratum, one table each for n = m = 1, n = 1 < m
     # and n >= 2.
@@ -233,7 +239,9 @@ class TestBases:
         bad = [Q(0)] * len(C.basis1)
         bad[C.idx1[(("x", 3), "y")]] = Q(5)
         bad[C.idx1[(("x", 1), "y")]] = Q(1)
-        assert not is_cocycle(C, bad)
+        assert not is_cocycle(C, [bad])
+        assert not is_cocycle(C, [h2, bad]) and is_cocycle(C, [h2, h4p])
+        assert is_cocycle(C, [])
 
     def test_alternating_h2_larger(self):
         C = HomComplex(Instance(3, 5, Q(0), Q(1)))
@@ -296,7 +304,7 @@ class TestBases:
         alt = [Q(0)] * len(C.basis1)
         for p in range(1, C.B.nx + 1):
             alt[C.idx1[(("x", p), "x")]] = Q(-1) ** p
-        u = C.D2.matvec(alt)
+        u = times(C.D2, alt)
         assert any(c != 0 for c in u)
         support = {C.basis2[i] for i, c in enumerate(u) if c}
         allowed = ({(("f", i), "xyx") for i in range(1, m + 1)}
@@ -401,12 +409,12 @@ class TestImages:
             c = data.draw(st.lists(small, min_size=len(basis),
                                    max_size=len(basis)))
             v = [a + sum((ci * b[i] for ci, b in zip(c, basis)), Q(0))
-                 for i, a in enumerate(M.matvec(x))]
+                 for i, a in enumerate(times(M, x))]
             event(f"k={k} in image: {not any(c)}")
             assert in_image(C, k, v) == (not any(c)) == ref_in_image(M, v)
             assert independent_mod_image(C, k, [v]) == any(c)
             assert not independent_mod_image(C, k, basis + [v])
-            u = M.matvec(x)
+            u = times(M, x)
             assert C.coker(k, [a + b for a, b in zip(u, v)]) == [
                 a + b for a, b in zip(C.coker(k, u), C.coker(k, v))]
             if k == 2:
@@ -443,6 +451,50 @@ class TestImages:
             seen.clear()
             cli._ring_row(inst)  # a ring-table row never eliminates D1
             assert eliminations(C, seen) == [0, 1], inst.key()
+
+
+class TestKeptPerComplex:
+    """Each per-complex quantity is computed once per complex and kept."""
+
+    KEPT = (hh1_basis, hh2_basis, ring_structure, ring_row_report)
+
+    @pytest.mark.parametrize("inst,units", [
+        (Instance(1, 1, Q(0), Q(1)), 6 + 9), (Instance(2, 3, Q(0), Q(1)), 8)],
+        ids=lambda x: x.key() if isinstance(x, Instance) else str(x))
+    def test_verify_builds_each_basis_once(self, monkeypatch, inst, units):
+        # every HH^1 and HH^2 basis vector is one _unit_vec call, so a full
+        # verify of one instance makes h1 + h2 of them
+        calls = []
+        unit_vec = cohomology._unit_vec
+        monkeypatch.setattr(cohomology, "_unit_vec",
+                            lambda *a: calls.append(1) or unit_vec(*a))
+        checks = cli._verify_worker((inst, None, None))
+        assert checks and all(c["pass"] for c in checks)
+        _, h1, h2 = hh_dims_computed(HomComplex(inst))
+        assert len(calls) == h1 + h2 == units
+
+    def test_a_kept_value_is_one_object(self):
+        C = HomComplex(Instance(1, 3, Q(0), Q(1)))
+        for fn in self.KEPT:
+            assert fn(C) is fn(C), fn.__name__
+
+    def test_the_two_images_are_kept_apart(self):
+        C = HomComplex(Instance(1, 2, Q(1), Q(-1)))
+        one, two = C.image(1), C.image(2)
+        assert one is C.image(1) and two is C.image(2)
+        assert one != two
+        assert C.ranks == (len(one[2]), len(two[2]))
+
+    def test_two_complexes_of_one_instance_share_nothing(self):
+        inst = Instance(1, 1, Q(0), Q(1))
+        C, D = HomComplex(inst), HomComplex(inst)
+        for fn in self.KEPT:
+            assert fn(C) is not fn(D) and fn(C) == fn(D), fn.__name__
+        for k in (1, 2):
+            assert C.image(k) is not D.image(k) and C.image(k) == D.image(k)
+        h = C.res.gens2()[0]
+        assert C.res.d2(h) is not D.res.d2(h)
+        assert C._kept is not D._kept and C.res._kept is not D.res._kept
 
 
 class TestStrata:

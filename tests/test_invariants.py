@@ -172,8 +172,10 @@ class TestGorensteinShift:
     p = (1-t^n)(1-t^m)(1-t^{n+m}), certified inside serre_matrix."""
 
     @pytest.fixture
-    def fresh(self, monkeypatch):
-        monkeypatch.setattr(invariants, "_INVARIANTS", {})
+    def fresh(self):
+        invariants._invariants.cache_clear()
+        yield
+        invariants._invariants.cache_clear()
 
     def test_serre_matrix_is_the_gorenstein_shift(self):
         weights = coprime_weights(16)
