@@ -18,7 +18,7 @@ resolution.
 """
 
 from .core import Cond1, Cond2, Instance, classify, reduce_weights
-from .linalg import Q, QMatrix, QPoly, poly_gcd
+from .linalg import Q, QMatrix
 
 __all__ = [
     "Cond1",
@@ -28,8 +28,6 @@ __all__ = [
     "reduce_weights",
     "Q",
     "QMatrix",
-    "QPoly",
-    "poly_gcd",
 ]
 
 __version__ = "0.1.0"

@@ -75,9 +75,15 @@ def fmt_q(x) -> str:
 
 
 def _emit(args, payload: str):
+    """Write to --out or stdout; an unwritable path is bad input: exit 2."""
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            sys.stderr.write(f"error: cannot write {args.out}: "
+                             f"{exc.strerror or exc}\n")
+            raise SystemExit(2)
     else:
         sys.stdout.write(payload)
 

@@ -20,10 +20,10 @@ transported by the weight swap rule when the input has n > m.
 """
 
 from fractions import Fraction as Q
-from math import gcd
+from itertools import zip_longest
 
 from .core import Cond1, Cond2, Instance, classify
-from .linalg import QMatrix, QPoly
+from .linalg import QMatrix
 from .resolution import HomComplex, kept
 
 
@@ -250,36 +250,30 @@ def verify_bases(C: HomComplex):
 
 # -- stratum sampling -------------------------------------------------------
 
-def lambda_poly_in_beta(r: int) -> QPoly:
-    """lambda_r(1, beta) as a polynomial in beta."""
-    lo = QPoly([])        # lambda_0 = 0
-    hi = QPoly([Q(1)])    # lambda_1 = 1
+def lambda_poly_in_beta(r: int) -> list[int]:
+    """lambda_r(1, beta) as integer coefficients in beta, lowest degree
+    first: lambda_0 = 0 is [], lambda_1 = 1 is [1]."""
+    lo, hi = [], [1]
     for _ in range(r - 1):
-        lo, hi = hi, hi + QPoly([Q(0), Q(1)]) * lo
+        lo, hi = hi, [a + b for a, b in zip_longest(hi, [0] + lo, fillvalue=0)]
     return hi if r >= 1 else lo
 
 
-def rational_roots(p: QPoly):
-    """All rational roots of p, ascending (p must be nonzero)."""
-    if p.is_zero():
+def rational_roots(p: list[int]):
+    """All rational roots of the integer polynomial p (coefficients lowest
+    degree first, not all zero), ascending, by the rational root theorem."""
+    nonzero = [k for k, a in enumerate(p) if a]
+    if not nonzero:
         raise ValueError("zero polynomial")
-    denom_lcm = 1
-    for c in p.coeffs:
-        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in p.coeffs]
-    while ints and ints[0] == 0:
-        ints = ints[1:]  # factor out t; drops only the root 0
-    if not ints:
-        return []
+    p = p[nonzero[0]:nonzero[-1] + 1]  # factoring out t drops only the root 0
 
     def divisors(x):
-        x = abs(x)
-        out = [d for d in range(1, x + 1) if x % d == 0]
-        return out
+        return [d for d in range(1, abs(x) + 1) if x % d == 0]
 
-    cands = {Q(s * pnum, qden) for pnum in divisors(ints[0])
-             for qden in divisors(ints[-1]) for s in (1, -1)}
-    return sorted(c for c in cands if p(c) == 0)
+    cands = {Q(s * a, b) for a in divisors(p[0]) for b in divisors(p[-1])
+             for s in (1, -1)}
+    return sorted(c for c in cands
+                  if sum(a * c ** k for k, a in enumerate(p)) == 0)
 
 
 def stratum_samples(n: int, m: int):
@@ -315,7 +309,7 @@ def stratum_samples(n: int, m: int):
         if roots:
             out[(II, C1)] = _reached(Instance(n, m, Q(1), roots[0]), (II, C1),
                                      all_beta=roots)
-        elif p.degree == 0:
+        elif len(p) == 1:
             out[(II, C1)] = {"status": "vacuous",
                              "reason": "lambda_{m+1} is a nonzero multiple of "
                                        "alpha^m, so Case 1 forces alpha = 0, "

@@ -39,11 +39,12 @@ characteristic polynomial.
 
 from fractions import Fraction as Q
 from functools import cache
+from math import comb
 
 from .algebra import Beilinson
 from .cohomology import hh_dims_computed
 from .core import Instance
-from .linalg import QMatrix, QPoly
+from .linalg import QMatrix
 from .resolution import HomComplex
 
 
@@ -106,7 +107,8 @@ def _unipotent(s: QMatrix, p: tuple[int, ...]) -> bool:
         base = _mulmod(base, base, p) if k > 1 else base
         k >>= 1
     divides = not any(acc)
-    poly = s.char_poly() == QPoly([Q(-1), Q(1)]).pow(ell)
+    poly = s.char_poly() == [(-1) ** (ell - k) * comb(ell, k)
+                             for k in range(ell + 1)]  # (t - 1)^ell
     if divides != poly:
         raise AssertionError("unipotence criteria disagree")
     return divides

@@ -30,7 +30,9 @@ denominators: bordering the leading k x k block by row and column k
 multiplies its characteristic polynomial by a Toeplitz matrix whose entries
 come from k matrix-vector products.  Coefficient k of det(t*I - d*M) is
 d^(n-k) times that of det(t*I - M).  It shares no code with the
-elimination kernel or the product.
+elimination kernel or the product, and returns a list of Fractions,
+lowest degree first: the package's one polynomial representation, which
+everywhere else holds integer coefficients.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from operator import mul
 
 Q = Fraction
 
-__all__ = ["Q", "QMatrix", "QPoly", "poly_gcd"]
+__all__ = ["Q", "QMatrix"]
 
 
 def _as_q(x) -> Fraction:
@@ -291,8 +293,9 @@ class QMatrix:
             return Q(0)
         return Q(prod(row[c] for row, c in zip(rows, pivots))) / factor
 
-    def char_poly(self) -> "QPoly":
-        """det(t*I - M) by Berkowitz's division-free recurrence on d*M."""
+    def char_poly(self) -> list[Fraction]:
+        """The coefficients of det(t*I - M), lowest degree first, by
+        Berkowitz's division-free recurrence on d*M."""
         if self.nrows != self.ncols:
             raise ValueError("char poly of non-square matrix")
         n = self.nrows
@@ -309,117 +312,10 @@ class QMatrix:
                 v = [sum(map(mul, row, v)) for row in A]
             poly = [sum(col[h - i] * poly[i] for i in range(min(h, k) + 1))
                     for h in range(k + 2)]
-        return QPoly([Q(c, d ** h) for h, c in enumerate(poly)][::-1])
+        return [Q(c, d ** h) for h, c in enumerate(poly)][::-1]
 
 
 def _cleared(rows: list[list[Fraction]]) -> tuple[int, list[list[int]]]:
     """(e, e*rows) with e the lcm of every denominator: the rows over Z."""
     e = lcm(*(x.denominator for row in rows for x in row))
     return e, [[x.numerator * (e // x.denominator) for x in row] for row in rows]
-
-
-class QPoly:
-    """Polynomial over Q; coefficients lowest-degree first, no trailing zeros."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: list):
-        cs = [_as_q(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = cs
-
-    @classmethod
-    def x_pow_minus_one(cls, r: int) -> "QPoly":
-        # x^r - 1
-        return cls([-1] + [0] * (r - 1) + [1])
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # zero polynomial has degree -1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, QPoly) and self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        return f"QPoly({self.coeffs})"
-
-    def __add__(self, other: "QPoly") -> "QPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = a[:]
-        for i, c in enumerate(b):
-            out[i] += c
-        return QPoly(out)
-
-    def __neg__(self) -> "QPoly":
-        return QPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "QPoly") -> "QPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "QPoly") -> "QPoly":
-        if self.is_zero() or other.is_zero():
-            return QPoly([])
-        out = [Q(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return QPoly(out)
-
-    def scale(self, c) -> "QPoly":
-        c = _as_q(c)
-        return QPoly([c * a for a in self.coeffs])
-
-    def monic(self) -> "QPoly":
-        if self.is_zero():
-            return self
-        return self.scale(1 / self.coeffs[-1])
-
-    def divmod(self, other: "QPoly") -> tuple["QPoly", "QPoly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = self.coeffs[:]
-        quo = [Q(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
-        d = other.degree
-        lead = other.coeffs[-1]
-        for i in range(len(rem) - 1, d - 1, -1):
-            if rem[i] == 0:
-                continue
-            q = rem[i] / lead
-            quo[i - d] = q
-            for j, c in enumerate(other.coeffs):
-                rem[i - d + j] -= q * c
-        return QPoly(quo), QPoly(rem)
-
-    def __call__(self, x) -> Fraction:
-        # Horner evaluation.
-        acc = Q(0)
-        for c in reversed(self.coeffs):
-            acc = acc * _as_q(x) + c
-        return acc
-
-    def pow(self, k: int) -> "QPoly":
-        result = QPoly([1])
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
-
-
-def poly_gcd(f: QPoly, g: QPoly) -> QPoly:
-    """Monic gcd by the Euclidean algorithm (gcd(0, 0) = 0)."""
-    a, b = f, g
-    while not b.is_zero():
-        _, r = a.divmod(b)
-        a, b = b, r
-    return a.monic()

@@ -61,7 +61,7 @@ from math import lcm
 
 from .algebra import Beilinson, acc
 from .core import Cond1, Cond2, Instance, classify
-from .linalg import QMatrix, QPoly, poly_gcd
+from .linalg import QMatrix
 
 
 def kept(fn):
@@ -416,19 +416,3 @@ def rank_L2_closed_form(inst: Instance) -> int:
     drop = {Cond2.CASE_1: 2, Cond2.CASE_2: 1, Cond2.CASE_3: 0}[c2]
     return inst.m + 2 - drop
 
-
-def circulant(r: int, coeffs) -> QMatrix:
-    """The r x r circulant whose row i holds t^i * f(t) modulo t^r - 1."""
-    M = QMatrix.zeros(r, r)
-    for i in range(r):
-        for j, c in enumerate(coeffs):
-            M.rows[i][(i + j) % r] += Q(c)
-    return M
-
-
-def circulant_rank(r: int, coeffs) -> int:
-    """rank of circulant(r, f) = r - deg gcd(t^r - 1, f)."""
-    f = QPoly([Q(c) for c in coeffs])
-    if f.is_zero():
-        return 0
-    return r - poly_gcd(QPoly.x_pow_minus_one(r), f).degree

@@ -36,7 +36,8 @@ from downup_hh.invariants import (
     happel_trace_check,
     serre_unipotent,
 )
-from downup_hh.resolution import HomComplex, circulant, circulant_rank
+from downup_hh.linalg import QMatrix
+from downup_hh.resolution import HomComplex
 from downup_hh.yoneda import (
     LIFT_SIGN,
     classes_equal,
@@ -106,6 +107,60 @@ def test_criterion_1_dimension_theorems():
 
 
 # -- criterion 2 ------------------------------------------------------------
+
+def circulant(r: int, coeffs) -> QMatrix:
+    """The r x r circulant whose row i holds t^i * f(t) modulo t^r - 1."""
+    M = QMatrix.zeros(r, r)
+    for i in range(r):
+        for j, c in enumerate(coeffs):
+            M.rows[i][(i + j) % r] += Q(c)
+    return M
+
+
+def _trim(p):
+    """p over Q without its zero leading coefficients."""
+    p = [Q(c) for c in p]
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def gcd_degree(f, g) -> int:
+    """deg gcd(f, g) by Euclid over Q, coefficients lowest degree first
+    (-1 for gcd(0, 0))."""
+    a, b = _trim(f), _trim(g)
+    while b:
+        while len(a) >= len(b):  # a <- a mod b, one leading term at a time
+            q, shift = a[-1] / b[-1], len(a) - len(b)
+            a = _trim([x - q * b[i - shift] if i >= shift else x
+                       for i, x in enumerate(a)])
+        a, b = b, a
+    return len(a) - 1
+
+
+def circulant_rank(r: int, coeffs) -> int:
+    """rank of circulant(r, f) = r - deg gcd(t^r - 1, f)."""
+    if not any(coeffs):
+        return 0
+    return r - gcd_degree([-1] + [0] * (r - 1) + [1], coeffs)
+
+
+class TestCirculant:
+    def test_values(self):
+        M = circulant(3, [1, 2])
+        assert M == QMatrix([[Q(1), Q(2), Q(0)], [Q(0), Q(1), Q(2)], [Q(2), Q(0), Q(1)]])
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 6])
+    @pytest.mark.parametrize("coeffs", [[1], [1, -1], [1, 1], [1, 0, -1], [2, 3, 1]])
+    def test_rank_formula(self, r, coeffs):
+        assert circulant(r, coeffs).rank() == circulant_rank(r, coeffs)
+
+    def test_rank_formula_statement(self):
+        # rank = r - deg gcd(t^r - 1, f) spelled out on one example
+        r, coeffs = 6, [1, 0, -1]  # f = 1 - t^2, gcd with t^6 - 1 is t^2 - 1
+        assert gcd_degree([-1] + [0] * (r - 1) + [1], coeffs) == 2
+        assert circulant(r, coeffs).rank() == 4
+
 
 def test_criterion_2_rank_lemma_and_circulants():
     """The arrow-functional block of the second differential has rank

@@ -105,6 +105,19 @@ class TestArgumentDiscipline:
         assert r.returncode == 0 and r.stdout == ""
         assert json.loads(target.read_text())["dims"] == {"h0": 1, "h1": 6, "h2": 9}
 
+    @pytest.mark.parametrize("command", [
+        ["compute", "--n", "1", "--m", "1", "--alpha", "0", "--beta", "1"],
+        ["verify", "--max-sum", "2"]])
+    def test_unwritable_out_path_exits_2(self, command, tmp_path):
+        # exit 1 means a failed check; a path that cannot be written is
+        # bad input, and must not read as a failing sweep
+        target = tmp_path / "missing" / "x.json"
+        r = run_cli(*command, "--out", str(target))
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr == (f"error: cannot write {target}: "
+                            "No such file or directory\n")
+        assert not target.parent.exists()
+
 
 class TestGoldenFiles:
     @pytest.mark.parametrize("name,args", [

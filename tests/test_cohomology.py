@@ -29,7 +29,7 @@ from downup_hh.cohomology import (
     stratum_samples,
     verify_bases,
 )
-from downup_hh.linalg import QMatrix, QPoly
+from downup_hh.linalg import QMatrix
 from downup_hh.resolution import HomComplex
 from downup_hh.yoneda import (classes_equal, in_image, ring_row_report,
                               ring_structure)
@@ -499,16 +499,25 @@ class TestKeptPerComplex:
 
 class TestStrata:
     def test_lambda_poly_matches_recurrence(self):
-        for beta in (Q(1), Q(-1), Q(2, 3)):
-            inst = Instance(1, 2, Q(1), beta)
-            for r in range(1, 9):
-                assert lambda_poly_in_beta(r)(beta) == inst.lam(r)
+        for r in range(9):
+            p = lambda_poly_in_beta(r)
+            assert all(type(c) is int for c in p) and (not p or p[-1]), r
+            for beta in (Q(1), Q(-1), Q(2, 3)):
+                inst = Instance(1, 2, Q(1), beta)
+                assert sum(c * beta ** k for k, c in enumerate(p)) == inst.lam(r)
+        assert lambda_poly_in_beta(0) == [] and lambda_poly_in_beta(1) == [1]
+        assert lambda_poly_in_beta(5) == [1, 3, 1]  # 1 + 3 beta + beta^2
 
     def test_rational_roots(self):
         # (2t - 1)(t + 3)(t^2 + 1)
-        p = (QPoly([Q(-1), Q(2)]) * QPoly([Q(3), Q(1)])
-             * QPoly([Q(1), Q(0), Q(1)]))
-        assert rational_roots(p) == [Q(-3), Q(1, 2)]
+        assert rational_roots([-3, 5, -1, 5, 2]) == [Q(-3), Q(1, 2)]
+
+    def test_rational_roots_drops_zero_and_trailing_zeros(self):
+        # t^2 (t - 2)(3t + 1), written with two trailing zero coefficients
+        assert rational_roots([0, 0, -2, -5, 3, 0, 0]) == [Q(-1, 3), Q(2)]
+        assert rational_roots([5]) == [] and rational_roots([0, 4, 0]) == []
+        with pytest.raises(ValueError, match="zero polynomial"):
+            rational_roots([0, 0])
 
     def test_stratum_reachability(self):
         s = stratum_samples(1, 1)

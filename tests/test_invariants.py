@@ -54,9 +54,10 @@ def ref_euler_characteristic(n, m):
 
 
 def eval_matrix(p, M):
-    """p(M) by Horner's rule, for the Cayley-Hamilton checks."""
+    """p(M) by Horner's rule, p's coefficients lowest degree first, for the
+    Cayley-Hamilton checks."""
     acc = QMatrix.zeros(M.nrows, M.ncols)
-    for c in reversed(p.coeffs):
+    for c in reversed(p):
         acc = acc @ M
         for i in range(M.nrows):
             acc.rows[i][i] += c
@@ -227,6 +228,27 @@ class TestGorensteinShift:
             assert products[before:] == [((ell, ell), (ell, ell))]
             derived_invariants(Instance(n, m, Q(2), Q(3)))
         assert len(products) == len(pairs)
+
+    @pytest.mark.parametrize("n,m", [(1, 2), (2, 3)])
+    def test_a_wrong_char_poly_breaks_the_unipotence_cross_check(
+            self, fresh, monkeypatch, n, m):
+        # At the unipotent (1,2) one perturbed coefficient moves the char
+        # poly off (t - 1)^ell.  At (2,3) it is (t - 1)^8 (t^2 + t + 1),
+        # nine coefficients away from (t - 1)^10, so no single perturbation
+        # can reach it: there the fake claims (t - 1)^ell outright.
+        true_char_poly, ell = QMatrix.char_poly, 2 * (n + m)
+
+        def perturbed(self):
+            if (n, m) == (2, 3):
+                return [Q((-1) ** (ell - k) * math.comb(ell, k))
+                        for k in range(ell + 1)]
+            p = true_char_poly(self)
+            p[0] += 1
+            return p
+
+        monkeypatch.setattr(QMatrix, "char_poly", perturbed)
+        with pytest.raises(AssertionError, match="unipotence criteria disagree"):
+            invariants._invariants(n, m)
 
     @pytest.mark.parametrize("n,m", coprime_weights(12))
     def test_divisibility_verdict_equals_the_matrix_power(self, n, m):

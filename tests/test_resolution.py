@@ -8,13 +8,11 @@ import pytest
 
 from downup_hh.cohomology import sample_instances
 from downup_hh.core import Cond1, Cond2, Instance, classify
-from downup_hh.linalg import QMatrix, QPoly, poly_gcd
+from downup_hh.linalg import QMatrix
 from downup_hh.resolution import (
     HomComplex,
     L2_display,
     Resolution,
-    circulant,
-    circulant_rank,
     kept,
     rank_L1_closed_form,
     rank_L2_closed_form,
@@ -572,20 +570,3 @@ class TestLetterContentBlocks:
         with pytest.raises(ValueError, match="only for n = m = 1"):
             HomComplex(Instance(1, 2, Q(1), Q(1))).L2_star()
 
-
-class TestCirculant:
-    def test_values(self):
-        M = circulant(3, [1, 2])
-        assert M == QMatrix([[Q(1), Q(2), Q(0)], [Q(0), Q(1), Q(2)], [Q(2), Q(0), Q(1)]])
-
-    @pytest.mark.parametrize("r", [2, 3, 4, 6])
-    @pytest.mark.parametrize("coeffs", [[1], [1, -1], [1, 1], [1, 0, -1], [2, 3, 1]])
-    def test_rank_formula(self, r, coeffs):
-        assert circulant(r, coeffs).rank() == circulant_rank(r, coeffs)
-
-    def test_rank_formula_statement(self):
-        # rank = r - deg gcd(t^r - 1, f) spelled out on one example
-        r, coeffs = 6, [1, 0, -1]  # f = 1 - t^2, gcd with t^6 - 1 is t^2 - 1
-        g = poly_gcd(QPoly.x_pow_minus_one(r), QPoly([Q(c) for c in coeffs]))
-        assert g.degree == 2
-        assert circulant(r, coeffs).rank() == 4
