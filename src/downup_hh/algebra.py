@@ -22,13 +22,11 @@ terminates, and the single overlap xxyy resolves to the same normal form both
 ways (identically in alpha, beta), so the system is confluent and the words
 y^a (xy)^b x^c form a basis of e_u B e_v, one for each solution of
 a m + b(n + m) + c n = v - u.  Elements are stored as dicts mapping
-(source vertex, normal word) to Fraction coefficients.
+(source vertex, normal word) to coefficients, ints where integral.
 """
 
-from fractions import Fraction as Q
-
 from .core import Instance
-from .linalg import QMatrix
+from .linalg import QMatrix, _as_q
 
 XXY = "xxy"
 XYY = "xyy"
@@ -50,8 +48,8 @@ class Beilinson:
         self.inst = inst
         self.n = inst.n
         self.m = inst.m
-        self.alpha = inst.alpha
-        self.beta = inst.beta
+        self.alpha = _as_q(inst.alpha)
+        self.beta = _as_q(inst.beta)
         self.ell = inst.ell
         self.nx = inst.n + 2 * inst.m  # arrows x_1 .. x_nx
         self.ny = 2 * inst.n + inst.m  # arrows y_1 .. y_ny
@@ -92,7 +90,7 @@ class Beilinson:
         py = w.find(XYY)
         i = min(p for p in (px, py) if p >= 0) if (px >= 0 or py >= 0) else -1
         if i < 0:
-            out = {w: Q(1)}
+            out = {w: 1}
         else:
             out = {}
             for w1, c1 in self.rewrite_at(w, i).items():
@@ -107,7 +105,7 @@ class Beilinson:
         """Trivial path at vertex v."""
         if not 1 <= v <= self.ell:
             raise ValueError(f"vertex {v} out of range 1..{self.ell}")
-        return {(v, ""): Q(1)}
+        return {(v, ""): 1}
 
     def path(self, src, word):
         """The class of the path with letters `word` starting at src (0 if it
@@ -170,5 +168,5 @@ class Beilinson:
         for u in range(self.ell):
             for v in range(self.ell):
                 if v >= u:
-                    C.rows[u][v] = Q(self.graded_dim(v - u))
+                    C.rows[u][v] = self.graded_dim(v - u)
         return C

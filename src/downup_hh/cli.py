@@ -74,16 +74,20 @@ def fmt_q(x) -> str:
     return str(Q(x))
 
 
+def _write(path: str, payload: str, mode: str = "w"):
+    """Write payload to path; an unwritable path is bad input: exit 2."""
+    try:
+        with open(path, mode) as fh:
+            fh.write(payload)
+    except OSError as exc:
+        sys.stderr.write(f"error: cannot write {path}: {exc.strerror or exc}\n")
+        raise SystemExit(2)
+
+
 def _emit(args, payload: str):
-    """Write to --out or stdout; an unwritable path is bad input: exit 2."""
+    """Write to --out or stdout."""
     if getattr(args, "out", None):
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(payload)
-        except OSError as exc:
-            sys.stderr.write(f"error: cannot write {args.out}: "
-                             f"{exc.strerror or exc}\n")
-            raise SystemExit(2)
+        _write(args.out, payload)
     else:
         sys.stdout.write(payload)
 
@@ -313,7 +317,7 @@ def _lifts_checks(inst: Instance, C: HomComplex, fault) -> list:
     basis = dict(hh1_basis(C))
     bad = [lbl for lbl, cm in sorted(closed_form_lifts(C).items())
            if not (cm.verify() and cm.induced_vector()
-                   == [LIFT_SIGN.get(lbl, Q(1)) * c for c in basis[lbl]])]
+                   == [LIFT_SIGN.get(lbl, 1) * c for c in basis[lbl]])]
     return [("chain-maps-commute", not bad,
              "all lifted maps" if not bad else f"failing: {' '.join(bad)}")]
 
@@ -529,6 +533,11 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_table)
 
     args = top.parse_args(argv)
+    if args.out:  # exit 2 before any work if it cannot be written
+        existed = os.path.lexists(args.out)
+        _write(args.out, "", "a")  # appending nothing changes no file
+        if not existed:
+            os.remove(args.out)
     failed = args.fn(args)
     return 0 if failed == 0 else 1
 

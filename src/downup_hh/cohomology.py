@@ -75,7 +75,7 @@ def euler_characteristic_closed_form(inst: Instance) -> int:
 # -- cocycle bases ----------------------------------------------------------
 
 def _unit_vec(size, entries):
-    v = [Q(0)] * size
+    v = [0] * size
     for i, c in entries:
         v[i] += c
     return v
@@ -83,7 +83,7 @@ def _unit_vec(size, entries):
 
 def hh0_basis(C: HomComplex):
     """HH^0 is spanned by the identity: the sum of all vertex functionals."""
-    return [("unit", [Q(1)] * len(C.basis0))]
+    return [("unit", [1] * len(C.basis0))]
 
 
 @kept
@@ -106,9 +106,9 @@ def hh1_basis(C: HomComplex):
         return _unit_vec(d1, [(C.idx1[t], c) for t, c in entries])
 
     basis = {}
-    basis["h1"] = vec([((("x", r), "x"), Q(1)) for r in range(1, n + 2 * m + 1)])
+    basis["h1"] = vec([((("x", r), "x"), 1) for r in range(1, n + 2 * m + 1)])
     if c1 == Cond1.CASE_I:
-        basis["h2"] = vec([((("x", n + r), "x"), Q(-1) ** (r - 1))
+        basis["h2"] = vec([((("x", n + r), "x"), (-1) ** (r - 1))
                            for r in range(1, m + 1)])
     if n == 1 and c2 == Cond2.CASE_1:
         basis["h3"] = vec([((("y", r), "x" * m), lam(r - 1))
@@ -116,15 +116,15 @@ def hh1_basis(C: HomComplex):
         basis["h4"] = vec([((("y", r), "x" * m), b * lam(r - 2))
                            for r in range(1, m + 3)])
         if m == 1:
-            basis["h3p"] = vec([((("x", 2), "y"), Q(1))])
-            basis["h4p"] = vec([((("x", 1), "y"), b), ((("x", 3), "y"), Q(1))])
+            basis["h3p"] = vec([((("x", 2), "y"), 1)])
+            basis["h4p"] = vec([((("x", 1), "y"), b), ((("x", 3), "y"), 1)])
     if n == 1 and c2 == Cond2.CASE_2:
         basis["h5"] = vec([((("y", r), "x" * m), (a / 2) ** (r - 1))
                            for r in range(1, m + 3)])
         if m == 1:
             basis["h5p"] = vec([((("x", 1), "y"), (a / 2) ** 2),
                                 ((("x", 2), "y"), a / 2),
-                                ((("x", 3), "y"), Q(1))])
+                                ((("x", 3), "y"), 1)])
     return list(basis.items())
 
 
@@ -207,7 +207,7 @@ def _hh2_specs(C: HomComplex, substitute: bool):
     d2 = len(C.basis2)
     out = []
     for kind, i, w in specs:
-        vec = _unit_vec(d2, [(C.idx2[((kind, i), w)], Q(1))])
+        vec = _unit_vec(d2, [(C.idx2[((kind, i), w)], 1)])
         out.append((f"{kind}{i}^{w}", vec))
     return out
 

@@ -2,10 +2,11 @@
 
 Everything downstream (Hom-complex ranks, kernel bases, Coxeter spectra)
 must be exact: a single rounded pivot would corrupt a cohomology dimension.
-Scalars are `fractions.Fraction`; matrices are dense row-major lists.  The
-elimination, the product and the characteristic polynomial below clear
-denominators first, compute over the integers and form Fractions only for
-their results.
+Scalars are exact: an `int` when integral, else a `fractions.Fraction`
+(`_q`); `_as_q` refuses floats.  Both carry `.numerator` and `.denominator`.
+Matrices are dense row-major lists.  The elimination, the product and the
+characteristic polynomial below clear denominators first, compute over the
+integers and form Fractions only for their non-integral results.
 
 One elimination kernel, `QMatrix._eliminate(width)`, serves every solver.
 It clears each row of denominators and divides it by its content, then runs
@@ -30,7 +31,7 @@ denominators: bordering the leading k x k block by row and column k
 multiplies its characteristic polynomial by a Toeplitz matrix whose entries
 come from k matrix-vector products.  Coefficient k of det(t*I - d*M) is
 d^(n-k) times that of det(t*I - M).  It shares no code with the
-elimination kernel or the product, and returns a list of Fractions,
+elimination kernel or the product, and returns a list of exact scalars,
 lowest degree first: the package's one polynomial representation, which
 everywhere else holds integer coefficients.
 """
@@ -46,14 +47,20 @@ Q = Fraction
 __all__ = ["Q", "QMatrix"]
 
 
-def _as_q(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _as_q(x) -> int | Fraction:
+    """x as an exact scalar: an int if integral, else a Fraction."""
+    if type(x) is int:
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
+    if isinstance(x, (int, str)):
+        x = Fraction(x)
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     raise TypeError(f"not an exact scalar: {x!r}")
+
+
+def _q(num: int, den: int) -> int | Fraction:
+    """num / den exactly: an int when den divides num, else a Fraction."""
+    return num // den if num % den == 0 else Fraction(num, den)
 
 
 class QMatrix:
@@ -69,8 +76,8 @@ class QMatrix:
             raise ValueError("ragged rows")
 
     @classmethod
-    def _of(cls, rows: list[list[Fraction]], ncols: int) -> "QMatrix":
-        """Wrap rows that already hold Fractions, with an explicit column
+    def _of(cls, rows: list[list[int | Fraction]], ncols: int) -> "QMatrix":
+        """Wrap rows that already hold exact scalars, with an explicit column
         count (a matrix with no rows keeps it); neither copies nor checks."""
         m = cls.__new__(cls)
         m.rows, m.nrows, m.ncols = rows, len(rows), ncols
@@ -80,13 +87,13 @@ class QMatrix:
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "QMatrix":
-        return cls._of([[Q(0)] * ncols for _ in range(nrows)], ncols)
+        return cls._of([[0] * ncols for _ in range(nrows)], ncols)
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
         m = cls.zeros(n, n)
         for i in range(n):
-            m.rows[i][i] = Q(1)
+            m.rows[i][i] = 1
         return m
 
     @classmethod
@@ -99,7 +106,7 @@ class QMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
 
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
+    def __getitem__(self, ij: tuple[int, int]) -> int | Fraction:
         i, j = ij
         return self.rows[i][j]
 
@@ -118,10 +125,10 @@ class QMatrix:
         return QMatrix._of([[row[j] for row in self.rows] for j in range(self.ncols)],
                            self.nrows)
 
-    def column(self, j: int) -> list[Fraction]:
+    def column(self, j: int) -> list[int | Fraction]:
         return [self.rows[i][j] for i in range(self.nrows)]
 
-    def columns(self) -> list[list[Fraction]]:
+    def columns(self) -> list[list[int | Fraction]]:
         return [self.column(j) for j in range(self.ncols)]
 
     def submatrix(self, row_idx: list[int], col_idx: list[int]) -> "QMatrix":
@@ -162,7 +169,7 @@ class QMatrix:
         if self.ncols != other.nrows:
             raise ValueError("inner dimension mismatch")
         e, right = _cleared(other.rows)
-        zero, out = Q(0), []
+        out = []
         for row in self.rows:
             d = lcm(*(x.denominator for x in row))
             acc = [0] * other.ncols
@@ -171,7 +178,7 @@ class QMatrix:
                     a = a.numerator * (d // a.denominator)
                     acc = [s + a * y for s, y in zip(acc, r)]
             de = d * e
-            out.append([Q(v, de) if v else zero for v in acc])
+            out.append(acc if de == 1 else [_q(v, de) for v in acc])
         return QMatrix._of(out, other.ncols)
 
     def pow(self, k: int) -> "QMatrix":
@@ -192,16 +199,17 @@ class QMatrix:
         """Integer Gauss-Jordan on the primitive rows, pivots in the first
         `width` columns (see the module docstring).  Returns (rows, pivots,
         factor): the reduced rows, pivot rows first in pivot order; the pivot
-        columns; the factor by which the elimination scaled the determinant.
+        columns; the factor by which the elimination scaled the determinant,
+        kept as an integer numerator and denominator and formed once here.
         """
         width = self.ncols if width is None else width
-        rows, factor = [], Q(1)
+        rows, num, den = [], 1, 1
         for row in self.rows:
             mult = lcm(*(x.denominator for x in row))
             ints = [x.numerator * (mult // x.denominator) for x in row]
             content = gcd(*ints) or 1
             rows.append([x // content for x in ints] if content > 1 else ints)
-            factor *= Q(mult, content)
+            num, den = num * mult, den * content
         pivots: list[int] = []
         for c in range(width):
             r = len(pivots)
@@ -212,20 +220,17 @@ class QMatrix:
                 continue
             if piv != r:
                 rows[r], rows[piv] = rows[piv], rows[r]
-                factor = -factor
+                num = -num
             prow, p = rows[r], rows[r][c]
-            # The determinant factor takes one Fraction per pivot column.
-            scaled, shrunk = 1, 1
             for i, row in enumerate(rows):
                 a = row[c]
                 if a and i != r:
                     new = [p * x - a * y for x, y in zip(row, prow)]
                     g = gcd(*new) or 1
                     rows[i] = [x // g for x in new] if g > 1 else new
-                    scaled, shrunk = scaled * p, shrunk * g
-            factor *= Q(scaled, shrunk)
+                    num, den = num * p, den * g
             pivots.append(c)
-        return rows, pivots, factor
+        return rows, pivots, Fraction(num, den)
 
     def rank(self) -> int:
         return len(self._eliminate()[1])
@@ -234,28 +239,28 @@ class QMatrix:
         """Reduced row echelon form and pivot column indices."""
         rows, pivots, _ = self._eliminate()
         for r, c in enumerate(pivots):
-            rows[r] = [Q(x, rows[r][c]) for x in rows[r]]
-        return QMatrix(rows), pivots
+            rows[r] = [_q(x, rows[r][c]) for x in rows[r]]
+        return QMatrix._of(rows, self.ncols), pivots
 
-    def kernel_basis(self) -> list[list[Fraction]]:
+    def kernel_basis(self) -> list[list[int | Fraction]]:
         """Basis of the right null space {v : Mv = 0}, one vector per free column."""
         red, pivots = self.rref()
         pivot_set = set(pivots)
         free = [c for c in range(self.ncols) if c not in pivot_set]
         basis = []
         for fc in free:
-            v = [Q(0)] * self.ncols
-            v[fc] = Q(1)
+            v = [0] * self.ncols
+            v[fc] = 1
             for r, pc in enumerate(pivots):
                 v[pc] = -red.rows[r][fc]
             basis.append(v)
         return basis
 
-    def solve(self, b: list) -> list[Fraction] | None:
+    def solve(self, b: list) -> list[int | Fraction] | None:
         """One exact solution of Mx = b (free variables 0), or None if inconsistent."""
         return self.solve_many([b])[0]
 
-    def solve_many(self, bs: list[list]) -> list[list[Fraction] | None]:
+    def solve_many(self, bs: list[list]) -> list[list[int | Fraction] | None]:
         """solve(b) for every b in bs from one elimination of [M | b_1 ... b_k]:
         the right-hand sides ride along as extra columns, never as pivots."""
         cols = [[_as_q(x) for x in b] for b in bs]
@@ -270,9 +275,9 @@ class QMatrix:
             if any(row[k] for row in rows[rank:]):
                 out.append(None)
                 continue
-            x = [Q(0)] * n
+            x = [0] * n
             for row, c in zip(rows, pivots):
-                x[c] = Q(row[k], row[c])
+                x[c] = _q(row[k], row[c])
             out.append(x)
         return out
 
@@ -283,17 +288,17 @@ class QMatrix:
         rows, pivots, _ = self.hstack(QMatrix.identity(n))._eliminate(n)
         if len(pivots) < n:
             raise ValueError("matrix is singular")
-        return QMatrix([[Q(x, row[c]) for x in row[n:]] for row, c in zip(rows, pivots)])
+        return QMatrix([[_q(x, row[c]) for x in row[n:]] for row, c in zip(rows, pivots)])
 
-    def det(self) -> Fraction:
+    def det(self) -> int | Fraction:
         if self.nrows != self.ncols:
             raise ValueError("determinant of non-square matrix")
         rows, pivots, factor = self._eliminate()
         if len(pivots) < self.nrows:
-            return Q(0)
-        return Q(prod(row[c] for row, c in zip(rows, pivots))) / factor
+            return 0
+        return _as_q(prod(row[c] for row, c in zip(rows, pivots)) / factor)
 
-    def char_poly(self) -> list[Fraction]:
+    def char_poly(self) -> list[int | Fraction]:
         """The coefficients of det(t*I - M), lowest degree first, by
         Berkowitz's division-free recurrence on d*M."""
         if self.nrows != self.ncols:
@@ -312,7 +317,7 @@ class QMatrix:
                 v = [sum(map(mul, row, v)) for row in A]
             poly = [sum(col[h - i] * poly[i] for i in range(min(h, k) + 1))
                     for h in range(k + 2)]
-        return [Q(c, d ** h) for h, c in enumerate(poly)][::-1]
+        return [_q(c, d ** h) for h, c in enumerate(poly)][::-1]
 
 
 def _cleared(rows: list[list[Fraction]]) -> tuple[int, list[list[int]]]:

@@ -21,12 +21,12 @@ The differentials on generators are
 
 and the augmentation P0 -> B sends e_v (x) e_v to e_v.  Elements of P^r are
 stored as dicts mapping (generator, left source, left word, right word) to
-Fraction coefficients, the normal left word running from the left source
-into s(generator) and the normal right word starting at t(generator).  The
-bimodule action has one implementation, Resolution.act: it adds c * L el R
-into an accumulator for words L and R, taking each term u [g] v of el to
-nf(L u) [g] nf(v R).  d1, d2, apply_map and the closed-form lifts of
-`yoneda` are all built on it.
+coefficients, ints where integral, the normal left word running from the
+left source into s(generator) and the normal right word starting at
+t(generator).  The bimodule action has one implementation, Resolution.act:
+it adds c * L el R into an accumulator for words L and R, taking each term
+u [g] v of el to nf(L u) [g] nf(v R).  d1, d2, apply_map and the
+closed-form lifts of `yoneda` are all built on it.
 
 The resolution has the standard contracting homotopy P0 -> P1 of a path
 algebra, which peels the right word off letter by letter:
@@ -55,13 +55,12 @@ content (#x, #y), so D1 and D2 are block-diagonal in the weight of tau[h]^w
 (`tau_weight`); L1 and, for n = 1, the x-power block L2 are blocks of D2.
 """
 
-from fractions import Fraction as Q
 from functools import wraps
 from math import lcm
 
 from .algebra import Beilinson, acc
 from .core import Cond1, Cond2, Instance, classify
-from .linalg import QMatrix
+from .linalg import QMatrix, _q
 
 
 def kept(fn):
@@ -112,15 +111,15 @@ class Resolution:
         """The relation element as [(word, coefficient)], leading word first."""
         a, b = self.B.alpha, self.B.beta
         if gen[0] == "f":
-            return [("xxy", Q(1)), ("xyx", -a), ("yxx", -b)]
+            return [("xxy", 1), ("xyx", -a), ("yxx", -b)]
         if gen[0] == "g":
-            return [("xyy", Q(1)), ("yxy", -a), ("yyx", -b)]
+            return [("xyy", 1), ("yxy", -a), ("yyx", -b)]
         raise ValueError(f"not a relation generator: {gen}")
 
     # -- elements of the P^r ----------------------------------------------
 
     def gen_elem(self, gen):
-        return {(gen, self.gen_source(gen), "", ""): Q(1)}
+        return {(gen, self.gen_source(gen), "", ""): 1}
 
     def act(self, out, c, src, lw, el, rw):
         """Add c * lw.el.rw into out and return out.
@@ -159,8 +158,8 @@ class Resolution:
     def d1(self, a):
         """d1 on a P1 generator (an arrow): e_s (x) a - a (x) e_t."""
         s = self.gen_source(a)
-        return {(("e", s), s, "", a[0]): Q(1),
-                (("e", self.gen_target(a)), s, a[0], ""): Q(-1)}
+        return {(("e", s), s, "", a[0]): 1,
+                (("e", self.gen_target(a)), s, a[0], ""): -1}
 
     @kept
     def d2(self, h):
@@ -313,10 +312,10 @@ class HomComplex:
     # -- matrices ----------------------------------------------------------
 
     def _build_matrix(self, idx_lo, idx_hi, gens_hi, d_fun):
-        D = QMatrix.zeros(len(idx_hi), len(idx_lo))
+        rows = [[0] * len(idx_lo) for _ in idx_hi]
         for row, col, c in self.res.pair(d_fun, gens_hi):
-            D.rows[idx_hi[row]][idx_lo[col]] += c
-        return D
+            rows[idx_hi[row]][idx_lo[col]] += c
+        return QMatrix(rows)
 
     @property
     def dims(self):
@@ -352,7 +351,7 @@ class HomComplex:
         for c, row in rows.items():
             if w[c]:
                 out = [x - w[c] * y for x, y in zip(out, row)]
-        return [Q(x, s * d) for x in out]
+        return [_q(x, s * d) for x in out]
 
     def block(self, weight):
         """The D2 rows and P1^ columns (D1's codomain) of the given weight."""

@@ -44,7 +44,7 @@ from .resolution import HomComplex, kept
 
 # Sign relating the induced cochain aug . sigma_0 of the closed-form lifting
 # to the basis vector of its label (the h2 lifting induces minus h2).
-LIFT_SIGN = {"h2": Q(-1)}
+LIFT_SIGN = {"h2": -1}
 
 
 def _el(res, terms):
@@ -72,7 +72,7 @@ class ChainMap:
 
     def induced_vector(self):
         """The induced degree-1 cochain aug . sigma_0, in tau coordinates."""
-        vec = [Q(0)] * len(self.C.basis1)
+        vec = [0] * len(self.C.basis1)
         for row, _, c in self.C.res.pair(self.sigma0.get, self.sigma0):
             vec[self.C.idx1[row]] += c
         return vec
@@ -117,13 +117,13 @@ def _lift_h2(C):
     res = C.res
     n, m = C.B.n, C.B.m
     b = C.B.beta
-    s0 = {("x", i): _el(res, [(Q(-1) ** (i - n), i, "", ("e", i), "x")])
+    s0 = {("x", i): _el(res, [((-1) ** (i - n), i, "", ("e", i), "x")])
           for i in range(n + 1, n + m + 1)}
     s1 = {}
     for i in range(1, m + 1):
-        terms = [(Q(-1) ** i, i, "", ("x", i), "xy")]
+        terms = [((-1) ** i, i, "", ("x", i), "xy")]
         if i <= n:
-            terms.append((Q(-1) ** i * -b, i, "", ("y", i), "xx"))
+            terms.append(((-1) ** i * -b, i, "", ("y", i), "xx"))
         s1[("f", i)] = _el(res, terms)
     return ChainMap(C, s0, s1)
 
@@ -170,7 +170,7 @@ def _lift_h4(C):
 def _lift_h5(C):
     res = C.res
     m = C.B.m
-    w = C.B.alpha / 2
+    w = C.inst.alpha / 2
     s0 = {("y", j): _el(res, [(w ** (j - 1), j, "", ("e", j), "x" * m)])
           for j in range(1, m + 3)}
     s1 = {}
@@ -218,7 +218,7 @@ def _lift_h4p(C):
 
 def _lift_h5p(C):
     res = C.res
-    w = C.B.alpha / 2
+    w = C.inst.alpha / 2
     s0 = {("x", j): _el(res, [(w ** (3 - j), j, "", ("e", j), "y")])
           for j in (1, 2, 3)}
     s1 = {("f", 1): _el(res, [
@@ -292,7 +292,7 @@ def generic_lift(C: HomComplex, phi_vec, side="left"):
 
 def cup_vector(C: HomComplex, phi_vec, sigma1):
     """The degree-2 cochain phi . sigma_1 in tau coordinates."""
-    out = [Q(0)] * len(C.basis2)
+    out = [0] * len(C.basis2)
     for row, tau, c in C.res.pair(sigma1.get, sigma1):
         a = phi_vec[C.idx1[tau]]
         if a:
@@ -394,12 +394,12 @@ def ring_table_row(inst: Instance):
     if n == 1 and m == 1:
         rows = {
             (I, C1): row(6, 0, ["h1", "h2", "h3", "h3p", "h4", "h4p"],
-                         [{(2, 3): Q(1)}, {(2, 4): Q(1)}, {(3, 4): Q(1)},
-                          {(5, 6): Q(1)},
-                          {(1, 5): Q(1), (2, 5): Q(-1)},
-                          {(1, 6): Q(1), (2, 6): Q(-1)}]),
+                         [{(2, 3): 1}, {(2, 4): 1}, {(3, 4): 1},
+                          {(5, 6): 1},
+                          {(1, 5): 1, (2, 5): -1},
+                          {(1, 6): 1, (2, 6): -1}]),
             (II, C2): row(3, 6, ["h1", "h5", "h5p"],
-                          [{(1, 2): Q(1)}, {(1, 3): Q(1)}, {(2, 3): Q(1)}]),
+                          [{(1, 2): 1}, {(1, 3): 1}, {(2, 3): 1}]),
             (II, C3): row(1, 4, ["h1"], []),
         }
     elif n == 1 and m == 2:
@@ -411,7 +411,7 @@ def ring_table_row(inst: Instance):
     elif n == 1:
         rows = {
             (I, C1): row(4, m + 1, ["h1", "h2", "h3", "h4"],
-                         [{(1, 4): Q(1), (2, 4): Q(-1)}, {(2, 3): Q(1)}]),
+                         [{(1, 4): 1, (2, 4): -1}, {(2, 3): 1}]),
             (II, C1): row(3, m + 1, ["h1", "h3", "h4"], []),
             (II, C2): row(2, m + 3, ["h1", "h5"], []),
             (II, C3): row(1, m + 2, ["h1"], []),
@@ -498,7 +498,7 @@ def _pairs(a):
 def pairs_vec(gdict, a):
     """A row-numbering ideal generator as a vector over its own pair order."""
     pairs = _pairs(a)
-    v = [Q(0)] * len(pairs)
+    v = [0] * len(pairs)
     for (p, q), c in gdict.items():
         if p < q:
             v[pairs.index((p - 1, q - 1))] += c
@@ -529,7 +529,7 @@ def _rescale(printed_space, computed, a, pairs):
                     raise ValueError(f"pair {t} shares no index with its "
                                      f"pivot pair {p}")
                 (x,), (y,) = set(t) - set(p), set(p) - set(t)
-                ratios += [(x, y, v / u), (y, x, u / v)]
+                ratios += [(x, y, Q(v) / u), (y, x, Q(u) / v)]
     c = [None] * a
     while None in c:
         c[c.index(None)] = Q(1)

@@ -118,6 +118,40 @@ class TestArgumentDiscipline:
                             "No such file or directory\n")
         assert not target.parent.exists()
 
+    @pytest.mark.parametrize("command", [["verify", "--max-sum", "16"],
+                                         ["table", "--which", "ring"]])
+    def test_unwritable_out_path_stops_before_the_work(self, command, tmp_path,
+                                                       monkeypatch, capsys):
+        def never(*args):
+            raise AssertionError("the work ran before --out was checked")
+
+        monkeypatch.setattr(cli, "_verify_worker", never)
+        monkeypatch.setattr(cli, "sweep_weights", never)
+        monkeypatch.delenv("HH_THREADS", raising=False)
+        target = tmp_path / "missing" / "x.json"
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--out", str(target)])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert err == (f"error: cannot write {target}: "
+                       "No such file or directory\n")
+        assert not target.parent.exists()
+
+    @pytest.mark.parametrize("old", [None, "old report\n"])
+    def test_out_check_leaves_the_target_as_it_was_when_the_work_fails(
+            self, old, tmp_path, monkeypatch):
+        def broken(item):
+            raise RuntimeError("worker failed")
+
+        monkeypatch.setattr(cli, "_verify_worker", broken)
+        monkeypatch.delenv("HH_THREADS", raising=False)
+        target = tmp_path / "x.json"
+        if old is not None:
+            target.write_text(old)
+        with pytest.raises(RuntimeError):
+            main(["verify", "--max-sum", "2", "--out", str(target)])
+        assert (target.read_text() if target.exists() else None) == old
+
 
 class TestGoldenFiles:
     @pytest.mark.parametrize("name,args", [

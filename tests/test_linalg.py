@@ -299,3 +299,103 @@ class TestKernelAgainstReferences:
         # Berkowitz runs on d*M and divides coefficient k by d^(n-k).
         assert QMatrix(rows).char_poly() == ref_char_poly(rows)
 
+
+
+# -- int | Fraction entries: integral values are exact ints -----------------
+
+def wrapped(M):
+    """M with every entry a Fraction, integral ones included: the same
+    matrix as the kernel saw it before integral entries stayed ints."""
+    return QMatrix._of([[Q(x) for x in row] for row in M.rows], M.ncols)
+
+
+def exact(x):
+    """Whether x is an int when integral and a Fraction otherwise."""
+    return type(x) is (int if x.denominator == 1 else Q)
+
+
+def all_exact(rows):
+    return all(exact(x) for row in rows for x in row)
+
+
+int_or_fraction = st.one_of(ints, st.fractions(min_value=-4, max_value=4,
+                                               max_denominator=5))
+
+
+@st.composite
+def mixed_matrices(draw, square=False, nrows=None):
+    """Small matrices whose entries are ints and Fractions, mixed."""
+    nr = draw(st.integers(0, 5)) if nrows is None else nrows
+    nc = nr if square else draw(st.integers(0, 5))
+    rows = [[draw(int_or_fraction) for _ in range(nc)] for _ in range(nr)]
+    if nr >= 3 and draw(st.booleans()):  # a dependent last row
+        rows[-1] = [x + 2 * y for x, y in zip(rows[0], rows[1])]
+    return mat(rows, nc)
+
+
+class TestExactScalars:
+    @pytest.mark.parametrize("rows", [[[0.5]], [[1, 2.0]], [[Q(1), -0.0]],
+                                      [[0, float("nan")]]])
+    def test_qmatrix_rejects_a_float_entry(self, rows):
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            QMatrix(rows)
+
+    @pytest.mark.parametrize("b", [[1, 0.5], [0.0, 1], [Q(1), 2.0]])
+    def test_solve_many_rejects_a_float_right_hand_side(self, b):
+        M = QMatrix([[1, 0], [0, 1]])
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            M.solve_many([[1, 2], b])
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            M.solve(b)
+
+    def test_integral_values_become_ints(self):
+        M = QMatrix([[Q(4, 2), Q(1, 2), "3", "3/6", True, -7]])
+        assert [type(x) for x in M.rows[0]] == [int, Q, int, Q, int, int]
+        assert M.rows == [[2, Q(1, 2), 3, Q(1, 2), 1, -7]]
+        assert all_exact(QMatrix.identity(3).rows + QMatrix.zeros(2, 2).rows)
+
+    @given(mixed_matrices(), st.lists(int_or_fraction, min_size=5, max_size=5),
+           st.lists(int_or_fraction, min_size=5, max_size=5))
+    @settings(max_examples=150, deadline=None)
+    def test_rank_rref_kernel_solve_match_the_fraction_matrix(self, M, x, b):
+        F, fractions = wrapped(M), [[Q(c) for c in row] for row in M.rows]
+        red, pivots = ref_rref(fractions, M.ncols)
+        assert M.rank() == F.rank() == len(pivots)
+        R, piv = M.rref()
+        assert (R, piv) == F.rref() == (mat(red, M.ncols), pivots)
+        assert all_exact(R.rows)
+        ker = M.kernel_basis()
+        assert ker == F.kernel_basis()
+        assert all_exact(ker)
+        assert [ref_matvec(fractions, v) for v in ker] == [[0] * M.nrows] * len(ker)
+        rhs = [ref_matvec(fractions, x[:M.ncols]), b[:M.nrows]]
+        xs = M.solve_many(rhs)
+        assert xs == F.solve_many(rhs)
+        assert xs == [ref_solve(fractions, r, M.ncols) for r in rhs]
+        assert xs[0] is not None
+        assert all_exact(s for s in xs if s is not None)
+
+    @given(mixed_matrices(square=True))
+    @settings(max_examples=150, deadline=None)
+    def test_inverse_det_char_poly_match_the_fraction_matrix(self, M):
+        F, fractions = wrapped(M), [[Q(c) for c in row] for row in M.rows]
+        det, poly = M.det(), M.char_poly()
+        assert det == F.det() and exact(det)
+        assert poly == F.char_poly() == ref_char_poly(fractions)
+        assert all(exact(c) for c in poly)
+        if det:
+            inv = M.inverse()
+            assert inv == F.inverse() and all_exact(inv.rows)
+            assert inv @ M == QMatrix.identity(M.nrows)
+        else:
+            with pytest.raises(ValueError):
+                M.inverse()
+
+    @given(mixed_matrices(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_product_matches_the_fraction_matrix(self, A, data):
+        B = data.draw(mixed_matrices(nrows=A.ncols))
+        P = A @ B
+        assert P == wrapped(A) @ wrapped(B) == A @ wrapped(B)
+        assert P.rows == ref_matmul(wrapped(A).rows, wrapped(B).rows, B.ncols)
+        assert all_exact(P.rows)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from downup_hh.core import Cond1, Cond2, Instance, Q, classify
 from downup_hh.cohomology import (
     coords_mod_image,
+    hh0_basis,
     hh1_basis,
     hh2_basis,
     hh_dims_computed,
@@ -432,7 +433,7 @@ def ref_rescale_search(printed, computed, a, pairs):
         nz = [c for c in v if c]
         for x in nz:
             for y in nz:
-                r = x / y
+                r = Q(x) / y
                 cands.update({r, -r, 1 / r, -1 / r})
     cands = sorted(cands)
     if len(cands) ** max(a - 1, 0) > 100000:
@@ -572,3 +573,47 @@ class TestCochainApplication:
         labels = [l for l, _ in hh2_basis(C)]
         nz = {l: c for l, c in zip(labels, coords) if c}
         assert nz == {"g1^yxxx": Q(-2)}
+
+
+# -- exactness: every value an int or a Fraction, never a float -------------
+
+def exactness_sweep():
+    """Every sampled instance with n + m <= 8, and the Case 2 points where
+    alpha is an integer but alpha / 2 or beta is not."""
+    out = [inst for n, m in SMALL_WEIGHTS if n + m <= 8
+           for inst in sample_instances(n, m)]
+    return out + [Instance(1, 1, Q(3), Q(-9, 4)), Instance(1, 2, Q(3), Q(-9, 4)),
+                  Instance(1, 3, Q(1), Q(-1, 4))]
+
+
+def inexact(values):
+    return [x for x in values if type(x) not in (int, Q)]
+
+
+def chain_map_values(cm):
+    return [c for el in (*cm.sigma0.values(), *cm.sigma1.values())
+            for c in el.values()]
+
+
+class TestExactValues:
+    def test_the_sweep_holds_the_case_2_points(self):
+        points = exactness_sweep()[-3:]
+        assert all(classify(inst)[1] == Cond2.CASE_2 for inst in points)
+        assert all(inst.alpha.denominator == 1 for inst in points)
+
+    @pytest.mark.parametrize("inst", exactness_sweep(), ids=lambda i: i.key())
+    def test_no_float_reaches_a_matrix_or_a_cochain(self, inst):
+        C = HomComplex(inst)
+        one = hh1_basis(C)
+        bases = hh0_basis(C) + one + hh2_basis(C)
+        generic = [generic_lift(C, v, side)
+                   for _, v in one for side in ("left", "right")]
+        lifts = list(closed_form_lifts(C).values()) + generic
+        cups = [cup_vector(C, phi, cm.sigma1) for _, phi in one
+                for cm in generic[::2]]  # the left lifts
+        cokers = ([C.coker(1, v) for _, v in one]
+                  + [C.coker(2, v) for v in cups + [v for _, v in hh2_basis(C)]])
+        assert inexact(x for D in (C.D1, C.D2) for row in D.rows for x in row) == []
+        assert inexact(x for _, v in bases for x in v) == []
+        assert inexact(x for cm in lifts for x in chain_map_values(cm)) == []
+        assert inexact(x for v in cups + cokers for x in v) == []
