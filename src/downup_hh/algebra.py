@@ -22,7 +22,9 @@ terminates, and the single overlap xxyy resolves to the same normal form both
 ways (identically in alpha, beta), so the system is confluent and the words
 y^a (xy)^b x^c form a basis of e_u B e_v, one for each solution of
 a m + b(n + m) + c n = v - u.  Elements are stored as dicts mapping
-(source vertex, normal word) to coefficients, ints where integral.
+(source vertex, normal word) to exact coefficients: an int wherever the value
+is integral, so every coefficient is an int when alpha and beta are, and a
+Fraction only where a non-integral parameter leaves a remainder.
 """
 
 from .core import Instance
@@ -55,11 +57,16 @@ class Beilinson:
         self.ny = 2 * inst.n + inst.m  # arrows y_1 .. y_ny
         self._nf = {}
         self._words = {}
+        self._degrees = {}
 
     # -- words ------------------------------------------------------------
 
     def word_degree(self, w):
-        return self.n * w.count("x") + self.m * w.count("y")
+        """n #x + m #y, memoized."""
+        d = self._degrees.get(w)
+        if d is None:
+            d = self._degrees[w] = self.n * w.count("x") + self.m * w.count("y")
+        return d
 
     def is_valid(self, src, w):
         return 1 <= src <= self.ell and src + self.word_degree(w) <= self.ell

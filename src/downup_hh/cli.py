@@ -20,6 +20,7 @@ import re
 import sys
 
 from .cohomology import (
+    basis_labels,
     euler_characteristic_closed_form,
     hh0_basis,
     hh1_basis,
@@ -433,12 +434,12 @@ def cmd_verify(args) -> int:
 # -- table ------------------------------------------------------------------
 
 def _hh1_row(inst: Instance) -> list:
-    labels = [lbl for lbl, _ in hh1_basis(HomComplex(inst))]
+    labels = basis_labels(inst)[0]
     return _stratum_cells(inst.key(), inst) + [" ".join(labels)]
 
 
 def _hh2_row(inst: Instance) -> list:
-    labels = [lbl for lbl, _ in hh2_basis(HomComplex(inst))]
+    labels = basis_labels(inst)[1]
     return _stratum_cells(inst.key(), inst) + [
         str(len(labels)), "yes" if hh2_substitution_needed(inst) else "no",
         " ".join(labels)]

@@ -23,7 +23,7 @@ from fractions import Fraction as Q
 from itertools import zip_longest
 
 from .core import Cond1, Cond2, Instance, classify
-from .linalg import QMatrix
+from .linalg import QMatrix, _as_q
 from .resolution import HomComplex, kept
 
 
@@ -86,46 +86,55 @@ def hh0_basis(C: HomComplex):
     return [("unit", [1] * len(C.basis0))]
 
 
+def _hh1_labels(inst: Instance):
+    """The stratum's HH^1 labels in table order: h1; h2 in Case I; for
+    n = 1, h3, h4 (and h3p, h4p at m = 1) in Case 1 and h5 (and h5p) in
+    Case 2."""
+    c1, c2 = classify(inst)
+    labels = ["h1"] + (["h2"] if c1 == Cond1.CASE_I else [])
+    if inst.n == 1 and c2 == Cond2.CASE_1:
+        labels += ["h3", "h4"] + (["h3p", "h4p"] if inst.m == 1 else [])
+    if inst.n == 1 and c2 == Cond2.CASE_2:
+        labels += ["h5"] + (["h5p"] if inst.m == 1 else [])
+    return labels
+
+
 @kept
 def hh1_basis(C: HomComplex):
     """The distinguished HH^1 basis for the stratum of C.inst, kept on C.
 
-    Returns [(label, vector in the P1^ basis)].  The labels h1..h5 and the
-    primed ones for n = m = 1 follow the fixed formulas below, each built
-    exactly on the strata whose basis it belongs to, in table order: h1;
-    h2 in Case I; for n = 1, h3, h4 (and h3p, h4p at m = 1) in Case 1 and
-    h5 (and h5p) in Case 2.  closed_form_lifts reads the labels here.
+    Returns [(label, vector in the P1^ basis)], one vector for each of the
+    stratum's labels (`_hh1_labels`) by the fixed formulas below, with the
+    algebra's exact alpha and beta.  closed_form_lifts reads the labels here.
     """
-    inst = C.inst
-    n, m = inst.n, inst.m
-    a, b, lam = inst.alpha, inst.beta, inst.lam
-    c1, c2 = classify(inst)
+    B, lam = C.B, C.inst.lam
+    n, m, a, b = B.n, B.m, B.alpha, B.beta
+    w = _as_q(Q(a) / 2)
+    formulas = {
+        "h1": lambda: [((("x", r), "x"), 1) for r in range(1, n + 2 * m + 1)],
+        "h2": lambda: [((("x", n + r), "x"), (-1) ** (r - 1))
+                       for r in range(1, m + 1)],
+        "h3": lambda: [((("y", r), "x" * m), lam(r - 1))
+                       for r in range(2, m + 3)],
+        "h4": lambda: [((("y", r), "x" * m), b * lam(r - 2))
+                       for r in range(1, m + 3)],
+        "h3p": lambda: [((("x", 2), "y"), 1)],
+        "h4p": lambda: [((("x", 1), "y"), b), ((("x", 3), "y"), 1)],
+        "h5": lambda: [((("y", r), "x" * m), w ** (r - 1))
+                       for r in range(1, m + 3)],
+        "h5p": lambda: [((("x", 1), "y"), w ** 2), ((("x", 2), "y"), w),
+                        ((("x", 3), "y"), 1)],
+    }
     d1 = len(C.basis1)
+    return [(lbl, _unit_vec(d1, [(C.idx1[t], c) for t, c in formulas[lbl]()]))
+            for lbl in _hh1_labels(C.inst)]
 
-    def vec(entries):
-        return _unit_vec(d1, [(C.idx1[t], c) for t, c in entries])
 
-    basis = {}
-    basis["h1"] = vec([((("x", r), "x"), 1) for r in range(1, n + 2 * m + 1)])
-    if c1 == Cond1.CASE_I:
-        basis["h2"] = vec([((("x", n + r), "x"), (-1) ** (r - 1))
-                           for r in range(1, m + 1)])
-    if n == 1 and c2 == Cond2.CASE_1:
-        basis["h3"] = vec([((("y", r), "x" * m), lam(r - 1))
-                           for r in range(2, m + 3)])
-        basis["h4"] = vec([((("y", r), "x" * m), b * lam(r - 2))
-                           for r in range(1, m + 3)])
-        if m == 1:
-            basis["h3p"] = vec([((("x", 2), "y"), 1)])
-            basis["h4p"] = vec([((("x", 1), "y"), b), ((("x", 3), "y"), 1)])
-    if n == 1 and c2 == Cond2.CASE_2:
-        basis["h5"] = vec([((("y", r), "x" * m), (a / 2) ** (r - 1))
-                           for r in range(1, m + 3)])
-        if m == 1:
-            basis["h5p"] = vec([((("x", 1), "y"), (a / 2) ** 2),
-                                ((("x", 2), "y"), a / 2),
-                                ((("x", 3), "y"), 1)])
-    return list(basis.items())
+def basis_labels(inst: Instance):
+    """(HH^1 labels, HH^2 labels) of hh1_basis and hh2_basis on inst's
+    complex, read off the stratum alone: no complex is built."""
+    return (_hh1_labels(inst),
+            [_label(s) for s in _hh2_specs(inst, hh2_substitution_needed(inst))])
 
 
 def hh2_substitution_needed(inst: Instance) -> bool:
@@ -148,7 +157,7 @@ def hh2_table_row(C: HomComplex):
     length but is *not* a basis (one dependency); everywhere else it equals
     hh2_basis.
     """
-    return _hh2_specs(C, substitute=False)
+    return _hh2_vectors(C, substitute=False)
 
 
 @kept
@@ -158,11 +167,23 @@ def hh2_basis(C: HomComplex):
     Returns [(label, vector in the P2^ basis)]; each class is a single
     tau-functional, labelled like g1^yxy.
     """
-    return _hh2_specs(C, substitute=hh2_substitution_needed(C.inst))
+    return _hh2_vectors(C, substitute=hh2_substitution_needed(C.inst))
 
 
-def _hh2_specs(C: HomComplex, substitute: bool):
-    inst = C.inst
+def _hh2_vectors(C: HomComplex, substitute: bool):
+    d2 = len(C.basis2)
+    return [(_label(s), _unit_vec(d2, [(C.idx2[((s[0], s[1]), s[2])], 1)]))
+            for s in _hh2_specs(C.inst, substitute)]
+
+
+def _label(spec):
+    kind, i, w = spec
+    return f"{kind}{i}^{w}"
+
+
+def _hh2_specs(inst: Instance, substitute: bool):
+    """The stratum's HH^2 classes as functionals (kind, i, w), in table
+    order."""
     n, m = inst.n, inst.m
     c1, c2 = classify(inst)
     I, II = Cond1.CASE_I, Cond1.CASE_II
@@ -204,12 +225,7 @@ def _hh2_specs(C: HomComplex, substitute: bool):
 
     if substitute:
         specs = [("g", n, "yyx") if s == ("g", n, "yxy") else s for s in specs]
-    d2 = len(C.basis2)
-    out = []
-    for kind, i, w in specs:
-        vec = _unit_vec(d2, [(C.idx2[((kind, i), w)], 1)])
-        out.append((f"{kind}{i}^{w}", vec))
-    return out
+    return specs
 
 
 # -- verification helpers ---------------------------------------------------

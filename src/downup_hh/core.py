@@ -27,7 +27,7 @@ import enum
 from fractions import Fraction
 from math import gcd
 
-from .linalg import Q
+from .linalg import Q, _as_q
 
 __all__ = [
     "Cond1",
@@ -90,7 +90,7 @@ class Instance:
                 f"weights ({n}, {m}) are not coprime; reduce them first"
             )
         for name, value in (("n", n), ("m", m), ("alpha", alpha), ("beta", beta),
-                            ("_lam_cache", {-1: 1 / beta, 0: Q(0), 1: Q(1)})):
+                            ("_lam_cache", {-1: _as_q(1 / beta), 0: 0, 1: 1})):
             object.__setattr__(self, name, value)
 
     def _frozen(self, name, *value):
@@ -117,15 +117,17 @@ class Instance:
         """Gorenstein parameter: number of Beilinson quiver vertices."""
         return 2 * (self.n + self.m)
 
-    def lam(self, r: int) -> Fraction:
-        """lambda_r for r >= -1, memoized."""
+    def lam(self, r: int) -> int | Fraction:
+        """lambda_r for r >= -1, memoized as an exact scalar: an int when
+        integral (always for integral alpha, beta and r >= 0), else a
+        Fraction."""
         if r < -1:
             raise ValueError("lambda_r defined for r >= -1")
         cache = self._lam_cache
         if r not in cache:
-            top = max(cache)
-            for s in range(top + 1, r + 1):
-                cache[s] = self.alpha * cache[s - 1] + self.beta * cache[s - 2]
+            a, b = _as_q(self.alpha), _as_q(self.beta)
+            for s in range(max(cache) + 1, r + 1):
+                cache[s] = _as_q(a * cache[s - 1] + b * cache[s - 2])
         return cache[r]
 
     def key(self) -> str:

@@ -134,7 +134,7 @@ def coxeter_matrix(inst: Instance) -> QMatrix:
     return -(C.inverse().transpose() @ C)
 
 
-def euler_characteristic_trace(inst: Instance) -> Q:
+def euler_characteristic_trace(inst: Instance) -> int | Q:
     """The alternating HH-dimension sum as -tr of the Coxeter matrix."""
     return -coxeter_matrix(inst).trace()
 
@@ -150,7 +150,7 @@ def happel_trace_check(C: HomComplex) -> dict:
     chi_direct = h0 - h1 + h2
     chi_trace = derived_invariants(C.inst)["chi_trace"]
     return {"chi_direct": chi_direct, "chi_trace": chi_trace,
-            "match": Q(chi_direct) == chi_trace}
+            "match": chi_direct == chi_trace}
 
 
 def unipotent_closed_form(n: int, m: int) -> bool:
@@ -178,4 +178,4 @@ def _invariants(n: int, m: int) -> dict:
     chi = s.trace()
     return {"rank_K0": ell, "chi_trace": chi,
             "serre_unipotent": _unipotent(s, hilbert_numerator(n, m)),
-            "trace_matches_rank": chi == Q(ell)}
+            "trace_matches_rank": chi == ell}

@@ -69,7 +69,8 @@ class QMatrix:
     __slots__ = ("rows", "nrows", "ncols")
 
     def __init__(self, rows: list[list]):
-        self.rows = [[_as_q(x) for x in row] for row in rows]
+        self.rows = [[x if type(x) is int else _as_q(x) for x in row]
+                     for row in rows]
         self.nrows = len(self.rows)
         self.ncols = len(self.rows[0]) if self.rows else 0
         if any(len(r) != self.ncols for r in self.rows):
@@ -141,10 +142,10 @@ class QMatrix:
         return QMatrix._of([a + b for a, b in zip(self.rows, other.rows)],
                            self.ncols + other.ncols)
 
-    def trace(self) -> Fraction:
+    def trace(self) -> int | Fraction:
         if self.nrows != self.ncols:
             raise ValueError("trace of non-square matrix")
-        return sum((self.rows[i][i] for i in range(self.nrows)), Q(0))
+        return sum(self.rows[i][i] for i in range(self.nrows))
 
     # -- arithmetic -------------------------------------------------------
 

@@ -21,12 +21,12 @@ The differentials on generators are
 
 and the augmentation P0 -> B sends e_v (x) e_v to e_v.  Elements of P^r are
 stored as dicts mapping (generator, left source, left word, right word) to
-coefficients, ints where integral, the normal left word running from the
-left source into s(generator) and the normal right word starting at
-t(generator).  The bimodule action has one implementation, Resolution.act:
-it adds c * L el R into an accumulator for words L and R, taking each term
-u [g] v of el to nf(L u) [g] nf(v R).  d1, d2, apply_map and the
-closed-form lifts of `yoneda` are all built on it.
+exact coefficients (ints for integral alpha and beta, as in `algebra`), the
+normal left word running from the left source into s(generator) and the
+normal right word starting at t(generator).  The bimodule action has one
+implementation, Resolution.act: it adds c * L el R into an accumulator for
+words L and R, taking each term u [g] v of el to nf(L u) [g] nf(v R).  d1,
+d2, apply_map and the closed-form lifts of `yoneda` are all built on it.
 
 The resolution has the standard contracting homotopy P0 -> P1 of a path
 algebra, which peels the right word off letter by letter:
@@ -47,12 +47,13 @@ whose spaces have bases of *functionals* tau[h]^w, one for each generator h
 and each normal word w from s(h) to t(h); tau[h]^w sends the generator h to
 the path w and every other generator to 0.  Pulled back along an assignment
 gen -> sum c lw [h] rw, tau[h]^w puts c nf(lw w rw) on gen; one walk over the
-terms (Resolution.pair) does this for every functional at once.  It builds
-D1, D2 from d1, d2 (columns indexed by the domain basis, rows by the codomain
-basis, in fixed, explicitly listed orders), and the cup and induced cochains
-of `yoneda` from chain maps.  The relations are homogeneous in the letter
-content (#x, #y), so D1 and D2 are block-diagonal in the weight of tau[h]^w
-(`tau_weight`); L1 and, for n = 1, the x-power block L2 are blocks of D2.
+terms (Resolution.pair) does this for every functional at once, or for the
+functionals of a given support only.  It builds D1, D2 from d1, d2 (columns
+indexed by the domain basis, rows by the codomain basis, in fixed, explicitly
+listed orders), and the cup and induced cochains of `yoneda` from chain maps.
+The relations are homogeneous in the letter content (#x, #y), so D1 and D2
+are block-diagonal in the weight of tau[h]^w (`tau_weight`); L1 and, for
+n = 1, the x-power block L2 are blocks of D2.
 """
 
 from functools import wraps
@@ -60,7 +61,7 @@ from math import lcm
 
 from .algebra import Beilinson, acc
 from .core import Cond1, Cond2, Instance, classify
-from .linalg import QMatrix, _q
+from .linalg import QMatrix, _as_q, _q
 
 
 def kept(fn):
@@ -83,6 +84,8 @@ class Resolution:
     def __init__(self, inst: Instance):
         self.inst = inst
         self.B = Beilinson(inst)
+        n, m = inst.n, inst.m
+        self._degree = {"e": 0, "x": n, "y": m, "f": 2 * n + m, "g": n + 2 * m}
 
     # -- generators -------------------------------------------------------
 
@@ -101,8 +104,7 @@ class Resolution:
         return gen[1]
 
     def gen_degree(self, gen):
-        n, m = self.B.n, self.B.m
-        return {"e": 0, "x": n, "y": m, "f": 2 * n + m, "g": n + 2 * m}[gen[0]]
+        return self._degree[gen[0]]
 
     def gen_target(self, gen):
         return gen[1] + self.gen_degree(gen)
@@ -200,20 +202,23 @@ class Resolution:
             self.act(out, c * c1, ls, lw, fun(gen), rw)
         return out
 
-    def pair(self, fun, gens):
+    def pair(self, fun, gens, support=None):
         """Pull the tau-functionals back along the assignment gen -> fun(gen):
         yields ((gen, w2), (g, w), c * c2) for each gen, each term c lw [g] rw
         of fun(gen), each functional word w of g and each term c2 w2 of
-        nf(lw w rw).  Raises AssertionError on a term not starting at gen's
-        source."""
-        B = self.B
+        nf(lw w rw).  With `support`, a dict g -> words, only the functionals
+        tau[g]^w it lists are pulled back.  Raises AssertionError on a term
+        not starting at gen's source."""
+        nf, words, degree = self.B.normal_form, self.B.hom_words, self._degree
         for gen in gens:
-            src = self.gen_source(gen)
+            src = gen[1]
             for (g, ls, lw, rw), c in fun(gen).items():
                 if ls != src:
                     raise AssertionError(f"{gen} has a term at vertex {ls}")
-                for w in B.hom_words(self.gen_source(g), self.gen_target(g)):
-                    for w2, c2 in B.normal_form(lw + w + rw).items():
+                ws = (words(g[1], g[1] + degree[g[0]]) if support is None
+                      else support.get(g, ()))
+                for w in ws:
+                    for w2, c2 in nf(lw + w + rw).items():
                         yield (gen, w2), (g, w), c * c2
 
 
@@ -345,12 +350,15 @@ class HomComplex:
         if len(v) != self.dims[k]:
             raise ValueError("vector length mismatch")
         s, free, rows = self.image(k)
-        d = lcm(*(x.denominator for x in v))
-        w = [x.numerator * (d // x.denominator) for x in v]
+        support = [(c, x) for c, x in enumerate(v) if x]
+        d = lcm(*(x.denominator for _, x in support))
+        w = [0] * len(v)
+        for c, x in support:
+            w[c] = x.numerator * (d // x.denominator)
         out = [s * w[j] for j in free]
-        for c, row in rows.items():
-            if w[c]:
-                out = [x - w[c] * y for x, y in zip(out, row)]
+        for c, _ in support:
+            if c in rows:
+                out = [x - w[c] * y for x, y in zip(out, rows[c])]
         return [_q(x, s * d) for x in out]
 
     def block(self, weight):
@@ -388,7 +396,7 @@ def L2_display(inst: Instance) -> QMatrix:
     Rows 1..m carry the band (1, -alpha, -beta); the two bottom rows carry
     lambda values.  For m = 1 the band and the lambda rows overlap and add.
     """
-    m, a, b, lam = inst.m, inst.alpha, inst.beta, inst.lam
+    m, a, b, lam = inst.m, _as_q(inst.alpha), _as_q(inst.beta), inst.lam
     M = QMatrix.zeros(m + 2, m + 2)
     for r in range(m):
         M.rows[r][r] += 1

@@ -9,8 +9,9 @@ with  aug . sigma_0 = phi  and  d1 . sigma_1 = - sigma_0 . d2  (the lifted
 complex sits one step to the left, whence the sign).  The product of the
 classes [phi][psi] in HH^2 is then represented by the degree-2 cochain
 phi . sigma^psi_1.  Resolution.pair, the walk that builds D1 and D2, pulls
-phi back along sigma_1 (cup_vector) and aug, the sum of the vertex
-functionals, back along sigma_0 (induced_vector).
+phi back along sigma_1 (cup_vector, walking only the functionals in the
+support of phi) and aug, the sum of the vertex functionals, back along
+sigma_0 (induced_vector).
 
 Each distinguished HH^1 basis element has a closed-form lifting, assembled
 here literally (closed_form_lifts); an arbitrary cocycle is lifted by
@@ -39,7 +40,7 @@ from fractions import Fraction as Q
 from .algebra import acc
 from .cohomology import coords_mod_image, hh1_basis, hh2_basis
 from .core import Cond1, Cond2, Instance, classify
-from .linalg import QMatrix
+from .linalg import QMatrix, _as_q
 from .resolution import HomComplex, kept
 
 # Sign relating the induced cochain aug . sigma_0 of the closed-form lifting
@@ -170,7 +171,7 @@ def _lift_h4(C):
 def _lift_h5(C):
     res = C.res
     m = C.B.m
-    w = C.inst.alpha / 2
+    w = _as_q(Q(C.B.alpha) / 2)
     s0 = {("y", j): _el(res, [(w ** (j - 1), j, "", ("e", j), "x" * m)])
           for j in range(1, m + 3)}
     s1 = {}
@@ -218,7 +219,7 @@ def _lift_h4p(C):
 
 def _lift_h5p(C):
     res = C.res
-    w = C.inst.alpha / 2
+    w = _as_q(Q(C.B.alpha) / 2)
     s0 = {("x", j): _el(res, [(w ** (3 - j), j, "", ("e", j), "y")])
           for j in (1, 2, 3)}
     s1 = {("f", 1): _el(res, [
@@ -291,12 +292,15 @@ def generic_lift(C: HomComplex, phi_vec, side="left"):
 # -- cup products ------------------------------------------------------------
 
 def cup_vector(C: HomComplex, phi_vec, sigma1):
-    """The degree-2 cochain phi . sigma_1 in tau coordinates."""
-    out = [0] * len(C.basis2)
-    for row, tau, c in C.res.pair(sigma1.get, sigma1):
-        a = phi_vec[C.idx1[tau]]
+    """The degree-2 cochain phi . sigma_1 in tau coordinates: sigma_1 is
+    paired only against the functionals in the support of phi."""
+    support = {}
+    for (g, w), a in zip(C.basis1, phi_vec):
         if a:
-            out[C.idx2[row]] += a * c
+            support.setdefault(g, []).append(w)
+    out = [0] * len(C.basis2)
+    for row, tau, c in C.res.pair(sigma1.get, sigma1, support):
+        out[C.idx2[row]] += phi_vec[C.idx1[tau]] * c
     return out
 
 

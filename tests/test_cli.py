@@ -436,6 +436,19 @@ class TestReportCommands:
         assert main(argv) == 0
         assert capsys.readouterr().out == want
 
+    @pytest.mark.parametrize("which", ["hh1", "hh2"])
+    def test_label_tables_build_no_complex(self, monkeypatch, capsys, which):
+        argv = ["table", "--which", which, "--max-sum", "8"]
+        assert main(argv) == 0
+        want = capsys.readouterr().out
+
+        def forbidden(*args):
+            raise AssertionError("a label table built a complex")
+
+        monkeypatch.setattr(HomComplex, "__init__", forbidden)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
+
     def test_invariants_surface_obstruction(self):
         r = run_cli("invariants", "--n", "2", "--m", "3", "--format", "json")
         rep = json.loads(r.stdout)

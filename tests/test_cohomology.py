@@ -12,6 +12,7 @@ from downup_hh import cli, cohomology
 from downup_hh.core import (Cond1, Cond2, Instance, canonical_instance,
                             classify)
 from downup_hh.cohomology import (
+    basis_labels,
     coords_mod_image,
     euler_characteristic_closed_form,
     hh0_basis,
@@ -160,6 +161,12 @@ class TestBases:
     def test_verify_bases(self, inst):
         C = HomComplex(inst)
         assert verify_bases(C) == hh_dims_closed_form(inst)
+
+    @pytest.mark.parametrize("inst", list(sweep()), ids=lambda i: i.key())
+    def test_labels_come_from_the_stratum(self, inst):
+        C = HomComplex(inst)
+        assert basis_labels(inst) == ([lbl for lbl, _ in hh1_basis(C)],
+                                      [lbl for lbl, _ in hh2_basis(C)])
 
     def test_verify_bases_still_fails_under_python_O(self):
         # `python -O` strips assert statements; a basis short of one HH^1

@@ -166,6 +166,7 @@ class TestUnipotence:
         inv = derived_invariants(an_instance(n, m))
         assert not inv["trace_matches_rank"]
         assert inv["chi_trace"] == Q(m + 4 if n == 2 else n + m)
+        assert type(inv["chi_trace"]) is int  # the trace of an integral s
 
 
 class TestGorensteinShift:

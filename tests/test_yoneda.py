@@ -16,7 +16,7 @@ from downup_hh.cohomology import (
     sample_instances,
 )
 from downup_hh.linalg import QMatrix
-from downup_hh.resolution import HomComplex
+from downup_hh.resolution import HomComplex, L2_display
 from downup_hh.yoneda import (
     LIFT_SIGN,
     classes_equal,
@@ -350,6 +350,50 @@ class TestBatchedProducts:
             ring_structure(C)
 
 
+def ref_cup_vector(C, phi_vec, sigma1):
+    """The dense pairing: sigma_1 pulls back every functional, and the
+    products where phi is zero are dropped afterwards."""
+    out = [0] * len(C.basis2)
+    for row, tau, c in C.res.pair(sigma1.get, sigma1):
+        a = phi_vec[C.idx1[tau]]
+        if a:
+            out[C.idx2[row]] += a * c
+    return out
+
+
+class TestSparsePairing:
+    """cup_vector pairs sigma_1 only against the support of phi."""
+
+    def test_the_sweep_holds_a_fraction_parameter_point(self):
+        assert Instance(1, 3, Q(1), Q(-1, 2)) in batch_sweep()
+
+    @pytest.mark.parametrize("inst", batch_sweep(), ids=lambda i: i.key())
+    def test_agrees_with_the_dense_pairing(self, inst):
+        C = HomComplex(inst)
+        hv = dict(hh1_basis(C))
+        sigma1 = {q: generic_lift(C, v).sigma1 for q, v in hv.items()}
+        for p, phi in hv.items():
+            for q, s1 in sigma1.items():
+                assert cup_vector(C, phi, s1) == ref_cup_vector(C, phi, s1), (p, q)
+
+    @pytest.mark.parametrize("inst", batch_sweep(), ids=lambda i: i.key())
+    def test_agrees_on_a_dense_support(self, inst):
+        # a basis vector plus the coboundary D1 x of a random x: the support
+        # of phi covers every functional that D1 reaches
+        rng = random.Random(inst.key())
+        C = HomComplex(inst)
+        basis = hh1_basis(C)
+        dx = times(C.D1, [Q(rng.randint(1, 5), rng.randint(1, 3))
+                          for _ in C.basis0])
+        for lbl, v in basis:
+            phi = [x + y for x, y in zip(v, dx)]
+            assert sum(1 for x in phi if x) > sum(1 for x in v if x)
+            for s1 in (generic_lift(C, phi).sigma1,
+                       generic_lift(C, v, "right").sigma1):
+                assert cup_vector(C, phi, s1) == ref_cup_vector(C, phi, s1), lbl
+                assert cup_vector(C, v, s1) == ref_cup_vector(C, v, s1), lbl
+
+
 class TestRingTableRows:
     @pytest.mark.parametrize("inst", sweep(), ids=lambda i: i.key())
     def test_rows_against_computation(self, inst):
@@ -590,6 +634,10 @@ def inexact(values):
     return [x for x in values if type(x) not in (int, Q)]
 
 
+def non_ints(values):
+    return [x for x in values if type(x) is not int]
+
+
 def chain_map_values(cm):
     return [c for el in (*cm.sigma0.values(), *cm.sigma1.values())
             for c in el.values()]
@@ -617,3 +665,27 @@ class TestExactValues:
         assert inexact(x for _, v in bases for x in v) == []
         assert inexact(x for cm in lifts for x in chain_map_values(cm)) == []
         assert inexact(x for v in cups + cokers for x in v) == []
+
+    @pytest.mark.parametrize(
+        "inst", [i for i in exactness_sweep()
+                 if i.alpha.denominator == i.beta.denominator == 1],
+        ids=lambda i: i.key())
+    def test_integral_parameters_give_ints_throughout(self, inst):
+        # beta = +-1 on every such point, so even lambda_{-1} = 1/beta is one
+        assert inst.beta in (1, -1)
+        C = HomComplex(inst)
+        one = hh1_basis(C)
+        generic = [generic_lift(C, v, side)
+                   for _, v in one for side in ("left", "right")]
+        lifts = list(closed_form_lifts(C).values()) + generic
+        cups = [cup_vector(C, phi, cm.sigma1) for _, phi in one
+                for cm in generic]
+        cokers = ([C.coker(1, v) for _, v in one]
+                  + [C.coker(2, v) for v in cups + [v for _, v in hh2_basis(C)]])
+        assert non_ints([inst.lam(r) for r in range(-1, inst.m + 3)]) == []
+        assert non_ints(x for _, v in hh0_basis(C) + one + hh2_basis(C)
+                        for x in v) == []
+        assert non_ints(x for cm in lifts for x in chain_map_values(cm)) == []
+        assert non_ints(x for v in cups + cokers for x in v) == []
+        if inst.n == 1:
+            assert non_ints(x for row in L2_display(inst).rows for x in row) == []
