@@ -14,7 +14,8 @@ integer Gauss-Jordan elimination with pivots taken from the first `width`
 columns; the other columns ride along as right-hand sides.  Every updated
 row is divided by its gcd, so rows stay primitive, and rows with a zero in
 the pivot column are not touched.  Next to the rows and the pivot columns
-it returns the rational factor by which it scaled the determinant.  So
+it returns the rational factor by which it scaled the determinant, as an
+integer numerator and denominator.  So
 rank counts pivots; rref, solve_many ([M | b_1 ... b_k], all right-hand
 sides in one pass, solve being its one-column case) and inverse ([M | I])
 divide pivot rows by their pivots; and det is the product of the pivots
@@ -22,8 +23,10 @@ over that factor.
 
 The product A @ B clears row i of A by the lcm d_i of its denominators and
 all of B by one lcm e, adds a * (row k of e*B) over the nonzero entries a
-of d_i * (row i of A) only, and returns each entry v as v / (d_i * e).  So
-a sparse left factor costs one row operation per nonzero entry.
+of d_i * (row i of A) only, and returns each entry v as v / (d_i * e).
+Row k of e*B is kept as its nonzero (column, value) pairs, so each product
+costs one multiplication per pair of nonzeros that meet: D1, with at most
+two nonzeros per row, makes D2 @ D1 cheap.
 
 The characteristic polynomial is Berkowitz's division-free recurrence
 (Inf. Process. Lett. 18, 1984) on the integer matrix d*M, d the lcm of all
@@ -170,14 +173,16 @@ class QMatrix:
         if self.ncols != other.nrows:
             raise ValueError("inner dimension mismatch")
         e, right = _cleared(other.rows)
+        right = [[(j, y) for j, y in enumerate(r) if y] for r in right]
         out = []
         for row in self.rows:
             d = lcm(*(x.denominator for x in row))
             acc = [0] * other.ncols
             for a, r in zip(row, right):
-                if a:
+                if a and r:
                     a = a.numerator * (d // a.denominator)
-                    acc = [s + a * y for s, y in zip(acc, r)]
+                    for j, y in r:
+                        acc[j] += a * y
             de = d * e
             out.append(acc if de == 1 else [_q(v, de) for v in acc])
         return QMatrix._of(out, other.ncols)
@@ -200,8 +205,8 @@ class QMatrix:
         """Integer Gauss-Jordan on the primitive rows, pivots in the first
         `width` columns (see the module docstring).  Returns (rows, pivots,
         factor): the reduced rows, pivot rows first in pivot order; the pivot
-        columns; the factor by which the elimination scaled the determinant,
-        kept as an integer numerator and denominator and formed once here.
+        columns; the factor (num, den) by which the elimination scaled the
+        determinant, as two integers: only det reads it.
         """
         width = self.ncols if width is None else width
         rows, num, den = [], 1, 1
@@ -231,7 +236,7 @@ class QMatrix:
                     rows[i] = [x // g for x in new] if g > 1 else new
                     num, den = num * p, den * g
             pivots.append(c)
-        return rows, pivots, Fraction(num, den)
+        return rows, pivots, (num, den)
 
     def rank(self) -> int:
         return len(self._eliminate()[1])
@@ -294,10 +299,10 @@ class QMatrix:
     def det(self) -> int | Fraction:
         if self.nrows != self.ncols:
             raise ValueError("determinant of non-square matrix")
-        rows, pivots, factor = self._eliminate()
+        rows, pivots, (num, den) = self._eliminate()
         if len(pivots) < self.nrows:
             return 0
-        return _as_q(prod(row[c] for row, c in zip(rows, pivots)) / factor)
+        return _q(prod(row[c] for row, c in zip(rows, pivots)) * den, num)
 
     def char_poly(self) -> list[int | Fraction]:
         """The coefficients of det(t*I - M), lowest degree first, by

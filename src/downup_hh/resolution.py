@@ -50,7 +50,9 @@ gen -> sum c lw [h] rw, tau[h]^w puts c nf(lw w rw) on gen; one walk over the
 terms (Resolution.pair) does this for every functional at once, or for the
 functionals of a given support only.  It builds D1, D2 from d1, d2 (columns
 indexed by the domain basis, rows by the codomain basis, in fixed, explicitly
-listed orders), and the cup and induced cochains of `yoneda` from chain maps.
+listed orders; one generator of each kind is paired and its entries are
+translated along the vertices), and the cup and induced cochains of `yoneda`
+from chain maps.
 The relations are homogeneous in the letter content (#x, #y), so D1 and D2
 are block-diagonal in the weight of tau[h]^w (`tau_weight`); L1 and, for
 n = 1, the x-power block L2 are blocks of D2.
@@ -317,9 +319,18 @@ class HomComplex:
     # -- matrices ----------------------------------------------------------
 
     def _build_matrix(self, idx_lo, idx_hi, gens_hi, d_fun):
+        """The matrix of d_fun in the tau bases, pairing one generator per
+        kind.  Relations and normal forms do not depend on the vertex, so
+        the entries of (kind, i) are those of (kind, 1) with every generator
+        index shifted by i - 1 and the words unchanged."""
+        entries = {kind: [] for kind, _ in gens_hi}
+        for (gen, w2), ((g, j), w), c in self.res.pair(
+                d_fun, [gen for gen in gens_hi if gen[1] == 1]):
+            entries[gen[0]].append((w2, g, j - 1, w, c))
         rows = [[0] * len(idx_lo) for _ in idx_hi]
-        for row, col, c in self.res.pair(d_fun, gens_hi):
-            rows[idx_hi[row]][idx_lo[col]] += c
+        for kind, i in gens_hi:
+            for w2, g, shift, w, c in entries[kind]:
+                rows[idx_hi[((kind, i), w2)]][idx_lo[((g, i + shift), w)]] += c
         return QMatrix(rows)
 
     @property

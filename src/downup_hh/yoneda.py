@@ -23,8 +23,9 @@ the two liftings of the same class, and the left- against the right-slot
 generic lifting, exercises the fact that the induced product does not depend
 on the choice of lift.
 
-ring_structure multiplies the whole HH^1 basis pairwise and solves for all
-products in the HH^2 basis modulo im D2 at once; ring_presentation derives
+ring_structure multiplies each pair of distinct HH^1 basis elements once,
+in basis order -- the products the presentation reads -- and solves for
+them in the HH^2 basis modulo im D2 at once; ring_presentation derives
 the presentation data (a, b, I) of the cohomology ring as an exterior
 algebra Lambda(a, b) modulo an ideal I of degree-2 relations (everything in
 degrees >= 3 vanishes).  ring_table_row holds the fixed per-stratum
@@ -38,7 +39,7 @@ because it contradicts the dimension of HH^2.
 from fractions import Fraction as Q
 
 from .algebra import acc
-from .cohomology import coords_mod_image, hh1_basis, hh2_basis
+from .cohomology import coords_mod_image, hh1_basis, hh2_basis, is_cocycle
 from .core import Cond1, Cond2, Instance, classify
 from .linalg import QMatrix, _as_q
 from .resolution import HomComplex, kept
@@ -331,21 +332,30 @@ def _in_span(coords):
 
 @kept
 def ring_structure(C: HomComplex):
-    """All pairwise products of the HH^1 basis in HH^2 coordinates, kept on C.
+    """The products of the HH^1 basis that the presentation reads, in HH^2
+    coordinates, kept on C.
 
-    products[(p, q)] is the class of  h_p . sigma_1  for the generic lifting
-    sigma of h_q, i.e. the product [h_p][h_q] under the fixed convention.
-    The h1^2 cup vectors are built first and resolved together by
-    coords_mod_image: one solve of the h2 x h2 system of the basis classes
-    modulo im D2, whose elimination the complex keeps.
+    products[(p, q)], for each label p before q in basis order, is the class
+    of  h_p . sigma_1  for the generic lifting sigma of h_q, i.e. the product
+    [h_p][h_q] under the fixed convention; the squares and the reversed
+    products follow from graded commutativity.  So only the right factors
+    (every label but the first) are lifted.  One D2 product first decides
+    every HH^1 vector a cocycle, the unlifted one included, and raises
+    ValueError otherwise.  The a(a-1)/2 cup vectors are resolved together
+    by coords_mod_image, one solve modulo im D2 whose elimination the
+    complex keeps; with a single label there is no product to resolve.
     """
-    one = dict(hh1_basis(C))
+    basis = hh1_basis(C)
+    if not is_cocycle(C, [v for _, v in basis]):
+        raise ValueError("not a 1-cocycle")
+    one = dict(basis)
+    labels = list(one)
     two = hh2_basis(C)
-    sigma1 = {lbl: generic_lift(C, v).sigma1 for lbl, v in one.items()}
-    pairs = [(p, q) for p in one for q in one]
+    sigma1 = {q: generic_lift(C, one[q]).sigma1 for q in labels[1:]}
+    pairs = [(labels[i], labels[j]) for i, j in _pairs(len(labels))]
     cups = [cup_vector(C, one[p], sigma1[q]) for p, q in pairs]
-    coords = coords_mod_image(C, [v for _, v in two], cups)
-    return {"labels": list(one),
+    coords = coords_mod_image(C, [v for _, v in two], cups) if cups else []
+    return {"labels": labels,
             "classes2": [lbl for lbl, _ in two],
             "products": {pq: _in_span(x) for pq, x in zip(pairs, coords)}}
 

@@ -49,6 +49,7 @@ from downup_hh.yoneda import (
     ring_row_report,
     ring_structure,
 )
+from test_yoneda import read_pairs, ref_all_products
 
 MAX_SUM = 16
 
@@ -280,14 +281,19 @@ def test_criterion_5_cup_products():
         if (n, m) == (1, 1) and c2 == Cond2.CASE_2:
             for p, q in [("h1", "h5p"), ("h5", "h5p")]:
                 assert in_image(C, 2, cup_vector(C, hv[p], lifts[q].sigma1))
-        # graded commutativity and vanishing squares, all degree-1 pairs
-        rs = ring_structure(complex_for(inst))
+        # graded commutativity and vanishing squares, all degree-1 pairs of
+        # the reference; ring_structure holds its products p < q
+        rs = ring_structure(C)
+        prods = ref_all_products(C)
+        assert list(rs["products"]) == read_pairs(rs["labels"]), inst.key()
         for pl in rs["labels"]:
             for ql in rs["labels"]:
-                assert rs["products"][(pl, ql)] == \
-                    scale(rs["products"][(ql, pl)], -1), (inst.key(), pl, ql)
-            assert rs["products"][(pl, pl)] == \
+                assert prods[(pl, ql)] == \
+                    scale(prods[(ql, pl)], -1), (inst.key(), pl, ql)
+            assert prods[(pl, pl)] == \
                 [Q(0)] * len(rs["classes2"]), (inst.key(), pl)
+        for pq, coords in rs["products"].items():
+            assert coords == prods[pq], (inst.key(), pq)
 
 
 @pytest.mark.xfail(strict=True, reason="the stored even-sum alpha=0 value "

@@ -198,13 +198,17 @@ mixed = st.one_of(st.just(Q(0)), st.fractions(min_value=-9, max_value=9,
 @st.composite
 def product_pairs(draw):
     """(a, b, ncols of b) with mixed denominators, zero rows and columns and
-    empty shapes (0 rows, 0 columns or an inner dimension of 0)."""
+    empty shapes (0 rows, 0 columns or an inner dimension of 0).  The right
+    factor, whose nonzeros the product walks, gets zero rows and columns of
+    its own."""
     nr, inner, nc = (draw(st.integers(0, 5)) for _ in range(3))
     a = [[draw(mixed) for _ in range(inner)] for _ in range(nr)]
     b = [[draw(mixed) for _ in range(nc)] for _ in range(inner)]
     if nr and draw(st.booleans()):
         a[draw(st.integers(0, nr - 1))] = [Q(0)] * inner
-    if nc and draw(st.booleans()):
+    for _ in range(draw(st.integers(0, inner))):
+        b[draw(st.integers(0, inner - 1))] = [Q(0)] * nc
+    for _ in range(draw(st.integers(0, nc))):
         j = draw(st.integers(0, nc - 1))
         for row in b:
             row[j] = Q(0)

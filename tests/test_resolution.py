@@ -524,6 +524,37 @@ def block_instances(max_sum):
             for inst in sample_instances(n, m)]
 
 
+def ref_build_matrix(C, idx_lo, idx_hi, gens_hi, d_fun):
+    """The matrix of d_fun paired generator by generator, every generator
+    on its own with no translation."""
+    rows = [[0] * len(idx_lo) for _ in idx_hi]
+    for row, col, c in C.res.pair(d_fun, gens_hi):
+        rows[idx_hi[row]][idx_lo[col]] += c
+    return QMatrix(rows)
+
+
+class TestTranslatedMatrices:
+    """D1 and D2 pair one generator per kind and translate its entries."""
+
+    def test_the_sweep_holds_a_fraction_parameter_point(self):
+        assert Instance(1, 3, Q(1), Q(-1, 2)) in block_instances(10)
+
+    @pytest.mark.parametrize("inst", block_instances(10), ids=lambda i: i.key())
+    def test_equal_to_the_per_generator_loop(self, inst):
+        C = HomComplex(inst)
+        res = C.res
+        assert C.D1 == ref_build_matrix(C, C.idx0, C.idx1, res.gens1(), res.d1)
+        assert C.D2 == ref_build_matrix(C, C.idx1, C.idx2, res.gens2(), res.d2)
+
+    def test_pairs_one_generator_per_kind(self, monkeypatch):
+        seen = []
+        pair = Resolution.pair
+        monkeypatch.setattr(Resolution, "pair", lambda res, fun, gens, *a:
+                            seen.append(list(gens)) or pair(res, fun, gens, *a))
+        HomComplex(Instance(2, 5, Q(1), Q(1)))
+        assert seen == [[("x", 1), ("y", 1)], [("f", 1), ("g", 1)]]
+
+
 class TestLetterContentBlocks:
     @pytest.mark.parametrize("inst", block_instances(10), ids=lambda i: i.key())
     def test_differentials_have_no_off_block_entries(self, inst):

@@ -293,17 +293,34 @@ class TestCupValues:
         assert in_image(C, 2, cup_vector(C, hv["h5"], lifts["h5p"].sigma1))
 
 
+def ref_all_products(C):
+    """Every ordered product [h_p][h_q] of the HH^1 basis, squares and
+    reversed pairs included: a generic lift of every class and one
+    cup_class per ordered pair."""
+    hv = dict(hh1_basis(C))
+    sigma1 = {q: generic_lift(C, v).sigma1 for q, v in hv.items()}
+    return {(p, q): cup_class(C, hv[p], sigma1[q]) for p in hv for q in hv}
+
+
+def read_pairs(labels):
+    """The products ring_structure computes: p before q, in label order."""
+    return [(labels[i], labels[j]) for i, j in _pairs(len(labels))]
+
+
 class TestRingStructure:
     @pytest.mark.parametrize("inst", sweep(), ids=lambda i: i.key())
     def test_graded_commutativity(self, inst):
         C = HomComplex(inst)
         rs = ring_structure(C)
         labels = rs["labels"]
-        prods = rs["products"]
+        prods = ref_all_products(C)
+        assert list(rs["products"]) == read_pairs(labels)
         for p in labels:
             assert all(c == 0 for c in prods[(p, p)]), p  # squares vanish
             for q in labels:
                 assert prods[(p, q)] == scale(prods[(q, p)], -1), (p, q)
+        for pq, coords in rs["products"].items():
+            assert coords == prods[pq], pq
 
     @pytest.mark.parametrize("inst", sweep(), ids=lambda i: i.key())
     def test_presentation_dimension_count(self, inst):
@@ -335,10 +352,59 @@ class TestBatchedProducts:
         C = HomComplex(inst)
         rs = ring_structure(C)
         hv = dict(hh1_basis(C))
-        sigma1 = {q: generic_lift(C, v).sigma1 for q, v in hv.items()}
-        assert set(rs["products"]) == {(p, q) for p in hv for q in hv}
+        ref = ref_all_products(C)
+        assert set(ref) == {(p, q) for p in hv for q in hv}
+        assert list(rs["products"]) == read_pairs(list(hv))
         for (p, q), coords in rs["products"].items():
-            assert coords == cup_class(C, hv[p], sigma1[q]), (p, q)
+            assert coords == ref[(p, q)], (p, q)
+
+    @pytest.mark.parametrize("inst,a", [
+        (Instance(2, 3, Q(1), Q(1)), 1), (Instance(1, 2, Q(1), Q(1)), 1),
+        (Instance(3, 5, Q(0), Q(1)), 2), (Instance(1, 1, Q(0), Q(1)), 6)],
+        ids=lambda x: x.key() if isinstance(x, Instance) else str(x))
+    def test_only_the_read_products_are_computed(self, monkeypatch, inst, a):
+        # a - 1 lifts (every label but the first), a(a-1)/2 cup vectors and
+        # two eliminations, of D2^T and of the basis classes modulo im D2;
+        # a single label skips all of them
+        calls = {"lift": 0, "cup": 0, "elim": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        C = HomComplex(inst)
+        monkeypatch.setattr("downup_hh.yoneda.generic_lift",
+                            counted("lift", generic_lift))
+        monkeypatch.setattr("downup_hh.yoneda.cup_vector",
+                            counted("cup", cup_vector))
+        monkeypatch.setattr(QMatrix, "_eliminate",
+                            counted("elim", QMatrix._eliminate))
+        rs = ring_structure(C)
+        assert len(rs["labels"]) == a
+        assert calls == {"lift": a - 1, "cup": a * (a - 1) // 2,
+                         "elim": 2 * (a >= 2)}
+        if a == 1:
+            assert rs["products"] == {}
+            assert ring_presentation(C)["ideal"] == []
+            assert calls["elim"] == 0  # nor does the presentation eliminate
+
+    @pytest.mark.parametrize("inst", [Instance(2, 3, Q(1), Q(1)),
+                                      Instance(1, 3, Q(0), Q(1))],
+                             ids=lambda i: i.key())
+    def test_a_non_cocycle_basis_vector_is_refused(self, monkeypatch, inst):
+        # the first label is never lifted, so only the cocycle product can
+        # catch a fault there
+        C = HomComplex(inst)
+        bad = [Q(0)] * len(C.basis1)
+        bad[0] = Q(1)  # tau[x1]^x alone is not a cocycle
+        basis = hh1_basis(C)
+        patched = [(basis[0][0], [x + y for x, y in zip(basis[0][1], bad)])]
+        monkeypatch.setattr("downup_hh.yoneda.hh1_basis",
+                            lambda C: patched + basis[1:])
+        with pytest.raises(ValueError, match="not a 1-cocycle"):
+            ring_structure(C)
 
     def test_a_product_outside_the_basis_span_is_refused(self, monkeypatch):
         # at (1,1) Case I the products span HH^2, so some product needs the
