@@ -23,7 +23,7 @@ from fractions import Fraction as Q
 from itertools import zip_longest
 
 from .core import Cond1, Cond2, Instance, classify
-from .linalg import QMatrix, _as_q
+from .linalg import QMatrix, _as_q, _nonzero, _product, _transposed
 from .resolution import HomComplex, kept
 
 
@@ -231,8 +231,21 @@ def _hh2_specs(inst: Instance, substitute: bool):
 # -- verification helpers ---------------------------------------------------
 
 def is_cocycle(C: HomComplex, vecs) -> bool:
-    """Whether D2 v = 0 for each v in vecs (true for none), by one product."""
-    return not vecs or (C.D2 @ QMatrix.from_columns(vecs)).is_zero()
+    """Whether D2 v = 0 for each v in vecs (true for none), by one product
+    of the nonzero rows of D2 with those of the matrix whose columns are
+    vecs.  Raises ValueError unless each v has length dim P1^."""
+    d1 = len(C.basis1)
+    if any(len(v) != d1 for v in vecs):
+        raise ValueError("vector length mismatch")
+    return not any(_product(C.nonzero[2], _transposed(_nonzero(vecs), d1)))
+
+
+@kept
+def hh1_cocycles(C: HomComplex) -> bool:
+    """Whether every hh1_basis vector is a cocycle, decided once per
+    complex and kept on C: both verify_bases and yoneda.ring_structure
+    read this one decision."""
+    return is_cocycle(C, [v for _, v in hh1_basis(C)])
 
 
 def independent_mod_image(C: HomComplex, k: int, vecs) -> bool:
@@ -254,7 +267,7 @@ def verify_bases(C: HomComplex):
     # Explicit raises, not asserts: `python -O` must not switch the check off.
     for k, basis, h in ((1, hh1_basis(C), h1), (2, hh2_basis(C), h2)):
         vecs = [v for _, v in basis]
-        if k == 1 and not is_cocycle(C, vecs):
+        if k == 1 and not hh1_cocycles(C):
             raise AssertionError("an HH^1 vector is not a cocycle")
         if not independent_mod_image(C, k, vecs):
             raise AssertionError(f"the HH^{k} vectors are dependent "

@@ -4,37 +4,45 @@ Everything downstream (Hom-complex ranks, kernel bases, Coxeter spectra)
 must be exact: a single rounded pivot would corrupt a cohomology dimension.
 Scalars are exact: an `int` when integral, else a `fractions.Fraction`
 (`_q`); `_as_q` refuses floats.  Both carry `.numerator` and `.denominator`.
-Matrices are dense row-major lists.  The elimination, the product and the
-characteristic polynomial below clear denominators first, compute over the
-integers and form Fractions only for their non-integral results.
 
-One elimination kernel, `QMatrix._eliminate(width)`, serves every solver.
-It clears each row of denominators and divides it by its content, then runs
-integer Gauss-Jordan elimination with pivots taken from the first `width`
-columns; the other columns ride along as right-hand sides.  Every updated
-row is divided by its gcd, so rows stay primitive, and rows with a zero in
-the pivot column are not touched.  Next to the rows and the pivot columns
-it returns the rational factor by which it scaled the determinant, as an
-integer numerator and denominator.  So
-rank counts pivots; rref, solve_many ([M | b_1 ... b_k], all right-hand
+`QMatrix` is the one public matrix type, dense and row-major.  Its two
+kernels work on *nonzero rows* instead: one dict {column: value} per row,
+holding that row's nonzero entries (`_nonzero`, `_dense` and `_transposed`
+convert).  The Hom complex keeps its differentials in this form from the
+pairing walk on, so its certificate, cocycle test, images and cokernels
+never touch a zero; `QMatrix._eliminate` and `@` hand their rows to the same
+kernels.  Both kernels start from `_cleared`, which multiplies the rows by
+the lcm of every denominator and makes every entry an int, integral
+Fractions included (when every entry already is an int, it only copies);
+they compute over the integers and form Fractions only for their
+non-integral results.
+
+The elimination kernel, `_gauss_jordan(rows, width)`, serves every solver.
+It divides each cleared row by its content, then runs integer Gauss-Jordan
+elimination with pivots taken from the first `width` columns; the other
+columns ride along as right-hand sides.  Every updated row is divided by
+its gcd, so rows stay primitive, and rows with a zero in the pivot column
+are not touched.  An update walks the nonzeros of the two rows it combines.
+Next to the rows and the pivot columns it returns the rational factor by
+which it scaled the determinant, as an integer numerator and denominator.
+So rank counts pivots; rref, solve_many ([M | b_1 ... b_k], all right-hand
 sides in one pass, solve being its one-column case) and inverse ([M | I])
 divide pivot rows by their pivots; and det is the product of the pivots
 over that factor.
 
-The product A @ B clears row i of A by the lcm d_i of its denominators and
-all of B by one lcm e, adds a * (row k of e*B) over the nonzero entries a
-of d_i * (row i of A) only, and returns each entry v as v / (d_i * e).
-Row k of e*B is kept as its nonzero (column, value) pairs, so each product
-costs one multiplication per pair of nonzeros that meet: D1, with at most
-two nonzeros per row, makes D2 @ D1 cheap.
+The product kernel, `_product(a, b)`, clears A by d and B by e, adds
+x * (row k of e*B) over the nonzero entries x of row i of d*A, and returns
+each entry v as v / (d * e).  So a product costs one multiplication per
+pair of nonzeros that meet: D1, with at most two nonzeros per row, makes
+D2 D1 cheap.
 
 The characteristic polynomial is Berkowitz's division-free recurrence
 (Inf. Process. Lett. 18, 1984) on the integer matrix d*M, d the lcm of all
 denominators: bordering the leading k x k block by row and column k
 multiplies its characteristic polynomial by a Toeplitz matrix whose entries
 come from k matrix-vector products.  Coefficient k of det(t*I - d*M) is
-d^(n-k) times that of det(t*I - M).  It shares no code with the
-elimination kernel or the product, and returns a list of exact scalars,
+d^(n-k) times that of det(t*I - M).  It shares only `_cleared` with the
+two kernels, and returns a list of exact scalars,
 lowest degree first: the package's one polynomial representation, which
 everywhere else holds integer coefficients.
 """
@@ -129,12 +137,6 @@ class QMatrix:
         return QMatrix._of([[row[j] for row in self.rows] for j in range(self.ncols)],
                            self.nrows)
 
-    def column(self, j: int) -> list[int | Fraction]:
-        return [self.rows[i][j] for i in range(self.nrows)]
-
-    def columns(self) -> list[list[int | Fraction]]:
-        return [self.column(j) for j in range(self.ncols)]
-
     def submatrix(self, row_idx: list[int], col_idx: list[int]) -> "QMatrix":
         return QMatrix._of([[self.rows[i][j] for j in col_idx] for i in row_idx],
                            len(col_idx))
@@ -152,40 +154,15 @@ class QMatrix:
 
     # -- arithmetic -------------------------------------------------------
 
-    def __add__(self, other: "QMatrix") -> "QMatrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return QMatrix._of(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-            self.ncols)
-
-    def __sub__(self, other: "QMatrix") -> "QMatrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return QMatrix._of(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-            self.ncols)
-
     def __neg__(self) -> "QMatrix":
         return QMatrix._of([[-x for x in row] for row in self.rows], self.ncols)
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.ncols != other.nrows:
             raise ValueError("inner dimension mismatch")
-        e, right = _cleared(other.rows)
-        right = [[(j, y) for j, y in enumerate(r) if y] for r in right]
-        out = []
-        for row in self.rows:
-            d = lcm(*(x.denominator for x in row))
-            acc = [0] * other.ncols
-            for a, r in zip(row, right):
-                if a and r:
-                    a = a.numerator * (d // a.denominator)
-                    for j, y in r:
-                        acc[j] += a * y
-            de = d * e
-            out.append(acc if de == 1 else [_q(v, de) for v in acc])
-        return QMatrix._of(out, other.ncols)
+        return QMatrix._of(
+            _dense(_product(_nonzero(self.rows), _nonzero(other.rows)),
+                   other.ncols), other.ncols)
 
     def pow(self, k: int) -> "QMatrix":
         if self.nrows != self.ncols:
@@ -202,41 +179,12 @@ class QMatrix:
     # -- elimination ------------------------------------------------------
 
     def _eliminate(self, width: int | None = None):
-        """Integer Gauss-Jordan on the primitive rows, pivots in the first
-        `width` columns (see the module docstring).  Returns (rows, pivots,
-        factor): the reduced rows, pivot rows first in pivot order; the pivot
-        columns; the factor (num, den) by which the elimination scaled the
-        determinant, as two integers: only det reads it.
-        """
-        width = self.ncols if width is None else width
-        rows, num, den = [], 1, 1
-        for row in self.rows:
-            mult = lcm(*(x.denominator for x in row))
-            ints = [x.numerator * (mult // x.denominator) for x in row]
-            content = gcd(*ints) or 1
-            rows.append([x // content for x in ints] if content > 1 else ints)
-            num, den = num * mult, den * content
-        pivots: list[int] = []
-        for c in range(width):
-            r = len(pivots)
-            if r == self.nrows:
-                break
-            piv = next((i for i in range(r, self.nrows) if rows[i][c]), None)
-            if piv is None:
-                continue
-            if piv != r:
-                rows[r], rows[piv] = rows[piv], rows[r]
-                num = -num
-            prow, p = rows[r], rows[r][c]
-            for i, row in enumerate(rows):
-                a = row[c]
-                if a and i != r:
-                    new = [p * x - a * y for x, y in zip(row, prow)]
-                    g = gcd(*new) or 1
-                    rows[i] = [x // g for x in new] if g > 1 else new
-                    num, den = num * p, den * g
-            pivots.append(c)
-        return rows, pivots, (num, den)
+        """`_gauss_jordan` on the nonzero rows, pivots in the first `width`
+        columns, with the reduced rows returned dense: (rows, pivots,
+        factor)."""
+        rows, pivots, factor = _gauss_jordan(
+            _nonzero(self.rows), self.ncols if width is None else width)
+        return _dense(rows, self.ncols), pivots, factor
 
     def rank(self) -> int:
         return len(self._eliminate()[1])
@@ -310,7 +258,8 @@ class QMatrix:
         if self.nrows != self.ncols:
             raise ValueError("char poly of non-square matrix")
         n = self.nrows
-        d, a = _cleared(self.rows)
+        d, a = _cleared(_nonzero(self.rows))
+        a = _dense(a, n)
         poly = [1]  # char poly of the leading k x k block, highest degree first
         for k in range(n):
             # Bordering the block A by the row R, the column S and the corner
@@ -326,7 +275,99 @@ class QMatrix:
         return [_q(c, d ** h) for h, c in enumerate(poly)][::-1]
 
 
-def _cleared(rows: list[list[Fraction]]) -> tuple[int, list[list[int]]]:
-    """(e, e*rows) with e the lcm of every denominator: the rows over Z."""
-    e = lcm(*(x.denominator for row in rows for x in row))
-    return e, [[x.numerator * (e // x.denominator) for x in row] for row in rows]
+# -- nonzero rows and the two kernels ----------------------------------------
+
+def _nonzero(rows: list[list]) -> list[dict]:
+    """Each dense row as the dict {column: value} of its nonzero entries."""
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+def _dense(rows: list[dict], ncols: int) -> list[list]:
+    """Nonzero rows back as dense rows of ncols entries."""
+    out = []
+    for row in rows:
+        dense = [0] * ncols
+        for j, x in row.items():
+            dense[j] = x
+        out.append(dense)
+    return out
+
+
+def _transposed(rows: list[dict], ncols: int) -> list[dict]:
+    """The nonzero rows of the transpose of a matrix with ncols columns."""
+    cols = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            cols[j][i] = x
+    return cols
+
+
+def _cleared(rows: list[dict]) -> tuple[int, list[dict]]:
+    """(e, e*rows) with e the lcm of every denominator: the nonzero rows
+    over Z, stored zeros dropped and integral Fractions made ints.  When
+    every entry already is a nonzero int, e = 1 and the rows themselves
+    come back, not a copy: the kernels never change a row in place."""
+    if all(type(x) is int and x for row in rows for x in row.values()):
+        return 1, rows
+    e = lcm(*(x.denominator for row in rows for x in row.values()))
+    return e, [{j: x.numerator * (e // x.denominator)
+                for j, x in row.items() if x} for row in rows]
+
+
+def _gauss_jordan(rows: list[dict], width: int):
+    """Integer Gauss-Jordan on the nonzero rows, pivots in the first `width`
+    columns (see the module docstring).  Returns (rows, pivots, factor): the
+    reduced rows as dicts of nonzero ints, pivot rows first in pivot order;
+    the pivot columns; the factor (num, den) by which the elimination scaled
+    the determinant, as two integers: only det reads it.
+    """
+    e, out = _cleared(rows)
+    out, num, den = list(out), e ** len(out), 1
+    for i, row in enumerate(out):
+        content = gcd(*row.values()) or 1
+        if content > 1:
+            out[i] = {j: x // content for j, x in row.items()}
+            den *= content
+    pivots: list[int] = []
+    for c in range(width):
+        r = len(pivots)
+        if r == len(out):
+            break
+        piv = next((i for i in range(r, len(out)) if c in out[i]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            out[r], out[piv] = out[piv], out[r]
+            num = -num
+        prow = out[r]
+        p = prow[c]
+        for i, row in enumerate(out):
+            a = row.get(c)
+            if a and i != r:
+                new = {j: p * x for j, x in row.items()}
+                for j, y in prow.items():
+                    x = new.get(j, 0) - a * y
+                    if x:
+                        new[j] = x
+                    else:
+                        del new[j]
+                g = gcd(*new.values()) or 1
+                out[i] = {j: x // g for j, x in new.items()} if g > 1 else new
+                num, den = num * p, den * g
+        pivots.append(c)
+    return out, pivots, (num, den)
+
+
+def _product(a: list[dict], b: list[dict]) -> list[dict]:
+    """The nonzero rows of AB from those of A and B (see the module
+    docstring); every column of A must index a row of B."""
+    (d, left), (e, right) = _cleared(a), _cleared(b)
+    de = d * e
+    out = []
+    for row in left:
+        acc: dict[int, int] = {}
+        for k, x in row.items():
+            for j, y in right[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        out.append({j: v if de == 1 else _q(v, de) for j, v in acc.items() if v})
+    return out

@@ -48,11 +48,11 @@ and each normal word w from s(h) to t(h); tau[h]^w sends the generator h to
 the path w and every other generator to 0.  Pulled back along an assignment
 gen -> sum c lw [h] rw, tau[h]^w puts c nf(lw w rw) on gen; one walk over the
 terms (Resolution.pair) does this for every functional at once, or for the
-functionals of a given support only.  It builds D1, D2 from d1, d2 (columns
-indexed by the domain basis, rows by the codomain basis, in fixed, explicitly
-listed orders; one generator of each kind is paired and its entries are
-translated along the vertices), and the cup and induced cochains of `yoneda`
-from chain maps.
+functionals of a given support only.  It builds D1, D2 from d1, d2 as their
+nonzero rows (columns indexed by the domain basis, rows by the codomain
+basis, in fixed, explicitly listed orders that depend on the weights alone;
+one generator of each kind is paired and its entries are translated along
+the vertices), and the cup and induced cochains of `yoneda` from chain maps.
 The relations are homogeneous in the letter content (#x, #y), so D1 and D2
 are block-diagonal in the weight of tau[h]^w (`tau_weight`); L1 and, for
 n = 1, the x-power block L2 are blocks of D2.
@@ -60,10 +60,12 @@ n = 1, the x-power block L2 are blocks of D2.
 
 from functools import wraps
 from math import lcm
+from types import MappingProxyType
 
 from .algebra import Beilinson, acc
 from .core import Cond1, Cond2, Instance, classify
-from .linalg import QMatrix, _as_q, _q
+from .linalg import (QMatrix, _as_q, _dense, _gauss_jordan, _product, _q,
+                     _transposed)
 
 
 def kept(fn):
@@ -242,96 +244,141 @@ def tau_label(tau):
     return f"tau[{kind}{i}]^{w}"
 
 
+def _tau1_basis(res):
+    B = res.B
+    n, m = B.n, B.m
+    xs = [(("x", i), "x") for i in range(1, B.nx + 1)]
+    ys = [(("y", j), "y") for j in range(1, B.ny + 1)]
+    if n >= 2:
+        order = xs + ys
+    elif m > 1:
+        order = xs + ys + [(("y", j), "x" * m) for j in range(m + 2, 0, -1)]
+    else:
+        order = (xs + ys
+                 + [(("y", j), "x") for j in (3, 2, 1)]
+                 + [(("x", i), "y") for i in (1, 2, 3)])
+    return _checked(res, order, res.gens1(), "P1^")
+
+
+def _tau2_basis(res):
+    n, m = res.B.n, res.B.m
+    f = lambda i, w: (("f", i), w)
+    g = lambda j, w: (("g", j), w)
+    head = ([f(i, "yxx") for i in range(1, m + 1)]
+            + [g(j, "yyx") for j in range(1, n + 1)]
+            + [g(j, "yxy") for j in range(1, n + 1)]
+            + [f(i, "xyx") for i in range(1, m + 1)])
+    if n >= 3:
+        tail = []
+    elif n == 2:
+        tail = [g(1, "x" * (m + 1)), g(2, "x" * (m + 1))]
+    elif m >= 3:  # n = 1
+        tail = ([f(i, "x" * (m + 2)) for i in range(m, 0, -1)]
+                + [g(1, "y" + "x" * (m + 1)), g(1, "xy" + "x" * m),
+                   g(1, "x" * (2 * m + 1))])
+    elif m == 2:  # n = 1
+        tail = [f(2, "xxxx"), f(1, "xxxx"), g(1, "yxxx"), g(1, "xyxx"),
+                g(1, "xxxxx"), f(1, "yy"), f(2, "yy")]
+    else:  # n = m = 1
+        tail = [f(1, "xxx"), g(1, "yxx"), g(1, "xyx"), g(1, "xxx"),
+                g(1, "yyy"), f(1, "yyx"), f(1, "yxy"), f(1, "yyy")]
+    return _checked(res, head + tail, res.gens2(), "P2^")
+
+
+def _checked(res, order, gens, space):
+    """`order` as a tuple, checked to list each functional of `gens` exactly
+    once."""
+    brute = [(g, w) for g in gens
+             for w in res.B.hom_words(res.gen_source(g), res.gen_target(g))]
+    if set(order) != set(brute) or len(order) != len(brute):
+        raise AssertionError(f"tau basis of {space} does not match enumeration")
+    return tuple(order)
+
+
+_SPACES = {}
+
+
+def _spaces(res):
+    """(bases, index maps, position tables) of P0^, P1^, P2^ for res's
+    weight pair, each a triple.
+
+    The generators and the normal words between two vertices depend on
+    (n, m) alone, not on alpha and beta, so every complex of a weight pair
+    shares one copy, built and checked on its first complex.  The bases are
+    tuples and the maps read-only, so no instance can alter another's.  A
+    position table maps (kind, w) to the positions of tau[(kind, i)]^w for
+    i = 1, 2, ...: every generator of a kind has the same words.
+    """
+    key = (res.B.n, res.B.m)
+    if key not in _SPACES:
+        bases = (tuple((g, "") for g in res.gens0()), _tau1_basis(res),
+                 _tau2_basis(res))
+        _SPACES[key] = (bases,
+                        tuple(MappingProxyType({t: k for k, t in enumerate(b)})
+                              for b in bases),
+                        tuple(map(_positions, bases)))
+    return _SPACES[key]
+
+
+def _positions(basis):
+    """{(kind, w): (position of tau[(kind, 1)]^w, of tau[(kind, 2)]^w,
+    ...)} for a tau basis; raises KeyError unless the generators of a kind
+    that carry w are numbered 1, 2, ... without a gap."""
+    at = {}
+    for k, ((kind, i), w) in enumerate(basis):
+        at.setdefault((kind, w), {})[i] = k
+    return MappingProxyType({kw: tuple(ks[i] for i in range(1, len(ks) + 1))
+                             for kw, ks in at.items()})
+
+
 class HomComplex:
     """The complex 0 -> P0^ -> P1^ -> P2^ -> 0 in the tau-functional bases.
 
-    Every question modulo im Dk (ranks, HH^1 and HH^2 classes) reads
-    image(k), Dk^T eliminated once on first use, through coker(k, v).  It is
-    `kept`, as are the bases and ring data built on the complex: once each.
+    The pairing walk gives each differential as its nonzero rows,
+    nonzero[k] (see `linalg`), and everything the complex computes reads
+    them: the D2 D1 = 0 certificate, the cocycle test of `cohomology` and
+    image(k), the one elimination of the nonzero rows of Dk^T, kept on first
+    use, through which coker(k, v) answers every question modulo im Dk
+    (ranks, HH^1 and HH^2 classes).  D1 and D2 are the same matrices as
+    dense QMatrix values, for the blocks and for readers of whole matrices.
+    The bases, index maps and position tables are shared per weight pair
+    (`_spaces`); the image, the bases and ring data built on the complex
+    are `kept`: once each.
     """
 
     def __init__(self, inst: Instance):
         self.inst = inst
         self.res = Resolution(inst)
         self.B = self.res.B
-        self.basis0 = [(g, "") for g in self.res.gens0()]
-        self.basis1 = self._tau1_basis()
-        self.basis2 = self._tau2_basis()
-        self.idx0 = {t: k for k, t in enumerate(self.basis0)}
-        self.idx1 = {t: k for k, t in enumerate(self.basis1)}
-        self.idx2 = {t: k for k, t in enumerate(self.basis2)}
-        self.D1 = self._build_matrix(self.idx0, self.idx1, self.res.gens1(),
-                                     self.res.d1)
-        self.D2 = self._build_matrix(self.idx1, self.idx2, self.res.gens2(),
-                                     self.res.d2)
-        if not (self.D2 @ self.D1).is_zero():
+        ((self.basis0, self.basis1, self.basis2),
+         (self.idx0, self.idx1, self.idx2),
+         self._positions) = _spaces(self.res)
+        self.nonzero = {1: self._build_matrix(1), 2: self._build_matrix(2)}
+        d0, d1, _ = self.dims
+        self.D1 = QMatrix._of(_dense(self.nonzero[1], d0), d0)
+        self.D2 = QMatrix._of(_dense(self.nonzero[2], d1), d1)
+        if any(_product(self.nonzero[2], self.nonzero[1])):
             raise AssertionError("D2 * D1 != 0")
-
-    # -- bases ------------------------------------------------------------
-
-    def _checked(self, order, gens, space):
-        """`order`, checked to list each functional of `gens` exactly once."""
-        res = self.res
-        brute = [(g, w) for g in gens
-                 for w in self.B.hom_words(res.gen_source(g), res.gen_target(g))]
-        if set(order) != set(brute) or len(order) != len(brute):
-            raise AssertionError(f"tau basis of {space} does not match enumeration")
-        return order
-
-    def _tau1_basis(self):
-        n, m = self.B.n, self.B.m
-        xs = [(("x", i), "x") for i in range(1, self.B.nx + 1)]
-        ys = [(("y", j), "y") for j in range(1, self.B.ny + 1)]
-        if n >= 2:
-            order = xs + ys
-        elif m > 1:
-            order = xs + ys + [(("y", j), "x" * m) for j in range(m + 2, 0, -1)]
-        else:
-            order = (xs + ys
-                     + [(("y", j), "x") for j in (3, 2, 1)]
-                     + [(("x", i), "y") for i in (1, 2, 3)])
-        return self._checked(order, self.res.gens1(), "P1^")
-
-    def _tau2_basis(self):
-        n, m = self.B.n, self.B.m
-        f = lambda i, w: (("f", i), w)
-        g = lambda j, w: (("g", j), w)
-        head = ([f(i, "yxx") for i in range(1, m + 1)]
-                + [g(j, "yyx") for j in range(1, n + 1)]
-                + [g(j, "yxy") for j in range(1, n + 1)]
-                + [f(i, "xyx") for i in range(1, m + 1)])
-        if n >= 3:
-            tail = []
-        elif n == 2:
-            tail = [g(1, "x" * (m + 1)), g(2, "x" * (m + 1))]
-        elif m >= 3:  # n = 1
-            tail = ([f(i, "x" * (m + 2)) for i in range(m, 0, -1)]
-                    + [g(1, "y" + "x" * (m + 1)), g(1, "xy" + "x" * m),
-                       g(1, "x" * (2 * m + 1))])
-        elif m == 2:  # n = 1
-            tail = [f(2, "xxxx"), f(1, "xxxx"), g(1, "yxxx"), g(1, "xyxx"),
-                    g(1, "xxxxx"), f(1, "yy"), f(2, "yy")]
-        else:  # n = m = 1
-            tail = [f(1, "xxx"), g(1, "yxx"), g(1, "xyx"), g(1, "xxx"),
-                    g(1, "yyy"), f(1, "yyx"), f(1, "yxy"), f(1, "yyy")]
-        return self._checked(head + tail, self.res.gens2(), "P2^")
 
     # -- matrices ----------------------------------------------------------
 
-    def _build_matrix(self, idx_lo, idx_hi, gens_hi, d_fun):
-        """The matrix of d_fun in the tau bases, pairing one generator per
-        kind.  Relations and normal forms do not depend on the vertex, so
-        the entries of (kind, i) are those of (kind, 1) with every generator
-        index shifted by i - 1 and the words unchanged."""
-        entries = {kind: [] for kind, _ in gens_hi}
-        for (gen, w2), ((g, j), w), c in self.res.pair(
-                d_fun, [gen for gen in gens_hi if gen[1] == 1]):
-            entries[gen[0]].append((w2, g, j - 1, w, c))
-        rows = [[0] * len(idx_lo) for _ in idx_hi]
-        for kind, i in gens_hi:
-            for w2, g, shift, w, c in entries[kind]:
-                rows[idx_hi[((kind, i), w2)]][idx_lo[((g, i + shift), w)]] += c
-        return QMatrix(rows)
+    def _build_matrix(self, k):
+        """The nonzero rows of Dk, pairing one generator per kind.
+        Relations and normal forms do not depend on the vertex, so the
+        entries of (kind, i) are those of (kind, 1) with every generator
+        index shifted by i - 1 and the words unchanged: the position tables
+        list their rows and columns in the order of i."""
+        res = self.res
+        gens, d_fun = ((res.gens1(), res.d1), (res.gens2(), res.d2))[k - 1]
+        lo, hi = self._positions[k - 1], self._positions[k]
+        rows = [{} for _ in range(self.dims[k])]
+        for (gen, w2), ((g, j), w), c in res.pair(
+                d_fun, [gen for gen in gens if gen[1] == 1]):
+            for r, col in zip(hi[gen[0], w2], lo[g, w][j - 1:]):
+                row = rows[r]
+                row[col] = row.get(col, 0) + c
+        return [{j: x if type(x) is int else _as_q(x)
+                 for j, x in row.items() if x} for row in rows]
 
     @property
     def dims(self):
@@ -344,14 +391,17 @@ class HomComplex:
 
     @kept
     def image(self, k):
-        """The echelon basis (s, free, rows) of im Dk, one elimination of Dk^T
-        kept: pivot column c carries s e_c + sum_j rows[c][j] e_free[j], s the
-        lcm of the pivots and free the non-pivot columns (Gauss-Jordan)."""
-        D = {1: self.D1, 2: self.D2}[k]
-        rows, pivots, _ = D.transpose()._eliminate()
+        """The echelon basis (s, free, rows) of im Dk, one elimination of the
+        nonzero rows of Dk^T kept: free lists the non-pivot columns, and
+        pivot column c carries s e_c + sum_j rows[c][j] e_j over the free
+        columns j where it is nonzero, s the lcm of the pivots
+        (Gauss-Jordan)."""
+        rows, pivots, _ = _gauss_jordan(
+            _transposed(self.nonzero[k], self.dims[k - 1]), self.dims[k])
         s = lcm(*(row[c] for row, c in zip(rows, pivots)))
-        free = sorted(set(range(D.nrows)) - set(pivots))
-        return (s, free, {c: [s // row[c] * row[j] for j in free]
+        free = sorted(set(range(self.dims[k])) - set(pivots))
+        return (s, free, {c: {j: s // row[c] * x for j, x in row.items()
+                              if j != c}
                           for row, c in zip(rows, pivots)})
 
     def coker(self, k, v):
@@ -363,14 +413,16 @@ class HomComplex:
         s, free, rows = self.image(k)
         support = [(c, x) for c, x in enumerate(v) if x]
         d = lcm(*(x.denominator for _, x in support))
-        w = [0] * len(v)
+        out = dict.fromkeys(free, 0)
         for c, x in support:
-            w[c] = x.numerator * (d // x.denominator)
-        out = [s * w[j] for j in free]
-        for c, _ in support:
+            x = x.numerator * (d // x.denominator)
             if c in rows:
-                out = [x - w[c] * y for x, y in zip(out, rows[c])]
-        return [_q(x, s * d) for x in out]
+                for j, y in rows[c].items():
+                    out[j] -= x * y
+            else:
+                out[c] += s * x
+        sd = s * d
+        return list(out.values()) if sd == 1 else [_q(x, sd) for x in out.values()]
 
     def block(self, weight):
         """The D2 rows and P1^ columns (D1's codomain) of the given weight."""

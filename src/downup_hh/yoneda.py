@@ -39,7 +39,7 @@ because it contradicts the dimension of HH^2.
 from fractions import Fraction as Q
 
 from .algebra import acc
-from .cohomology import coords_mod_image, hh1_basis, hh2_basis, is_cocycle
+from .cohomology import coords_mod_image, hh1_basis, hh1_cocycles, hh2_basis
 from .core import Cond1, Cond2, Instance, classify
 from .linalg import QMatrix, _as_q
 from .resolution import HomComplex, kept
@@ -339,16 +339,16 @@ def ring_structure(C: HomComplex):
     of  h_p . sigma_1  for the generic lifting sigma of h_q, i.e. the product
     [h_p][h_q] under the fixed convention; the squares and the reversed
     products follow from graded commutativity.  So only the right factors
-    (every label but the first) are lifted.  One D2 product first decides
-    every HH^1 vector a cocycle, the unlifted one included, and raises
-    ValueError otherwise.  The a(a-1)/2 cup vectors are resolved together
-    by coords_mod_image, one solve modulo im D2 whose elimination the
-    complex keeps; with a single label there is no product to resolve.
+    (every label but the first) are lifted.  The complex's one cocycle
+    decision (hh1_cocycles, which the bases check reads too) first covers
+    every HH^1 vector, the unlifted one included, and ValueError follows
+    when it fails.  The a(a-1)/2 cup vectors are resolved together by
+    coords_mod_image, one solve modulo im D2 whose elimination the complex
+    keeps; with a single label there is no product to resolve.
     """
-    basis = hh1_basis(C)
-    if not is_cocycle(C, [v for _, v in basis]):
+    if not hh1_cocycles(C):
         raise ValueError("not a 1-cocycle")
-    one = dict(basis)
+    one = dict(hh1_basis(C))
     labels = list(one)
     two = hh2_basis(C)
     sigma1 = {q: generic_lift(C, one[q]).sigma1 for q in labels[1:]}

@@ -259,8 +259,8 @@ class TestVerify:
         build = HomComplex._build_matrix
 
         def corrupted(self, *args):
-            D = build(self, *args)
-            D.rows[0][0] += 1
+            D = build(self, *args)  # the nonzero rows, {column: value} each
+            D[0][0] = D[0].get(0, 0) + 1
             return D
 
         monkeypatch.setattr(HomComplex, "_build_matrix", corrupted)

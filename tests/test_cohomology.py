@@ -8,7 +8,7 @@ from math import gcd
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from downup_hh import cli, cohomology
+from downup_hh import cli, cohomology, linalg, resolution, yoneda
 from downup_hh.core import (Cond1, Cond2, Instance, canonical_instance,
                             classify)
 from downup_hh.cohomology import (
@@ -30,10 +30,11 @@ from downup_hh.cohomology import (
     stratum_samples,
     verify_bases,
 )
-from downup_hh.linalg import QMatrix
+from downup_hh.linalg import QMatrix, _nonzero
 from downup_hh.resolution import HomComplex
 from downup_hh.yoneda import (classes_equal, in_image, ring_row_report,
                               ring_structure)
+from test_linalg import exact, ref_rref
 
 I, II = Cond1.CASE_I, Cond1.CASE_II
 C1, C2, C3 = Cond2.CASE_1, Cond2.CASE_2, Cond2.CASE_3
@@ -46,9 +47,19 @@ def hh_dims_general(n0, m0, alpha, beta):
     return tuple(k * d for d in hh_dims_closed_form(inst))
 
 
+def column(M, j):
+    """Column j of the QMatrix M as a list."""
+    return [row[j] for row in M.rows]
+
+
+def columns(M):
+    """Every column of the QMatrix M, as lists."""
+    return [column(M, j) for j in range(M.ncols)]
+
+
 def times(M, v):
     """M v as a list: the product of M with the one-column matrix of v."""
-    return (M @ QMatrix.from_columns([v])).column(0)
+    return column(M @ QMatrix.from_columns([v]), 0)
 
 
 SMALL_WEIGHTS = [(n, m) for m in range(1, 8) for n in range(1, m + 1)
@@ -277,7 +288,7 @@ class TestBases:
         coords = coords_mod_image(C, basis, [basis[0]])[0]
         assert coords == [Q(1)] + [Q(0)] * (len(basis) - 1)
         # any image column has zero coordinates
-        col = C.D2.column(0)
+        col = column(C.D2, 0)
         coords = coords_mod_image(C, basis, [col])[0]
         assert coords == [Q(0)] * len(basis)
 
@@ -304,7 +315,7 @@ class TestBases:
         vecs = [v for _, v in row]
         assert not independent_mod_image(C, 2, vecs)  # ... but dependent
         from downup_hh.linalg import QMatrix
-        A = QMatrix.from_columns(C.D2.columns() + vecs)
+        A = QMatrix.from_columns(columns(C.D2) + vecs)
         assert A.rank() == C.D2.rank() + len(vecs) - 1  # exactly one relation
         # the dependency comes from the alternating coboundary: it is
         # supported on the f^xyx / g^yxy coordinates with coefficients 2 alpha
@@ -338,7 +349,7 @@ class TestBases:
         C = HomComplex(inst)
         basis = [v for _, v in hh2_basis(C)]
         assert independent_mod_image(C, 2, basis)
-        assert not independent_mod_image(C, 2, basis + [C.D2.column(0)])
+        assert not independent_mod_image(C, 2, basis + [column(C.D2, 0)])
         assert not independent_mod_image(C, 2, basis + [basis[0]])
 
 
@@ -349,13 +360,13 @@ def ref_independent(M, vecs):
     """rank [M | vecs] = rank M + len(vecs)."""
     if not vecs:
         return True
-    A = QMatrix.from_columns(M.columns() + list(vecs))
+    A = QMatrix.from_columns(columns(M) + list(vecs))
     return A.rank() == M.rank() + len(vecs)
 
 
 def ref_coords(M, basis, vs):
     """The basis part of a solution of [M | basis] x = v, for each v."""
-    A = QMatrix.from_columns(M.columns() + list(basis))
+    A = QMatrix.from_columns(columns(M) + list(basis))
     return [None if x is None else x[M.ncols:] for x in A.solve_many(vs)]
 
 
@@ -367,16 +378,46 @@ def units(d):
     return [[Q(int(i == j)) for j in range(d)] for i in range(d)]
 
 
+def ref_image(D):
+    """(reduced rows, pivot columns) of the dense D^T by textbook Fraction
+    Gauss-Jordan: the echelon basis of im D."""
+    red, pivots = ref_rref([[Q(x) for x in col] for col in zip(*D.rows)],
+                           D.nrows)
+    return red[:len(pivots)], pivots
+
+
+def ref_coker(red, pivots, free, v):
+    """v minus its pivot coordinates times the echelon basis, read on the
+    free columns."""
+    w = [Q(x) for x in v]
+    for c, row in zip(pivots, red):
+        w = [x - v[c] * y for x, y in zip(w, row)]
+    return [w[j] for j in free]
+
+
+def record_eliminations(monkeypatch, seen):
+    """Append to `seen` the nonzero rows handed to the one elimination
+    kernel, at both of its call sites: QMatrix._eliminate and the images."""
+    kernel = linalg._gauss_jordan
+
+    def recorded(rows, width):
+        seen.append(rows)
+        return kernel(rows, width)
+    monkeypatch.setattr(linalg, "_gauss_jordan", recorded)
+    monkeypatch.setattr(resolution, "_gauss_jordan", recorded)
+
+
 def eliminations(C, seen):
-    """[#D1^T, #D2^T] among the eliminated matrices `seen`.  Fails on an
-    eliminated matrix whose leading columns are a differential: the
-    augmented [Dk | vectors] that the images replace."""
+    """[#D1^T, #D2^T] among the eliminated nonzero rows `seen`.  Fails on
+    eliminated rows whose leading columns are a differential: the augmented
+    [Dk | vectors] that the images replace."""
     out = []
     for D in (C.D1, C.D2):
+        rows = _nonzero(D.rows)
         for M in seen:
-            assert not (M.nrows == D.nrows and M.ncols >= D.ncols
-                        and [r[:D.ncols] for r in M.rows] == D.rows)
-        out.append(sum(M.rows == D.transpose().rows for M in seen))
+            assert not (len(M) == D.nrows and rows == [
+                {j: x for j, x in r.items() if j < D.ncols} for r in M])
+        out.append(sum(M == _nonzero(D.transpose().rows) for M in seen))
     return out
 
 
@@ -390,17 +431,38 @@ class TestImages:
         b2 = [v for _, v in hh2_basis(C)]
         row = [v for _, v in hh2_table_row(C)]
         for k, vecs in ((1, b1), (2, b2), (2, row),
-                        (2, b2 + [C.D2.column(0)]), (2, [b2[0], b2[0]])):
+                        (2, b2 + [column(C.D2, 0)]), (2, [b2[0], b2[0]])):
             M = (C.D1, C.D2)[k - 1]
             assert independent_mod_image(C, k, vecs) == ref_independent(
                 M, vecs), k
         for k, M in ((1, C.D1), (2, C.D2)):
-            for v in M.columns() + units(M.nrows) + (b1 if k == 1 else b2):
+            for v in columns(M) + units(M.nrows) + (b1 if k == 1 else b2):
                 assert in_image(C, k, v) == ref_in_image(M, v), k
-        probes = units(len(C.basis2)) + C.D2.columns()
+        probes = units(len(C.basis2)) + columns(C.D2)
         assert coords_mod_image(C, b2, probes) == ref_coords(C.D2, b2, probes)
         assert coords_mod_image(C, b2[:-1], probes) == ref_coords(
             C.D2, b2[:-1], probes)
+
+    @pytest.mark.parametrize("inst", [i for i in sweep()
+                                      if i.n + i.m <= 8],
+                             ids=lambda i: i.key())
+    def test_images_ranks_and_cokernels_equal_a_dense_reference(self, inst):
+        # the reference reduces the dense C.D1, C.D2 over Fraction
+        C = HomComplex(inst)
+        assert C.nonzero == {1: _nonzero(C.D1.rows), 2: _nonzero(C.D2.rows)}
+        bases = {1: [v for _, v in hh1_basis(C)], 2: [v for _, v in hh2_basis(C)]}
+        for k, D in ((1, C.D1), (2, C.D2)):
+            red, pivots = ref_image(D)
+            free = [j for j in range(D.nrows) if j not in pivots]
+            s, got_free, rows = C.image(k)
+            assert got_free == free and sorted(rows) == pivots
+            assert C.ranks[k - 1] == len(pivots)
+            assert {c: {j: Q(x, s) for j, x in rows[c].items()}
+                    for c in pivots} == {c: {j: r[j] for j in free if r[j]}
+                                         for c, r in zip(pivots, red)}
+            for v in columns(D) + units(D.nrows) + bases[k]:
+                assert C.coker(k, v) == ref_coker(red, pivots, free, v), k
+                assert all(map(exact, C.coker(k, v)))
 
     @given(st.sampled_from([i for i in sweep() if i.n + i.m <= 5]),
            st.data())
@@ -444,9 +506,7 @@ class TestImages:
     def test_each_image_is_eliminated_once_per_complex(self, monkeypatch,
                                                        only):
         seen = []
-        eliminate = QMatrix._eliminate
-        monkeypatch.setattr(QMatrix, "_eliminate",
-                            lambda M, *a: seen.append(M) or eliminate(M, *a))
+        record_eliminations(monkeypatch, seen)
         for inst in (i for i in sweep() if i.n + i.m <= 5):
             C = HomComplex(inst)
             seen.clear()
@@ -482,6 +542,21 @@ class TestKeptPerComplex:
         assert checks and all(c["pass"] for c in checks)
         _, h1, h2 = hh_dims_computed(HomComplex(inst))
         assert len(calls) == h1 + h2 == units
+
+    def test_verify_decides_the_hh1_cocycles_once_per_complex(
+            self, monkeypatch, capsys):
+        # the bases and the ring group both read one kept decision, so the
+        # 19 instances of verify --max-sum 6 make 19 cocycle products
+        calls = []
+        is_cocycle = cohomology.is_cocycle
+        counted = lambda C, vecs: calls.append(C) or is_cocycle(C, vecs)
+        monkeypatch.setattr(cohomology, "is_cocycle", counted)
+        # and wherever else it might be bound
+        monkeypatch.setattr(yoneda, "is_cocycle", counted, raising=False)
+        monkeypatch.delenv("HH_THREADS", raising=False)
+        assert cli.main(["verify", "--max-sum", "6"]) == 0
+        assert "226 checks, 0 failed" in capsys.readouterr().out
+        assert len(calls) == len({C.inst for C in calls}) == 19
 
     def test_a_kept_value_is_one_object(self):
         C = HomComplex(Instance(1, 3, Q(0), Q(1)))

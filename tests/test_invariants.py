@@ -42,7 +42,9 @@ def an_instance(n, m):
 def ref_unipotent(s):
     """The matrix-power verdict (s - 1)^ell = 0: the reference for the
     divisibility verdict of derived_invariants."""
-    return (s - QMatrix.identity(s.nrows)).pow(s.nrows).is_zero()
+    minus_one = QMatrix([[x - (i == j) for j, x in enumerate(row)]
+                         for i, row in enumerate(s.rows)])
+    return minus_one.pow(s.nrows).is_zero()
 
 
 def ref_euler_characteristic(n, m):

@@ -1,11 +1,13 @@
 """Exact linear algebra over the rationals."""
 
+import math
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from downup_hh.linalg import QMatrix
+from downup_hh.linalg import (QMatrix, _cleared, _dense, _gauss_jordan,
+                              _nonzero, _product, _transposed)
 
 ints = st.integers(min_value=-6, max_value=6)
 
@@ -403,3 +405,107 @@ class TestExactScalars:
         assert P == wrapped(A) @ wrapped(B) == A @ wrapped(B)
         assert P.rows == ref_matmul(wrapped(A).rows, wrapped(B).rows, B.ncols)
         assert all_exact(P.rows)
+
+
+# -- the nonzero-row kernels against dense references ------------------------
+
+@st.composite
+def kernel_rows(draw, nrows=None, ncols=None):
+    """Dense rows for the kernels: all-int or mixed int/Fraction entries,
+    zero rows, 0 x k and k x 0 shapes, and integral Fractions that in-place
+    `+= Q(c)` edits leave behind."""
+    nr = draw(st.integers(0, 6)) if nrows is None else nrows
+    nc = draw(st.integers(0, 6)) if ncols is None else ncols
+    scalar = draw(st.sampled_from([ints, int_or_fraction, mixed]))
+    rows = [[draw(scalar) for _ in range(nc)] for _ in range(nr)]
+    if nr and draw(st.booleans()):
+        rows[draw(st.integers(0, nr - 1))] = [0] * nc
+    if nr and nc:
+        for _ in range(draw(st.integers(0, 4))):
+            i, j = draw(st.integers(0, nr - 1)), draw(st.integers(0, nc - 1))
+            rows[i][j] += Q(draw(st.integers(-3, 3)))
+    return rows, nc
+
+
+def as_kernel_input(rows, keep_zeros):
+    """The nonzero rows of dense rows, or every entry zeros included: the
+    kernels drop stored zeros themselves."""
+    return [dict(enumerate(row)) for row in rows] if keep_zeros else _nonzero(rows)
+
+
+class TestNonzeroKernels:
+    @given(kernel_rows(), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_cleared_rows_are_ints(self, dense, keep_zeros):
+        rows, nc = dense
+        e, ints = _cleared(as_kernel_input(rows, keep_zeros))
+        assert all(type(x) is int and x for row in ints for x in row.values())
+        assert _dense(ints, nc) == [[e * Q(x) for x in row] for row in rows]
+        assert e == math.lcm(*(Q(x).denominator for row in rows for x in row))
+
+    @given(kernel_rows(), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_transposed_and_dense(self, dense, keep_zeros):
+        rows, nc = dense
+        assert _dense(_nonzero(rows), nc) == rows
+        t = _transposed(as_kernel_input(rows, keep_zeros), nc)
+        assert _dense(t, len(rows)) == [[row[j] for row in rows]
+                                         for j in range(nc)]
+
+    @given(kernel_rows(), st.booleans(), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_product_equals_the_dense_product(self, dense, keep_zeros, data):
+        a, inner = dense
+        b, nc = data.draw(kernel_rows(nrows=inner))
+        out = _product(as_kernel_input(a, keep_zeros),
+                       as_kernel_input(b, keep_zeros))
+        fa, fb = ([[Q(x) for x in row] for row in m] for m in (a, b))
+        assert len(out) == len(a)
+        assert _dense(out, nc) == ref_matmul(fa, fb, nc)
+        assert all(exact(x) and x for row in out for x in row.values())
+        assert mat(a, inner) @ mat(b, nc) == QMatrix._of(_dense(out, nc), nc)
+
+    @given(kernel_rows(), st.booleans(), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_elimination_equals_dense_gauss_jordan(self, dense, keep_zeros,
+                                                   data):
+        rows, nc = dense
+        width = data.draw(st.integers(0, nc))
+        out, pivots, (num, den) = _gauss_jordan(
+            as_kernel_input(rows, keep_zeros), width)
+        fractions = [[Q(x) for x in row] for row in rows]
+        red, ref_pivots = ref_rref(fractions, width)
+        assert pivots == ref_pivots and len(out) == len(rows)
+        assert all(type(x) is int and x for row in out for x in row.values())
+        for row in out:  # primitive
+            assert math.gcd(*row.values()) in (0, 1)
+        for row, c, ref in zip(out, pivots, red):
+            assert _dense([row], nc)[0] == [x * row[c] for x in ref]
+        assert not any(j < width for row in out[len(pivots):] for j in row)
+        if rows and width == nc == len(rows):
+            det = ref_char_poly(fractions)[0] * (-1) ** nc
+            assert (Q(num) * det == den * math.prod(
+                row[c] for row, c in zip(out, pivots))
+                if len(pivots) == nc else det == 0)
+
+    @given(kernel_rows(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_qmatrix_after_in_place_fraction_edits(self, dense, data):
+        # `+= Q(c)` leaves integral Fractions in the rows; every method
+        # still clears them, and what it returns is exact
+        rows, nc = dense
+        M = mat([list(row) for row in rows], nc)
+        for i in range(M.nrows):
+            for j in range(nc):
+                M.rows[i][j] += Q(data.draw(st.integers(-1, 1)))
+        fractions = [[Q(x) for x in row] for row in M.rows]
+        red, pivots = ref_rref(fractions, nc)
+        assert M.rank() == len(pivots)
+        R, piv = M.rref()
+        assert piv == pivots and R == mat(red, nc) and all_exact(R.rows)
+        P = M @ M.transpose()
+        assert P.rows == ref_matmul(fractions, [list(c) for c in zip(*fractions)],
+                                    M.nrows)
+        assert all_exact(P.rows)
+        if M.nrows == nc:
+            assert M.char_poly() == ref_char_poly(fractions)

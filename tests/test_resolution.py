@@ -8,7 +8,8 @@ import pytest
 
 from downup_hh.cohomology import sample_instances
 from downup_hh.core import Cond1, Cond2, Instance, classify
-from downup_hh.linalg import QMatrix
+from downup_hh import resolution
+from downup_hh.linalg import QMatrix, _nonzero
 from downup_hh.resolution import (
     HomComplex,
     L2_display,
@@ -20,6 +21,7 @@ from downup_hh.resolution import (
     tau_weight,
 )
 from downup_hh.yoneda import ChainMap, _el, cup_vector
+from test_cohomology import column
 
 WEIGHTS = [(1, 1), (1, 2), (1, 3), (1, 4), (2, 3), (2, 5), (3, 4), (3, 5), (4, 5)]
 PARAMS = [(Q(0), Q(1)), (Q(1), Q(1)), (Q(2), Q(-1)), (Q(1), Q(-1)), (Q(3), Q(2))]
@@ -402,7 +404,7 @@ class TestHomComplex:
         a, b = Q(3), Q(5)
         C = HomComplex(Instance(3, 4, a, b))
         for p in (1, 2):
-            col = C.D2.column(p - 1)
+            col = column(C.D2, p - 1)
             expect = {C.idx2[(("f", p), "yxx")]: b,
                       C.idx2[(("g", p), "yyx")]: b,
                       C.idx2[(("g", p), "yxy")]: a}
@@ -433,7 +435,7 @@ class TestHomComplex:
                 ("f", p - n - m, "xyx", -a), ("f", p - n - m, "yxx", -b),
                 ("g", p - 2 * m, "yyx", -b),
             ])
-            col = C.D2.column(p - 1)
+            col = column(C.D2, p - 1)
             assert {i: c for i, c in enumerate(col) if c} == expect, f"x_{p}"
         for q in range(1, C.B.ny + 1):
             expect = predicted([
@@ -445,7 +447,7 @@ class TestHomComplex:
                 ("g", q, "yxy", -a), ("g", q, "yyx", -b),
                 ("g", q - m, "yyx", -b),
             ])
-            col = C.D2.column(C.B.nx + q - 1)
+            col = column(C.D2, C.B.nx + q - 1)
             assert {i: c for i, c in enumerate(col) if c} == expect, f"y_{q}"
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
@@ -553,6 +555,85 @@ class TestTranslatedMatrices:
                             seen.append(list(gens)) or pair(res, fun, gens, *a))
         HomComplex(Instance(2, 5, Q(1), Q(1)))
         assert seen == [[("x", 1), ("y", 1)], [("f", 1), ("g", 1)]]
+
+
+class TestNonzeroRows:
+    """Each differential is kept as its nonzero rows; D1, D2 are them dense."""
+
+    @pytest.mark.parametrize("inst", block_instances(8), ids=lambda i: i.key())
+    def test_the_nonzero_rows_are_the_dense_matrices(self, inst):
+        C = HomComplex(inst)
+        for k, D in ((1, C.D1), (2, C.D2)):
+            assert C.nonzero[k] == _nonzero(D.rows)
+            assert D.shape == (C.dims[k], C.dims[k - 1])
+            assert all(x and type(x) is (int if x.denominator == 1 else Q)
+                       for row in C.nonzero[k] for x in row.values())
+
+    def test_the_certificate_reads_the_nonzero_rows(self, monkeypatch):
+        # a corrupted entry in the nonzero rows of D1 breaks D2 D1 = 0
+        build = HomComplex._build_matrix
+
+        def corrupted(self, k):
+            rows = build(self, k)
+            if k == 1:
+                rows[0][0] = rows[0].get(0, 0) + 1
+            return rows
+        monkeypatch.setattr(HomComplex, "_build_matrix", corrupted)
+        with pytest.raises(AssertionError, match="D2 \\* D1 != 0"):
+            HomComplex(Instance(1, 2, Q(1), Q(1)))
+
+
+class TestSharedSpaces:
+    """The tau bases and index maps depend on (n, m) alone: one read-only
+    copy per weight pair, built and checked once."""
+
+    def test_complexes_of_a_weight_pair_share_one_copy(self):
+        C, D = (HomComplex(Instance(1, 3, a, b))
+                for a, b in ((Q(0), Q(1)), (Q(1), Q(-1, 2))))
+        for name in ("basis0", "basis1", "basis2", "idx0", "idx1", "idx2"):
+            assert getattr(C, name) is getattr(D, name), name
+        assert HomComplex(Instance(2, 3, Q(0), Q(1))).basis1 != C.basis1
+
+    def test_bases_are_tuples_and_index_maps_read_only(self):
+        C = HomComplex(Instance(2, 3, Q(1), Q(1)))
+        for basis, idx in ((C.basis0, C.idx0), (C.basis1, C.idx1),
+                           (C.basis2, C.idx2)):
+            assert type(basis) is tuple
+            assert idx == {t: k for k, t in enumerate(basis)}
+            with pytest.raises(TypeError):
+                idx[basis[0]] = 1
+            with pytest.raises(TypeError):
+                basis[0] = basis[1]
+        for k, idx in enumerate((C.idx0, C.idx1, C.idx2)):
+            positions = C._positions[k]
+            assert sum(map(len, positions.values())) == len(idx)
+            for ((kind, i), w), pos in idx.items():
+                assert positions[kind, w][i - 1] == pos
+            with pytest.raises(TypeError):
+                positions[next(iter(positions))] = ()
+
+    def test_checked_once_per_weight_pair(self, monkeypatch):
+        monkeypatch.setattr(resolution, "_SPACES", {})
+        calls = []
+        checked = resolution._checked
+        monkeypatch.setattr(
+            resolution, "_checked", lambda res, order, gens, space:
+            calls.append(((res.B.n, res.B.m), space))
+            or checked(res, order, gens, space))
+        for n, m in ((1, 3), (2, 3)):
+            for inst in sample_instances(n, m):
+                HomComplex(inst)
+        assert calls == [((1, 3), "P1^"), ((1, 3), "P2^"),
+                         ((2, 3), "P1^"), ((2, 3), "P2^")]
+
+    def test_a_basis_order_off_the_enumeration_is_refused(self):
+        C = HomComplex(Instance(2, 3, Q(1), Q(1)))
+        gens = C.res.gens1()
+        order = list(C.basis1)
+        assert resolution._checked(C.res, order, gens, "P1^") == C.basis1
+        for bad in (order[1:], order + order[:1]):
+            with pytest.raises(AssertionError, match="does not match"):
+                resolution._checked(C.res, bad, gens, "P1^")
 
 
 class TestLetterContentBlocks:
