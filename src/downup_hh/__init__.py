@@ -9,8 +9,8 @@ Beilinson algebra of its quotient stack: a bound quiver algebra on
 * explicit cocycle bases of HH^1 and HH^2,
 * the Yoneda ring structure on HH^* (cup products, a presentation as an
   exterior-type quotient), and
-* derived-equivalence invariants (Cartan matrix, Coxeter transformation,
-  Euler characteristic of HH^*, unipotency),
+* derived-equivalence invariants (Cartan matrix, Serre action, its trace
+  tr s = -tr Phi as the Euler characteristic of HH^*, unipotency),
 
 and cross-checks every closed-form formula against an independent direct
 matrix computation on the Hom complex of the minimal projective bimodule

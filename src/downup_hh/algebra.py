@@ -21,10 +21,10 @@ left to right strictly decreases the number of (x, y) inversions, hence
 terminates, and the single overlap xxyy resolves to the same normal form both
 ways (identically in alpha, beta), so the system is confluent and the words
 y^a (xy)^b x^c form a basis of e_u B e_v, one for each solution of
-a m + b(n + m) + c n = v - u.  Elements are stored as dicts mapping
-(source vertex, normal word) to exact coefficients: an int wherever the value
-is integral, so every coefficient is an int when alpha and beta are, and a
-Fraction only where a non-integral parameter leaves a remainder.
+a m + b(n + m) + c n = v - u.  A normal form is a dict mapping normal words
+to exact coefficients: an int wherever the value is integral, so every
+coefficient is an int when alpha and beta are, and a Fraction only where a
+non-integral parameter leaves a remainder.
 """
 
 from .core import Instance
@@ -68,9 +68,6 @@ class Beilinson:
             d = self._degrees[w] = self.n * w.count("x") + self.m * w.count("y")
         return d
 
-    def is_valid(self, src, w):
-        return 1 <= src <= self.ell and src + self.word_degree(w) <= self.ell
-
     def rewrite_at(self, w, i):
         """One rewriting step at position i; returns {word: coeff}."""
         red = w[i:i + 3]
@@ -105,31 +102,6 @@ class Beilinson:
                     acc(out, w2, c1 * c2)
         self._nf[w] = out
         return out
-
-    # -- elements ---------------------------------------------------------
-
-    def e(self, v):
-        """Trivial path at vertex v."""
-        if not 1 <= v <= self.ell:
-            raise ValueError(f"vertex {v} out of range 1..{self.ell}")
-        return {(v, ""): 1}
-
-    def path(self, src, word):
-        """The class of the path with letters `word` starting at src (0 if it
-        does not exist)."""
-        if not self.is_valid(src, word):
-            return {}
-        out = {}
-        for w, c in self.normal_form(word).items():
-            acc(out, (src, w), c)
-        return out
-
-    def arrow(self, letter, i):
-        """The arrow x_i or y_i as an element."""
-        count = self.nx if letter == "x" else self.ny
-        if not 1 <= i <= count:
-            raise ValueError(f"{letter}_{i} is not an arrow")
-        return self.path(i, letter)
 
     # -- graded structure -------------------------------------------------
 

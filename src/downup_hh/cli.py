@@ -326,14 +326,20 @@ def _lifts_checks(inst: Instance, C: HomComplex, fault) -> list:
 def _ring_group_checks(inst: Instance, C: HomComplex, fault) -> list:
     report = ring_row_report(C)
     pres = report["presentation"]
-    agree = (report["dims_match"] and report["row_self_consistent"]
-             and report["ideal_match_after_rescale"])
+    if ring_row_defect_expected(inst):
+        # a defect row passes only with its documented defect: the right
+        # a, b and labels, the printed ideal {0}, and so the wrong dim HH^2
+        ok = (report["dims_match"] and not report["row"]["ideal"]
+              and not report["row_self_consistent"])
+        detail = ("documented defect row" if ok
+                  else "defect row not as documented")
+    else:
+        ok = (report["dims_match"] and report["row_self_consistent"]
+              and report["ideal_match_after_rescale"])
+        detail = "row reproduced" if ok else "row not reproduced"
     _, h1, h2 = hh_dims_computed(C)
     ncomb, nrel = pres["a"] * (pres["a"] - 1) // 2, len(pres["ideal"])
-    defect = ring_row_defect_expected(inst)
-    return [("table-row-agreement", agree != defect,
-             "row reproduced" if agree else
-             "documented defect row" if defect else "row not reproduced"),
+    return [("table-row-agreement", ok, detail),
             ("presentation-degree-counts",
              pres["a"] == h1 and ncomb - nrel + pres["b"] == h2,
              f"C(a,2)-|I|+b = {ncomb}-{nrel}+{pres['b']}, h2 = {h2}")]

@@ -145,19 +145,9 @@ def hh2_substitution_needed(inst: Instance) -> bool:
     alternating functional sum_p (-1)^p tau[x_p]^x is supported exactly on
     the f^xyx and g^yxy coordinates with coefficients +-2 alpha, so those
     unit functionals are dependent modulo the image and one of them has to
-    give way; see hh2_table_row versus hh2_basis.
+    give way; hh2_basis substitutes g_n^yyx for it.
     """
     return inst.n % 2 == 1 and inst.m % 2 == 1 and classify(inst)[0] == Cond1.CASE_II
-
-
-def hh2_table_row(C: HomComplex):
-    """The uncorrected one-functional-per-class list for the stratum.
-
-    On the strata flagged by hh2_substitution_needed this list has the right
-    length but is *not* a basis (one dependency); everywhere else it equals
-    hh2_basis.
-    """
-    return _hh2_vectors(C, substitute=False)
 
 
 @kept

@@ -128,17 +128,6 @@ def serre_matrix(inst: Instance) -> QMatrix:
     return s
 
 
-def coxeter_matrix(inst: Instance) -> QMatrix:
-    """Phi = -C^{-T} C, with C^{-1} by elimination."""
-    C = cartan_matrix(inst)
-    return -(C.inverse().transpose() @ C)
-
-
-def euler_characteristic_trace(inst: Instance) -> int | Q:
-    """The alternating HH-dimension sum as -tr of the Coxeter matrix."""
-    return -coxeter_matrix(inst).trace()
-
-
 def serre_unipotent(inst: Instance) -> bool:
     """Whether the Serre automorphism acts unipotently."""
     return derived_invariants(inst)["serre_unipotent"]

@@ -10,12 +10,12 @@ kernels work on *nonzero rows* instead: one dict {column: value} per row,
 holding that row's nonzero entries (`_nonzero`, `_dense` and `_transposed`
 convert).  The Hom complex keeps its differentials in this form from the
 pairing walk on, so its certificate, cocycle test, images and cokernels
-never touch a zero; `QMatrix._eliminate` and `@` hand their rows to the same
-kernels.  Both kernels start from `_cleared`, which multiplies the rows by
-the lcm of every denominator and makes every entry an int, integral
-Fractions included (when every entry already is an int, it only copies);
-they compute over the integers and form Fractions only for their
-non-integral results.
+never touch a zero; `QMatrix.rank`, `_eliminate` and `@` hand their rows to
+the same kernels (rank only counts the pivots and densifies nothing).  Both
+kernels start from `_cleared`, which multiplies the rows by the lcm of every
+denominator and makes every entry an int, integral Fractions included (when
+every entry already is an int, it only copies); they compute over the
+integers and form Fractions only for their non-integral results.
 
 The elimination kernel, `_gauss_jordan(rows, width)`, serves every solver.
 It divides each cleared row by its content, then runs integer Gauss-Jordan
@@ -118,10 +118,6 @@ class QMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
 
-    def __getitem__(self, ij: tuple[int, int]) -> int | Fraction:
-        i, j = ij
-        return self.rows[i][j]
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, QMatrix) and self.shape == other.shape
                 and self.rows == other.rows)
@@ -130,16 +126,9 @@ class QMatrix:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
         return f"QMatrix[{self.nrows}x{self.ncols}: {body}]"
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.rows for x in row)
-
     def transpose(self) -> "QMatrix":
         return QMatrix._of([[row[j] for row in self.rows] for j in range(self.ncols)],
                            self.nrows)
-
-    def submatrix(self, row_idx: list[int], col_idx: list[int]) -> "QMatrix":
-        return QMatrix._of([[self.rows[i][j] for j in col_idx] for i in row_idx],
-                           len(col_idx))
 
     def hstack(self, other: "QMatrix") -> "QMatrix":
         if self.nrows != other.nrows:
@@ -153,9 +142,6 @@ class QMatrix:
         return sum(self.rows[i][i] for i in range(self.nrows))
 
     # -- arithmetic -------------------------------------------------------
-
-    def __neg__(self) -> "QMatrix":
-        return QMatrix._of([[-x for x in row] for row in self.rows], self.ncols)
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.ncols != other.nrows:
@@ -187,7 +173,7 @@ class QMatrix:
         return _dense(rows, self.ncols), pivots, factor
 
     def rank(self) -> int:
-        return len(self._eliminate()[1])
+        return len(_gauss_jordan(_nonzero(self.rows), self.ncols)[1])
 
     def rref(self) -> tuple["QMatrix", list[int]]:
         """Reduced row echelon form and pivot column indices."""

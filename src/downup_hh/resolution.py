@@ -55,7 +55,7 @@ one generator of each kind is paired and its entries are translated along
 the vertices), and the cup and induced cochains of `yoneda` from chain maps.
 The relations are homogeneous in the letter content (#x, #y), so D1 and D2
 are block-diagonal in the weight of tau[h]^w (`tau_weight`); L1 and, for
-n = 1, the x-power block L2 are blocks of D2.
+n = 1, the x-power block L2 are blocks of D2, cut from its nonzero rows.
 """
 
 from functools import wraps
@@ -63,7 +63,7 @@ from math import lcm
 from types import MappingProxyType
 
 from .algebra import Beilinson, acc
-from .core import Cond1, Cond2, Instance, classify
+from .core import Cond1, Instance, classify
 from .linalg import (QMatrix, _as_q, _dense, _gauss_jordan, _product, _q,
                      _transposed)
 
@@ -339,8 +339,8 @@ class HomComplex:
     them: the D2 D1 = 0 certificate, the cocycle test of `cohomology` and
     image(k), the one elimination of the nonzero rows of Dk^T, kept on first
     use, through which coker(k, v) answers every question modulo im Dk
-    (ranks, HH^1 and HH^2 classes).  D1 and D2 are the same matrices as
-    dense QMatrix values, for the blocks and for readers of whole matrices.
+    (ranks, HH^1 and HH^2 classes); block(weight) cuts from nonzero[2].
+    No dense copy is kept: the D1 and D2 properties densify on each read.
     The bases, index maps and position tables are shared per weight pair
     (`_spaces`); the image, the bases and ring data built on the complex
     are `kept`: once each.
@@ -354,9 +354,6 @@ class HomComplex:
          (self.idx0, self.idx1, self.idx2),
          self._positions) = _spaces(self.res)
         self.nonzero = {1: self._build_matrix(1), 2: self._build_matrix(2)}
-        d0, d1, _ = self.dims
-        self.D1 = QMatrix._of(_dense(self.nonzero[1], d0), d0)
-        self.D2 = QMatrix._of(_dense(self.nonzero[2], d1), d1)
         if any(_product(self.nonzero[2], self.nonzero[1])):
             raise AssertionError("D2 * D1 != 0")
 
@@ -379,6 +376,16 @@ class HomComplex:
                 row[col] = row.get(col, 0) + c
         return [{j: x if type(x) is int else _as_q(x)
                  for j, x in row.items() if x} for row in rows]
+
+    @property
+    def D1(self):
+        """D1 as a dense QMatrix, built from nonzero[1] on each read."""
+        return QMatrix._of(_dense(self.nonzero[1], self.dims[0]), self.dims[0])
+
+    @property
+    def D2(self):
+        """D2 as a dense QMatrix, built from nonzero[2] on each read."""
+        return QMatrix._of(_dense(self.nonzero[2], self.dims[1]), self.dims[1])
 
     @property
     def dims(self):
@@ -425,10 +432,14 @@ class HomComplex:
         return list(out.values()) if sd == 1 else [_q(x, sd) for x in out.values()]
 
     def block(self, weight):
-        """The D2 rows and P1^ columns (D1's codomain) of the given weight."""
-        return self.D2.submatrix(
-            [k for k, t in enumerate(self.basis2) if tau_weight(t) == weight],
-            [k for k, t in enumerate(self.basis1) if tau_weight(t) == weight])
+        """The D2 rows and P1^ columns (D1's codomain) of the given weight,
+        cut from nonzero[2] as a dense QMatrix."""
+        at = {j: c for c, j in enumerate(
+            j for j, t in enumerate(self.basis1) if tau_weight(t) == weight)}
+        rows = [{at[j]: x for j, x in row.items() if j in at}
+                for row, t in zip(self.nonzero[2], self.basis2)
+                if tau_weight(t) == weight]
+        return QMatrix._of(_dense(rows, len(at)), len(at))
 
     def L1(self):
         """The weight-(0,0) block: rows of the arrow-letter relation
@@ -479,10 +490,3 @@ def L2_display(inst: Instance) -> QMatrix:
 def rank_L1_closed_form(inst: Instance) -> int:
     n, m = inst.n, inst.m
     return n + m - 1 if classify(inst)[0] == Cond1.CASE_I else n + m
-
-
-def rank_L2_closed_form(inst: Instance) -> int:
-    c2 = classify(inst)[1]
-    drop = {Cond2.CASE_1: 2, Cond2.CASE_2: 1, Cond2.CASE_3: 0}[c2]
-    return inst.m + 2 - drop
-

@@ -305,16 +305,6 @@ def cup_vector(C: HomComplex, phi_vec, sigma1):
     return out
 
 
-def in_image(C: HomComplex, k: int, v) -> bool:
-    """Whether v lies in im Dk: whether its class modulo im Dk is zero."""
-    return not any(C.coker(k, v))
-
-
-def classes_equal(C: HomComplex, u, v) -> bool:
-    """Whether two degree-2 cochain vectors represent the same HH^2 class."""
-    return in_image(C, 2, [a - b for a, b in zip(u, v)])
-
-
 def cup_class(C: HomComplex, phi_vec, sigma1):
     """Coordinates of [phi . sigma_1] in C's kept HH^2 basis."""
     basis2 = [v for _, v in hh2_basis(C)]

@@ -22,6 +22,33 @@ def redex_positions(w):
     return [i for i in range(len(w) - 2) if w[i:i + 3] in ("xxy", "xyy")]
 
 
+def is_valid(B, src, w):
+    """Whether the path with letters w starting at src exists."""
+    return 1 <= src <= B.ell and src + B.word_degree(w) <= B.ell
+
+
+def trivial(B, v):
+    """The trivial path at vertex v."""
+    if not 1 <= v <= B.ell:
+        raise ValueError(f"vertex {v} out of range 1..{B.ell}")
+    return {(v, ""): 1}
+
+
+def path(B, src, word):
+    """The class of the path with letters `word` starting at src (0 if it
+    does not exist), as {(source, normal word): coefficient}."""
+    if not is_valid(B, src, word):
+        return {}
+    return {(src, w): c for w, c in B.normal_form(word).items()}
+
+
+def arrow(B, letter, i):
+    """The arrow x_i or y_i as an element."""
+    if not 1 <= i <= (B.nx if letter == "x" else B.ny):
+        raise ValueError(f"{letter}_{i} is not an arrow")
+    return path(B, i, letter)
+
+
 def mul(B, a, b):
     """Reference product of two algebra elements: concatenate composable
     paths and rewrite; non-composable pairs give 0."""
@@ -154,32 +181,32 @@ class TestDownUpIdentity:
 class TestAlgebraStructure:
     def test_path_validity(self):
         B = alg(1, 2, 1, 1)  # ell = 6
-        assert B.path(1, "x") == {(1, "x"): Q(1)}
-        assert B.path(6, "x") == {}  # would end at 7 > ell
-        assert B.path(5, "y") == {}  # 5 + 2 = 7 > ell
-        assert B.path(4, "y") == {(4, "y"): Q(1)}
+        assert path(B, 1, "x") == {(1, "x"): Q(1)}
+        assert path(B, 6, "x") == {}  # would end at 7 > ell
+        assert path(B, 5, "y") == {}  # 5 + 2 = 7 > ell
+        assert path(B, 4, "y") == {(4, "y"): Q(1)}
 
     def test_arrow_ranges(self):
         B = alg(2, 3, 1, 1)  # nx = 8, ny = 7, ell = 10
-        assert B.arrow("x", 8) == {(8, "x"): Q(1)}
-        assert B.arrow("y", 7) == {(7, "y"): Q(1)}
+        assert arrow(B, "x", 8) == {(8, "x"): Q(1)}
+        assert arrow(B, "y", 7) == {(7, "y"): Q(1)}
         with pytest.raises(ValueError):
-            B.arrow("x", 9)
+            arrow(B, "x", 9)
         with pytest.raises(ValueError):
-            B.arrow("y", 8)
+            arrow(B, "y", 8)
 
     def test_mul_composability(self):
         B = alg(1, 2, 1, 1)
-        xy = mul(B, B.path(1, "x"), B.path(2, "y"))
+        xy = mul(B, path(B, 1, "x"), path(B, 2, "y"))
         assert xy == {(1, "xy"): Q(1)}
-        assert mul(B, B.path(1, "x"), B.path(3, "y")) == {}
-        assert mul(B, B.e(1), B.path(1, "x")) == B.path(1, "x")
-        assert mul(B, B.path(1, "x"), B.e(2)) == B.path(1, "x")
+        assert mul(B, path(B, 1, "x"), path(B, 3, "y")) == {}
+        assert mul(B, trivial(B, 1), path(B, 1, "x")) == path(B, 1, "x")
+        assert mul(B, path(B, 1, "x"), trivial(B, 2)) == path(B, 1, "x")
 
     def test_mul_applies_relations(self):
         B = alg(1, 2, 3, 5)
-        xx = mul(B, B.path(1, "x"), B.path(2, "x"))
-        xxy = mul(B, xx, B.path(3, "y"))
+        xx = mul(B, path(B, 1, "x"), path(B, 2, "x"))
+        xxy = mul(B, xx, path(B, 3, "y"))
         assert xxy == {(1, "xyx"): Q(3), (1, "yxx"): Q(5)}
 
     @given(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=5),
@@ -190,10 +217,11 @@ class TestAlgebraStructure:
         if gcd(n, m) != 1 or n > m:
             return
         B = Beilinson(Instance(n, m, alpha, beta))
-        a = B.path(1, "x")
-        b = B.path(1 + n, "xy") if B.is_valid(1 + n, "xy") else B.e(1 + n)
-        t = 1 + n + B.word_degree("xy") if B.is_valid(1 + n, "xy") else 1 + n
-        c = B.path(t, "y") if B.is_valid(t, "y") else B.e(t)
+        a = path(B, 1, "x")
+        b = (path(B, 1 + n, "xy") if is_valid(B, 1 + n, "xy")
+             else trivial(B, 1 + n))
+        t = 1 + n + B.word_degree("xy") if is_valid(B, 1 + n, "xy") else 1 + n
+        c = path(B, t, "y") if is_valid(B, t, "y") else trivial(B, t)
         assert mul(B, mul(B, a, b), c) == mul(B, a, mul(B, b, c))
 
 
@@ -212,7 +240,7 @@ class TestGradedDimensions:
                 words = B.hom_words(u, v)
                 assert len(words) == B.graded_dim(v - u)
                 for w in words:
-                    assert B.is_valid(u, w)
+                    assert is_valid(B, u, w)
                     assert B.word_degree(w) == v - u
                     assert redex_positions(w) == []
         assert B.hom_words(3, 2) == ()

@@ -423,6 +423,30 @@ class TestReportCommands:
         assert status == 1
         assert "check: table-row-agreement FAIL (row not reproduced)" in lines
 
+    def test_a_defect_row_passes_only_with_its_documented_defect(
+            self, monkeypatch, capsys):
+        # the n = 1 (II, C2) row for m >= 3 is a documented defect row (its
+        # printed ideal {0}); with b = m - 3 in place of m + 3 it also shows
+        # a defect that is not documented, and the gate must fail it
+        ring_table_row = yoneda.ring_table_row
+
+        def wrong_b(inst):
+            row = ring_table_row(inst)
+            if yoneda.ring_row_defect_expected(inst) and inst.m >= 3:
+                return {**row, "b": inst.m - 3}
+            return row
+
+        monkeypatch.setattr(yoneda, "ring_table_row", wrong_b)
+        status = main(["verify", "--max-sum", "6", "--only", "ring"])
+        lines = capsys.readouterr().out.splitlines()
+        assert status == 1
+        assert [line.split()[1:3] for line in lines
+                if line.startswith("FAIL")] == [
+            ["n=1", f"m={m}"] for m in (3, 4, 5)]
+        assert all(line.endswith("(defect row not as documented)")
+                   for line in lines if line.startswith("FAIL"))
+        assert sum("(documented defect row)" in line for line in lines) == 1
+
     def test_ring_table_never_reads_the_stored_rows(self, monkeypatch,
                                                     capsys):
         argv = ["table", "--which", "ring", "--max-sum", "8"]

@@ -19,7 +19,6 @@ from downup_hh.cohomology import (
     hh1_basis,
     hh2_basis,
     hh2_substitution_needed,
-    hh2_table_row,
     hh_dims_closed_form,
     hh_dims_computed,
     independent_mod_image,
@@ -32,9 +31,9 @@ from downup_hh.cohomology import (
 )
 from downup_hh.linalg import QMatrix, _nonzero
 from downup_hh.resolution import HomComplex
-from downup_hh.yoneda import (classes_equal, in_image, ring_row_report,
-                              ring_structure)
+from downup_hh.yoneda import ring_row_report, ring_structure
 from test_linalg import exact, ref_rref
+from test_yoneda import classes_equal, in_image
 
 I, II = Cond1.CASE_I, Cond1.CASE_II
 C1, C2, C3 = Cond2.CASE_1, Cond2.CASE_2, Cond2.CASE_3
@@ -45,6 +44,16 @@ def hh_dims_general(n0, m0, alpha, beta):
     inst, k, _ = canonical_instance(n0, m0, alpha, beta,
                                     allow_reduce=True, allow_swap=True)
     return tuple(k * d for d in hh_dims_closed_form(inst))
+
+
+def hh2_table_row(C):
+    """The uncorrected one-functional-per-class HH^2 list for the stratum.
+
+    On the strata flagged by hh2_substitution_needed this list has the right
+    length but is *not* a basis (one dependency); everywhere else it equals
+    hh2_basis.
+    """
+    return cohomology._hh2_vectors(C, substitute=False)
 
 
 def column(M, j):

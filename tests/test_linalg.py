@@ -32,6 +32,11 @@ def eval_matrix(p, M):
     return acc
 
 
+def is_zero(M):
+    """Whether every entry of M is zero."""
+    return all(x == 0 for row in M.rows for x in row)
+
+
 # -- test-only references: textbook Fraction Gauss-Jordan, product and the
 # Faddeev-LeVerrier recurrence, for the differential tests below -----------
 
@@ -187,7 +192,7 @@ class TestQMatrix:
         M = qmat(rows)
         p = M.char_poly()
         assert p[-1] == 1 and len(p) == 4
-        assert eval_matrix(p, M).is_zero()
+        assert is_zero(eval_matrix(p, M))
         # det and trace sit in the char poly coefficients
         assert p[0] == (-1) ** 3 * M.det()
         assert p[2] == -M.trace()

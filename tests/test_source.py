@@ -1,11 +1,13 @@
 """Static checks on the package source, standing in for a linter."""
 
 import ast
+import json
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).parent.parent / "src" / "downup_hh"
+ROOT = Path(__file__).parent.parent
+PACKAGE = ROOT / "src" / "downup_hh"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -85,3 +87,81 @@ def test_the_check_sees_a_division_by_an_int_literal():
                          ids=lambda p: p.name)
 def test_no_division_by_an_int_literal(path):
     assert int_literal_divisions(path.read_text()) == []
+
+
+def unreferenced(modules: dict[str, str], readers=(),
+                 exempt=frozenset()) -> list[str]:
+    """Public module functions and methods that no code references outside
+    their own body, as "module.function" or "module.Class.method".
+
+    `modules` maps module names to the sources whose definitions are
+    checked and which count as references; `readers` holds sources that
+    only count as references.  A module function counts a Name or an
+    Attribute reference; a method counts only an Attribute reference, so a
+    local variable of the same name does not hide it.  Dunders, private
+    names and the qualified names in `exempt` are skipped.
+    """
+    trees = {name: ast.parse(src) for name, src in modules.items()}
+    refs = {}  # name -> [(node, whether it is an Attribute)]
+    for tree in [*trees.values(), *map(ast.parse, readers)]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                refs.setdefault(node.attr, []).append((node, True))
+            elif isinstance(node, ast.Name):
+                refs.setdefault(node.id, []).append((node, False))
+    found = []
+    for module, tree in trees.items():
+        defs = [(f"{module}.{node.name}", False, node) for node in tree.body
+                if isinstance(node, ast.FunctionDef)]
+        defs += [(f"{module}.{cls.name}.{node.name}", True, node)
+                 for cls in tree.body if isinstance(cls, ast.ClassDef)
+                 for node in cls.body if isinstance(node, ast.FunctionDef)]
+        for qual, is_method, fn in defs:
+            if fn.name.startswith("_") or qual in exempt:
+                continue
+            own = set(ast.walk(fn))
+            if not any((attr or not is_method) and node not in own
+                       for node, attr in refs.get(fn.name, ())):
+                found.append(qual)
+    return sorted(found)
+
+
+def test_the_check_sees_an_unreferenced_definition():
+    a = ("def used():\n    return helper()\n\n"
+         "def helper():\n    return 1\n\n"
+         "def looped(k):\n    return looped(k - 1) if k else 0\n\n"
+         "def pinned():\n    return 0\n\n"
+         "class K:\n"
+         "    def e(self):\n        return 1\n"
+         "    def f(self):\n        e = 1\n        return self.g() + e\n"
+         "    def g(self):\n        return 2\n"
+         "    def read(self):\n        return 3\n"
+         "    def __eq__(self, other):\n        return True\n"
+         "    def _private(self):\n        return 4\n")
+    b = "from a import used\nused()\n"
+    assert unreferenced({"a": a, "b": b}, ["print(k.read())"],
+                        exempt={"a.pinned"}) == [
+        "a.K.e", "a.K.f", "a.looped"]
+
+
+def benchmark_pins() -> set[str]:
+    """What the benchmark calls by name: the spans of BENCHMARK.json's
+    per-layer metrics ("module.function.metric") and the QMatrix methods
+    that perfbench/tracer.py wraps (the keys of QMATRIX_METHODS)."""
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    spans = {".".join(metric["name"].split(".")[:2])
+             for metric in bench["per_layer"]}
+    tracer = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    methods = next(ast.literal_eval(node.value) for node in tracer.body
+                   if isinstance(node, ast.Assign)
+                   and ast.unparse(node.targets[0]) == "QMATRIX_METHODS")
+    return spans | {f"linalg.QMatrix.{meth}" for meth in methods}
+
+
+def test_every_public_definition_is_referenced_by_the_program():
+    # test-only API belongs in the tests; the benchmark's tracer reads the
+    # program too (C.D1 and C.D2 in its HomComplex hook)
+    modules = {path.stem: path.read_text()
+               for path in sorted(PACKAGE.glob("*.py"))}
+    tracer = (ROOT / "perfbench" / "tracer.py").read_text()
+    assert unreferenced(modules, [tracer], benchmark_pins()) == []

@@ -20,12 +20,10 @@ from downup_hh.linalg import QMatrix
 from downup_hh.resolution import HomComplex, L2_display
 from downup_hh.yoneda import (
     LIFT_SIGN,
-    classes_equal,
     closed_form_lifts,
     cup_class,
     cup_vector,
     generic_lift,
-    in_image,
     ring_presentation,
     ring_row_defect_expected,
     ring_row_report,
@@ -51,6 +49,16 @@ def sweep():
 def times(M, v):
     """M v as a list: the product of M with the one-column matrix of v."""
     return [row[0] for row in (M @ QMatrix.from_columns([v])).rows]
+
+
+def in_image(C, k, v):
+    """Whether v lies in im Dk: whether its class modulo im Dk is zero."""
+    return not any(C.coker(k, v))
+
+
+def classes_equal(C, u, v):
+    """Whether two degree-2 cochain vectors represent the same HH^2 class."""
+    return in_image(C, 2, [a - b for a, b in zip(u, v)])
 
 
 def unit2(C, kind, i, w):
