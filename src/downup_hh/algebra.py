@@ -142,10 +142,9 @@ class Beilinson:
         return words
 
     def cartan_matrix(self):
-        """C[u][v] = dim e_{u+1} B e_{v+1} (0-indexed); upper unitriangular."""
-        C = QMatrix.zeros(self.ell, self.ell)
-        for u in range(self.ell):
-            for v in range(self.ell):
-                if v >= u:
-                    C.rows[u][v] = self.graded_dim(v - u)
-        return C
+        """C[u][v] = dim e_{u+1} B e_{v+1} (0-indexed): the upper
+        unitriangular Toeplitz band of h_d = graded_dim(d), row u being
+        u zeros and then h_0 .. h_{ell-1-u}."""
+        ell = self.ell
+        h = [self.graded_dim(d) for d in range(ell)]
+        return QMatrix._of([[0] * u + h[:ell - u] for u in range(ell)], ell)

@@ -44,7 +44,10 @@ come from k matrix-vector products.  Coefficient k of det(t*I - d*M) is
 d^(n-k) times that of det(t*I - M).  It shares only `_cleared` with the
 two kernels, and returns a list of exact scalars,
 lowest degree first: the package's one polynomial representation, which
-everywhere else holds integer coefficients.
+everywhere else holds integer coefficients.  No command runs it: the
+unipotency of the Serre action is decided by divisibility and by a
+nilpotency witness (`invariants`), and char_poly stays as a method that
+the benchmark's tracer wraps and the tests use as a reference.
 """
 
 from __future__ import annotations

@@ -299,8 +299,9 @@ _SPACES = {}
 
 
 def _spaces(res):
-    """(bases, index maps, position tables) of P0^, P1^, P2^ for res's
-    weight pair, each a triple.
+    """(bases, index maps, position tables, weights) of P0^, P1^, P2^ for
+    res's weight pair, each a triple; the weights of a basis are the
+    `tau_weight` of its elements, in order.
 
     The generators and the normal words between two vertices depend on
     (n, m) alone, not on alpha and beta, so every complex of a weight pair
@@ -316,7 +317,8 @@ def _spaces(res):
         _SPACES[key] = (bases,
                         tuple(MappingProxyType({t: k for k, t in enumerate(b)})
                               for b in bases),
-                        tuple(map(_positions, bases)))
+                        tuple(map(_positions, bases)),
+                        tuple(tuple(map(tau_weight, b)) for b in bases))
     return _SPACES[key]
 
 
@@ -341,9 +343,9 @@ class HomComplex:
     use, through which coker(k, v) answers every question modulo im Dk
     (ranks, HH^1 and HH^2 classes); block(weight) cuts from nonzero[2].
     No dense copy is kept: the D1 and D2 properties densify on each read.
-    The bases, index maps and position tables are shared per weight pair
-    (`_spaces`); the image, the bases and ring data built on the complex
-    are `kept`: once each.
+    The bases, index maps, position tables and weights are shared per
+    weight pair (`_spaces`); the image, the bases and ring data built on
+    the complex are `kept`: once each.
     """
 
     def __init__(self, inst: Instance):
@@ -352,7 +354,7 @@ class HomComplex:
         self.B = self.res.B
         ((self.basis0, self.basis1, self.basis2),
          (self.idx0, self.idx1, self.idx2),
-         self._positions) = _spaces(self.res)
+         self._positions, self._weights) = _spaces(self.res)
         self.nonzero = {1: self._build_matrix(1), 2: self._build_matrix(2)}
         if any(_product(self.nonzero[2], self.nonzero[1])):
             raise AssertionError("D2 * D1 != 0")
@@ -435,10 +437,10 @@ class HomComplex:
         """The D2 rows and P1^ columns (D1's codomain) of the given weight,
         cut from nonzero[2] as a dense QMatrix."""
         at = {j: c for c, j in enumerate(
-            j for j, t in enumerate(self.basis1) if tau_weight(t) == weight)}
+            j for j, w in enumerate(self._weights[1]) if w == weight)}
         rows = [{at[j]: x for j, x in row.items() if j in at}
-                for row, t in zip(self.nonzero[2], self.basis2)
-                if tau_weight(t) == weight]
+                for row, w in zip(self.nonzero[2], self._weights[2])
+                if w == weight]
         return QMatrix._of(_dense(rows, len(at)), len(at))
 
     def L1(self):

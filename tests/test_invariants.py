@@ -38,12 +38,29 @@ def an_instance(n, m):
     return Instance(n, m, Q(1), Q(-1))
 
 
+def minus_one(s):
+    """The rows of s - 1."""
+    return [[x - (i == j) for j, x in enumerate(row)]
+            for i, row in enumerate(s.rows)]
+
+
 def ref_unipotent(s):
     """The matrix-power verdict (s - 1)^ell = 0: the reference for the
     divisibility verdict of derived_invariants."""
-    minus_one = QMatrix([[x - (i == j) for j, x in enumerate(row)]
-                         for i, row in enumerate(s.rows)])
-    return is_zero(minus_one.pow(s.nrows))
+    return is_zero(QMatrix(minus_one(s)).pow(s.nrows))
+
+
+def stable_rank(s):
+    """r_inf of N = s - 1: the ranks of N, N^2, ... fall strictly and then
+    stop (Fitting's lemma); the value where they stop."""
+    N = QMatrix(minus_one(s))
+    power, rank = N, N.rank()
+    while True:
+        power = power @ N
+        following = power.rank()
+        if following == rank:
+            return rank
+        rank = following
 
 
 def ref_coxeter_matrix(inst):
@@ -247,25 +264,35 @@ class TestGorensteinShift:
         assert len(products) == len(pairs)
 
     @pytest.mark.parametrize("n,m", [(1, 2), (2, 3)])
-    def test_a_wrong_char_poly_breaks_the_unipotence_cross_check(
+    def test_a_wrong_nilpotency_witness_breaks_the_unipotence_cross_check(
             self, fresh, monkeypatch, n, m):
-        # At the unipotent (1,2) one perturbed coefficient moves the char
-        # poly off (t - 1)^ell.  At (2,3) it is (t - 1)^8 (t^2 + t + 1),
-        # nine coefficients away from (t - 1)^10, so no single perturbation
-        # can reach it: there the fake claims (t - 1)^ell outright.
-        true_char_poly, ell = QMatrix.char_poly, 2 * (n + m)
-
-        def perturbed(self):
-            if (n, m) == (2, 3):
-                return [Q((-1) ** (ell - k) * math.comb(ell, k))
-                        for k in range(ell + 1)]
-            p = true_char_poly(self)
-            p[0] += 1
-            return p
-
-        monkeypatch.setattr(QMatrix, "char_poly", perturbed)
+        # (1,2) is unipotent and (2,3) is not: a witness flipped either way
+        # meets the divisibility verdict and must raise.
+        witness = invariants._nilpotent
+        monkeypatch.setattr(invariants, "_nilpotent",
+                            lambda N: not witness(N))
         with pytest.raises(AssertionError, match="unipotence criteria disagree"):
             invariants._invariants(n, m)
+
+    @pytest.mark.parametrize("ell", [1, 2, 3, 6, 12])
+    def test_nilpotency_witness_on_the_shift_and_the_cycle(self, ell):
+        # J^(ell-1) != 0 = J^ell, so a witness one product short calls the
+        # shift J not nilpotent; J plus its corner is a cyclic permutation.
+        J = [[int(i == j + 1) for j in range(ell)] for i in range(ell)]
+        assert not is_zero(QMatrix(J).pow(ell - 1))
+        assert invariants._nilpotent(J)
+        cycle = [row[:] for row in J]
+        cycle[0][ell - 1] += 1
+        assert not invariants._nilpotent(cycle)
+        assert invariants._nilpotent([[0] * ell for _ in range(ell)])
+
+    @pytest.mark.parametrize("n,m", coprime_weights(16))
+    def test_nilpotency_witness_equals_the_berkowitz_verdict(self, n, m):
+        s = serre_matrix(an_instance(n, m))
+        ell = s.nrows
+        berkowitz = s.char_poly() == [(-1) ** (ell - k) * math.comb(ell, k)
+                                      for k in range(ell + 1)]  # (t - 1)^ell
+        assert invariants._nilpotent(minus_one(s)) == berkowitz
 
     @pytest.mark.parametrize("n,m", coprime_weights(12))
     def test_divisibility_verdict_equals_the_matrix_power(self, n, m):
@@ -282,6 +309,15 @@ class TestClosedForms:
         for n, m in self.WIDE:
             assert (euler_characteristic_closed_form(an_instance(n, m))
                     == ref_euler_characteristic(n, m)), (n, m)
+
+    @pytest.mark.parametrize("n,m", coprime_weights(20))
+    def test_generalized_one_eigenspace_in_closed_form(self, n, m):
+        # ell - r_inf is the multiplicity of the eigenvalue 1 of s = T^-ell:
+        # the roots zeta of p with ord zeta | ell, gcd(n, ell) + gcd(m, ell)
+        # + gcd(n + m, ell) of them.
+        r_inf = stable_rank(serre_matrix(an_instance(n, m)))
+        assert 2 * (n + m) - r_inf == n + m + 2 + (n * m % 2 == 0)
+        assert (r_inf == 0) == unipotent_closed_form(n, m)
 
     def test_unipotency_formula_equals_the_table(self):
         for n, m in self.WIDE:
