@@ -31,12 +31,15 @@ the basis 1, t, ..., t^{ell-1}.  serre_matrix builds T^{-ell} by polynomial
 arithmetic (column j is t^{j-ell} mod p) and certifies it as C^{-1} C^T:
 C is upper unitriangular, hence invertible, and C T^{-ell} = C^T exactly.
 The minimal polynomial of T is p, so (s - 1)^ell = 0 exactly when p
-divides (t^ell - 1)^ell, which _unipotent decides mod p and cross-checks
-by the nilpotency of s - 1 (`_nilpotent`, read off s alone).  Each weight
-pair costs one C, one pass over its lower triangle, one ell x ell product
-and ell integer matrix-vector products per column the witness reads; off
-weights (1,1) and (1,2) it reads one, as the first column already shows
-(s - 1)^ell != 0 at every pair with n + m <= 40.
+divides (t^ell - 1)^ell.  Each factor 1 - t^d of p is squarefree, so no
+root of p has multiplicity above 3 < ell, and p divides that power exactly
+when it divides (t^ell - 1)^3, which _unipotent decides by one long
+division and cross-checks by the nilpotency of s - 1 (`_nilpotent`, read
+off s alone).  Each weight pair costs one C, one pass over its lower
+triangle, one ell x ell product, one division of a polynomial of degree
+3 ell by p, and ell integer matrix-vector products per column the witness
+reads; off weights (1,1) and (1,2) it reads one, as the first column
+already shows (s - 1)^ell != 0 at every pair with n + m <= 40.
 """
 
 from fractions import Fraction as Q
@@ -78,22 +81,6 @@ def gorenstein_shift(p: tuple[int, ...]) -> list[list[int]]:
     return [list(row) for row in zip(*cols)]
 
 
-def _mulmod(a: list[int], b: list[int], p: tuple[int, ...]) -> list[int]:
-    """a * b mod p over the integers; p's leading coefficient is a unit."""
-    ell, lead = len(p) - 1, p[-1]
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    for i in range(len(out) - 1, ell - 1, -1):
-        q = out[i] * lead  # out[i] / lead, as lead = +-1
-        if q:
-            for j, c in enumerate(p):
-                out[i - ell + j] -= q * c
-    return out[:ell]
-
-
 def _nilpotent(N: list[list[int]]) -> bool:
     """Whether N^ell = 0 for the ell x ell integer rows N: N is applied up to
     ell times to each unit vector e_j, stopping at the first column with
@@ -111,20 +98,20 @@ def _nilpotent(N: list[list[int]]) -> bool:
 
 
 def _unipotent(s: QMatrix, p: tuple[int, ...]) -> bool:
-    """Decided twice -- p | (t^ell - 1)^ell, by repeated squaring mod p,
-    which is (s - 1)^ell = 0 for s = T^{-ell} with T of minimal polynomial
-    p; and (s - 1)^ell = 0 on every unit vector, by `_nilpotent` on s
-    itself -- and the two verdicts are required to agree."""
-    ell = s.nrows
-    base = _mulmod([0] * ell + [1], [1], p)  # t^ell mod p
-    base[0] -= 1
-    acc, k = [1], ell
-    while k:
-        if k & 1:
-            acc = _mulmod(acc, base, p)
-        base = _mulmod(base, base, p) if k > 1 else base
-        k >>= 1
-    divides = not any(acc)
+    """Decided twice -- p | (t^ell - 1)^3, by one long division of
+    t^3ell - 3t^2ell + 3t^ell - 1 by p over the integers (p's leading
+    coefficient -1 is a unit), and (s - 1)^ell = 0 on every unit vector, by
+    `_nilpotent` on s itself -- and the two verdicts are required to agree.
+    The cube suffices: no root of p has multiplicity above 3, as each factor
+    1 - t^d of p is squarefree, and 3 < ell."""
+    ell, lead = s.nrows, p[-1]
+    r = [0] * (3 * ell + 1)
+    r[0], r[ell], r[2 * ell], r[3 * ell] = -1, 3, -3, 1
+    for i in range(3 * ell, ell - 1, -1):
+        q = r[i] * lead  # r[i] / lead, as lead = -1
+        if q:
+            r[i - ell:i + 1] = [a - q * c for a, c in zip(r[i - ell:i + 1], p)]
+    divides = not any(r)
     nilpotent = _nilpotent([[x - (i == j) for j, x in enumerate(row)]
                             for i, row in enumerate(s.rows)])
     if divides != nilpotent:

@@ -133,12 +133,6 @@ class QMatrix:
         return QMatrix._of([[row[j] for row in self.rows] for j in range(self.ncols)],
                            self.nrows)
 
-    def hstack(self, other: "QMatrix") -> "QMatrix":
-        if self.nrows != other.nrows:
-            raise ValueError("row count mismatch")
-        return QMatrix._of([a + b for a, b in zip(self.rows, other.rows)],
-                           self.ncols + other.ncols)
-
     def trace(self) -> int | Fraction:
         if self.nrows != self.ncols:
             raise ValueError("trace of non-square matrix")
@@ -228,7 +222,9 @@ class QMatrix:
         if self.nrows != self.ncols:
             raise ValueError("inverse of non-square matrix")
         n = self.nrows
-        rows, pivots, _ = self.hstack(QMatrix.identity(n))._eliminate(n)
+        rows, pivots, _ = QMatrix._of(
+            [row + [int(i == j) for j in range(n)] for i, row in enumerate(self.rows)],
+            2 * n)._eliminate(n)
         if len(pivots) < n:
             raise ValueError("matrix is singular")
         return QMatrix([[_q(x, row[c]) for x in row[n:]] for row, c in zip(rows, pivots)])

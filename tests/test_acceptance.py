@@ -11,7 +11,6 @@ and the computed ring ideals; see the module docstrings for the details.
 """
 
 import json
-import math
 import os
 import subprocess
 import sys
@@ -27,7 +26,6 @@ from downup_hh.cohomology import (
     hh_dims_computed,
     independent_mod_image,
     is_cocycle,
-    sample_instances,
 )
 from downup_hh.core import Cond1, Cond2, Instance, Q, classify
 from downup_hh.invariants import (
@@ -47,8 +45,10 @@ from downup_hh.yoneda import (
 )
 from test_algebra import is_valid, path
 from test_cohomology import hh2_table_row
-from test_invariants import ref_euler_characteristic_trace
+from test_invariants import (coprime_instances, coprime_weights,
+                             ref_euler_characteristic_trace)
 from test_linalg import is_zero
+from test_resolution import hat_dims
 from test_yoneda import classes_equal, in_image, read_pairs, ref_all_products
 
 MAX_SUM = 16
@@ -62,16 +62,6 @@ def complex_for(inst):
     if inst not in _COMPLEX:
         _COMPLEX[inst] = HomComplex(inst)
     return _COMPLEX[inst]
-
-
-def weight_pairs(max_sum=MAX_SUM):
-    return [(n, m) for m in range(1, max_sum) for n in range(1, m + 1)
-            if n + m <= max_sum and math.gcd(n, m) == 1]
-
-
-def all_instances(max_sum=MAX_SUM):
-    return [inst for n, m in weight_pairs(max_sum)
-            for inst in sample_instances(n, m)]
 
 
 def unit2(C, kind, i, w, coeff=Q(1)):
@@ -93,7 +83,7 @@ def lifts_for(inst):
 def test_criterion_1_dimension_theorems():
     """Computed (h0, h1, h2) equals the closed form on every reachable
     stratum with n+m <= 16, plus fixed spot values in all four regimes."""
-    for inst in all_instances():
+    for inst in coprime_instances(MAX_SUM):
         C = complex_for(inst)
         assert hh_dims_computed(C) == hh_dims_closed_form(inst), inst.key()
     spots = [
@@ -167,7 +157,7 @@ def test_criterion_2_rank_lemma_and_circulants():
     """The arrow-functional block of the second differential has rank
     n+m (minus one in the even alpha=0 case) whenever m > n > 1, and the
     polynomial-gcd circulant rank agrees with the dense rank up to size 12."""
-    for inst in all_instances():
+    for inst in coprime_instances(MAX_SUM):
         if inst.n == 1:
             continue
         c1, _ = classify(inst)
@@ -186,7 +176,7 @@ def test_criterion_3_basis_tables():
     """Every degree-1 representative is a cocycle outside the coboundaries;
     the degree-2 set is independent modulo coboundaries with cardinality h2,
     on every reachable stratum."""
-    for inst in all_instances():
+    for inst in coprime_instances(MAX_SUM):
         C = complex_for(inst)
         _, h1, h2 = hh_dims_computed(C)
         b1 = hh1_basis(C)
@@ -216,7 +206,7 @@ def test_criterion_4_chain_maps():
     """Each stored degree-1 lift satisfies both commuting squares generator
     by generator, and the generic (homotopy) lift reproduces it up to
     coboundary (equal product classes against every basis cocycle)."""
-    for inst in all_instances():
+    for inst in coprime_instances(MAX_SUM):
         C = complex_for(inst)
         basis = dict(hh1_basis(C))
         lifts = closed_form_lifts(C)
@@ -241,7 +231,7 @@ def test_criterion_5_cup_products():
     """All stated degree-1 product values hold as cohomology classes (with
     the three restored coefficient factors), and the product is graded
     commutative with vanishing squares on every stratum."""
-    for inst in all_instances():
+    for inst in coprime_instances(MAX_SUM):
         n, m = inst.n, inst.m
         b, lam = inst.beta, inst.lam
         c1, c2 = classify(inst)
@@ -336,7 +326,7 @@ def test_criterion_6_ring_presentations():
     its degree-1 and degree-2 dimensions equal h1 and h2.  On the two
     documented defect strata the stored row fails its own degree count and
     the computed ideal is kept."""
-    for inst in all_instances():
+    for inst in coprime_instances(MAX_SUM):
         C = complex_for(inst)
         rep = ring_row_report(C)
         pres = rep["presentation"]
@@ -370,7 +360,7 @@ def test_criterion_7_derived_invariants():
     """Happel's trace formula holds against the direct computation on every
     stratum; the Serre action is unipotent exactly at weights (1,1) and
     (1,2); for m > n > 1 the trace is m+4 or n+m and never 2(n+m)."""
-    for n, m in weight_pairs():
+    for n, m in coprime_weights(MAX_SUM):
         inst = Instance(n, m, Q(1), Q(1))
         assert serre_unipotent(inst) == ((n, m) in ((1, 1), (1, 2))), (n, m)
         chi = ref_euler_characteristic_trace(inst)
@@ -378,33 +368,11 @@ def test_criterion_7_derived_invariants():
         if m > n > 1:
             assert chi == Q(m + 4 if n == 2 else n + m), (n, m)
             assert chi != Q(2 * (n + m)), (n, m)
-    for inst in all_instances():
+    for inst in coprime_instances(MAX_SUM):
         assert happel_trace_check(complex_for(inst))["match"], inst.key()
 
 
 # -- criterion 8 ------------------------------------------------------------
-
-def hat_dims(n, m):
-    """Closed-form tau-basis sizes of the three Hom spaces."""
-    d0 = 2 * (n + m)
-    if n >= 2:
-        d1 = 3 * (n + m)
-    elif m > 1:
-        d1 = 4 * m + 5
-    else:
-        d1 = 12
-    if n >= 3:
-        d2 = 2 * (n + m)
-    elif n == 2:
-        d2 = 2 * m + 6
-    elif m >= 3:
-        d2 = 3 * m + 5
-    elif m == 2:
-        d2 = 13
-    else:
-        d2 = 12
-    return d0, d1, d2
-
 
 def _combo(B, words):
     """Normal form of a linear combination of letter words, as a dict."""
@@ -420,12 +388,12 @@ def test_criterion_8_structural_properties():
     spaces have the closed-form sizes; the two rewriting rules resolve their
     overlap word consistently (n+m <= 8, every start vertex); the x-power
     straightening identity holds for n = 1 up to i = m+1."""
-    for inst in all_instances():
+    for inst in coprime_instances(MAX_SUM):
         C = complex_for(inst)
         assert is_zero(C.D2 @ C.D1), inst.key()
         assert len(C.basis0) - C.D1.rank() == 1, inst.key()
         assert C.dims == hat_dims(inst.n, inst.m), inst.key()
-    for inst in all_instances(8):
+    for inst in coprime_instances(8):
         B = complex_for(inst).B
         a, b = inst.alpha, inst.beta
         # xxyy: rewrite the front redex first vs the back redex first

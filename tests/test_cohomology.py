@@ -32,6 +32,7 @@ from downup_hh.cohomology import (
 from downup_hh.linalg import QMatrix, _nonzero
 from downup_hh.resolution import HomComplex
 from downup_hh.yoneda import ring_row_report, ring_structure
+from test_invariants import coprime_weights
 from test_linalg import exact, ref_rref
 from test_yoneda import classes_equal, in_image
 
@@ -651,8 +652,7 @@ class TestStrata:
 
     def test_strata_come_in_report_order(self):
         order = [(c1, c2) for c1 in (I, II) for c2 in (C1, C2, C3)]
-        pairs = [(n, m) for m in range(1, 30) for n in range(1, m + 1)
-                 if gcd(n, m) == 1 and n + m <= 30]
+        pairs = coprime_weights(30)
         assert len(pairs) == 139
         for n, m in pairs:
             assert list(stratum_samples(n, m)) == order

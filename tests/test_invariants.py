@@ -21,12 +21,19 @@ from downup_hh.invariants import (
 )
 from downup_hh.linalg import QMatrix
 from downup_hh.resolution import HomComplex
-from test_linalg import is_zero
+from test_linalg import eval_matrix, is_zero
 
 
 def coprime_weights(max_sum):
+    """The coprime weights n <= m with n + m <= max_sum, by m and then n."""
     return [(n, m) for m in range(1, max_sum) for n in range(1, m + 1)
             if n + m <= max_sum and math.gcd(n, m) == 1]
+
+
+def coprime_instances(max_sum):
+    """Every sampled instance of coprime_weights(max_sum)."""
+    return [inst for n, m in coprime_weights(max_sum)
+            for inst in sample_instances(n, m)]
 
 
 WEIGHTS = coprime_weights(13)
@@ -48,6 +55,36 @@ def ref_unipotent(s):
     """The matrix-power verdict (s - 1)^ell = 0: the reference for the
     divisibility verdict of derived_invariants."""
     return is_zero(QMatrix(minus_one(s)).pow(s.nrows))
+
+
+def ref_divides(p):
+    """p | (t^ell - 1)^ell, ell = deg p, by repeated squaring mod p over the
+    integers (p's leading coefficient is a unit): the reference for the
+    divisibility verdict of _unipotent, which divides only the cube."""
+    ell = len(p) - 1
+
+    def mulmod(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        for i in range(len(out) - 1, ell - 1, -1):
+            q = out[i] * p[-1]  # out[i] / p[-1], as p[-1] = +-1
+            if q:
+                for j, c in enumerate(p):
+                    out[i - ell + j] -= q * c
+        return out[:ell]
+
+    base = mulmod([0] * ell + [1], [1])  # t^ell mod p
+    base[0] -= 1
+    acc, k = [1], ell
+    while k:
+        if k & 1:
+            acc = mulmod(acc, base)
+        base = mulmod(base, base)
+        k >>= 1
+    return not any(acc)
 
 
 def stable_rank(s):
@@ -82,17 +119,6 @@ def ref_euler_characteristic(n, m):
     if n == 1:
         return {1: 4, 2: 6}.get(m, m + 2)
     return m + 4 if n == 2 else n + m
-
-
-def eval_matrix(p, M):
-    """p(M) by Horner's rule, p's coefficients lowest degree first, for the
-    Cayley-Hamilton checks."""
-    acc = QMatrix.zeros(M.nrows, M.ncols)
-    for c in reversed(p):
-        acc = acc @ M
-        for i in range(M.nrows):
-            acc.rows[i][i] += c
-    return acc
 
 
 class TestCartan:
@@ -293,6 +319,32 @@ class TestGorensteinShift:
         berkowitz = s.char_poly() == [(-1) ** (ell - k) * math.comb(ell, k)
                                       for k in range(ell + 1)]  # (t - 1)^ell
         assert invariants._nilpotent(minus_one(s)) == berkowitz
+
+    def test_the_cube_verdict_equals_the_power_and_the_closed_form(
+            self, monkeypatch):
+        # p | (t^ell - 1)^3 against p | (t^ell - 1)^ell by squaring.  The
+        # witness, tested against Berkowitz above, is pinned to the closed
+        # form here (it would take 2 s at n + m <= 40): _unipotent raises
+        # unless its division verdict meets it, and returns that verdict.
+        weights = coprime_weights(40)
+        assert len(weights) == 245
+        for n, m in weights:
+            p = hilbert_numerator(n, m)
+            monkeypatch.setattr(invariants, "_nilpotent",
+                                lambda N: unipotent_closed_form(n, m))
+            s = QMatrix(invariants.gorenstein_shift(p))
+            assert invariants._unipotent(s, p) == ref_divides(p), (n, m)
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_a_wrong_numerator_breaks_the_unipotence_cross_check(self, k):
+        # (1,2) is unipotent; p with one coefficient below the leading one
+        # changed no longer divides (t^6 - 1)^3, while the witness on s
+        # still finds s - 1 nilpotent.
+        p = list(hilbert_numerator(1, 2))
+        p[k] += 1
+        assert not ref_divides(p)
+        with pytest.raises(AssertionError, match="unipotence criteria disagree"):
+            invariants._unipotent(serre_matrix(an_instance(1, 2)), tuple(p))
 
     @pytest.mark.parametrize("n,m", coprime_weights(12))
     def test_divisibility_verdict_equals_the_matrix_power(self, n, m):

@@ -2,7 +2,6 @@
 
 import random
 from fractions import Fraction as Q
-from math import gcd
 
 import pytest
 
@@ -22,6 +21,7 @@ from downup_hh.resolution import (
 from downup_hh.yoneda import ChainMap, _el, cup_vector
 from test_algebra import path
 from test_cohomology import column
+from test_invariants import coprime_instances
 from test_linalg import is_zero
 
 WEIGHTS = [(1, 1), (1, 2), (1, 3), (1, 4), (2, 3), (2, 5), (3, 4), (3, 5), (4, 5)]
@@ -534,12 +534,6 @@ def letter_weight(tau):
     return (w.count("x") - own.count("x"), w.count("y") - own.count("y"))
 
 
-def block_instances(max_sum):
-    return [inst for m in range(1, max_sum) for n in range(1, m + 1)
-            if n + m <= max_sum and gcd(n, m) == 1
-            for inst in sample_instances(n, m)]
-
-
 def ref_build_matrix(C, idx_lo, idx_hi, gens_hi, d_fun):
     """The matrix of d_fun paired generator by generator, every generator
     on its own with no translation."""
@@ -553,9 +547,9 @@ class TestTranslatedMatrices:
     """D1 and D2 pair one generator per kind and translate its entries."""
 
     def test_the_sweep_holds_a_fraction_parameter_point(self):
-        assert Instance(1, 3, Q(1), Q(-1, 2)) in block_instances(10)
+        assert Instance(1, 3, Q(1), Q(-1, 2)) in coprime_instances(10)
 
-    @pytest.mark.parametrize("inst", block_instances(10), ids=lambda i: i.key())
+    @pytest.mark.parametrize("inst", coprime_instances(10), ids=lambda i: i.key())
     def test_equal_to_the_per_generator_loop(self, inst):
         C = HomComplex(inst)
         res = C.res
@@ -574,7 +568,7 @@ class TestTranslatedMatrices:
 class TestNonzeroRows:
     """Each differential is kept as its nonzero rows; D1, D2 are them dense."""
 
-    @pytest.mark.parametrize("inst", block_instances(8), ids=lambda i: i.key())
+    @pytest.mark.parametrize("inst", coprime_instances(8), ids=lambda i: i.key())
     def test_the_nonzero_rows_are_the_dense_matrices(self, inst):
         C = HomComplex(inst)
         for k, D in ((1, C.D1), (2, C.D2)):
@@ -583,7 +577,7 @@ class TestNonzeroRows:
             assert all(x and type(x) is (int if x.denominator == 1 else Q)
                        for row in C.nonzero[k] for x in row.values())
 
-    @pytest.mark.parametrize("inst", block_instances(10), ids=lambda i: i.key())
+    @pytest.mark.parametrize("inst", coprime_instances(10), ids=lambda i: i.key())
     def test_the_complex_stores_one_form(self, inst):
         # no dense copy is kept, also once a block and the images are
         # read; D1 and D2 densify the nonzero rows on each read
@@ -665,7 +659,7 @@ class TestSharedSpaces:
 
 
 class TestLetterContentBlocks:
-    @pytest.mark.parametrize("inst", block_instances(10), ids=lambda i: i.key())
+    @pytest.mark.parametrize("inst", coprime_instances(10), ids=lambda i: i.key())
     def test_differentials_have_no_off_block_entries(self, inst):
         C = HomComplex(inst)
         for D, lo, hi in ((C.D1, C.basis0, C.basis1),
@@ -675,7 +669,7 @@ class TestLetterContentBlocks:
                     if x:
                         assert tau_weight(hi[r]) == tau_weight(lo[c]), (r, c)
 
-    @pytest.mark.parametrize("inst", block_instances(10), ids=lambda i: i.key())
+    @pytest.mark.parametrize("inst", coprime_instances(10), ids=lambda i: i.key())
     def test_blocks_equal_the_position_ranges(self, inst):
         # the rows and columns the blocks were once cut out by, by position
         n, m = inst.n, inst.m

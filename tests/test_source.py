@@ -97,9 +97,10 @@ def unreferenced(modules: dict[str, str], readers=(),
     `modules` maps module names to the sources whose definitions are
     checked and which count as references; `readers` holds sources that
     only count as references.  A module function counts a Name or an
-    Attribute reference; a method counts only an Attribute reference, so a
-    local variable of the same name does not hide it.  Dunders, private
-    names and the qualified names in `exempt` are skipped.
+    Attribute reference; a method counts an Attribute reference, or a Name
+    in its class body outside the methods (`__setattr__ = _frozen`), so a
+    local variable of the same name does not hide it.  Dunders and the
+    qualified names in `exempt` are skipped; private names are checked too.
     """
     trees = {name: ast.parse(src) for name, src in modules.items()}
     refs = {}  # name -> [(node, whether it is an Attribute)]
@@ -111,24 +112,30 @@ def unreferenced(modules: dict[str, str], readers=(),
                 refs.setdefault(node.id, []).append((node, False))
     found = []
     for module, tree in trees.items():
-        defs = [(f"{module}.{node.name}", False, node) for node in tree.body
+        defs = [(f"{module}.{node.name}", None, node) for node in tree.body
                 if isinstance(node, ast.FunctionDef)]
-        defs += [(f"{module}.{cls.name}.{node.name}", True, node)
-                 for cls in tree.body if isinstance(cls, ast.ClassDef)
-                 for node in cls.body if isinstance(node, ast.FunctionDef)]
-        for qual, is_method, fn in defs:
-            if fn.name.startswith("_") or qual in exempt:
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                scope = {node for stmt in cls.body
+                         if not isinstance(stmt, ast.FunctionDef)
+                         for node in ast.walk(stmt)}
+                defs += [(f"{module}.{cls.name}.{node.name}", scope, node)
+                         for node in cls.body if isinstance(node, ast.FunctionDef)]
+        for qual, scope, fn in defs:
+            if (fn.name.startswith("__") and fn.name.endswith("__")) or qual in exempt:
                 continue
             own = set(ast.walk(fn))
-            if not any((attr or not is_method) and node not in own
+            if not any((attr or scope is None or node in scope) and node not in own
                        for node, attr in refs.get(fn.name, ())):
                 found.append(qual)
     return sorted(found)
 
 
 def test_the_check_sees_an_unreferenced_definition():
-    a = ("def used():\n    return helper()\n\n"
+    a = ("def used():\n    return helper() + _kept()\n\n"
          "def helper():\n    return 1\n\n"
+         "def _kept():\n    return 5\n\n"
+         "def _orphan():\n    return _orphan()\n\n"
          "def looped(k):\n    return looped(k - 1) if k else 0\n\n"
          "def pinned():\n    return 0\n\n"
          "class K:\n"
@@ -137,11 +144,13 @@ def test_the_check_sees_an_unreferenced_definition():
          "    def g(self):\n        return 2\n"
          "    def read(self):\n        return 3\n"
          "    def __eq__(self, other):\n        return True\n"
-         "    def _private(self):\n        return 4\n")
+         "    def _private(self):\n        return 4\n"
+         "    def _frozen(self, name):\n        raise AttributeError(name)\n"
+         "    __delattr__ = _frozen\n")
     b = "from a import used\nused()\n"
     assert unreferenced({"a": a, "b": b}, ["print(k.read())"],
                         exempt={"a.pinned"}) == [
-        "a.K.e", "a.K.f", "a.looped"]
+        "a.K._private", "a.K.e", "a.K.f", "a._orphan", "a.looped"]
 
 
 def benchmark_pins() -> set[str]:

@@ -1,6 +1,5 @@
 """Chain-map liftings, cup products and the ring structure of HH^*."""
 
-import math
 import random
 
 import pytest
@@ -14,7 +13,6 @@ from downup_hh.cohomology import (
     hh1_basis,
     hh2_basis,
     hh_dims_computed,
-    sample_instances,
 )
 from downup_hh.linalg import QMatrix
 from downup_hh.resolution import HomComplex, L2_display
@@ -33,18 +31,7 @@ from downup_hh.yoneda import (
     _rescale,
     _row_space,
 )
-
-SMALL_WEIGHTS = [(n, m) for m in range(1, 9) for n in range(1, m + 1)
-                 if n + m <= 9 and Q(n).denominator == 1
-                 and __import__("math").gcd(n, m) == 1]
-
-
-def sweep():
-    out = []
-    for n, m in SMALL_WEIGHTS:
-        out.extend(sample_instances(n, m))
-    return out
-
+from test_invariants import coprime_instances
 
 def times(M, v):
     """M v as a list: the product of M with the one-column matrix of v."""
@@ -72,7 +59,7 @@ def scale(v, c):
 
 
 class TestClosedFormLifts:
-    @pytest.mark.parametrize("inst", sweep(), ids=lambda i: i.key())
+    @pytest.mark.parametrize("inst", coprime_instances(9), ids=lambda i: i.key())
     def test_every_basis_label_has_a_valid_lift(self, inst):
         C = HomComplex(inst)
         basis = dict(hh1_basis(C))
@@ -92,7 +79,7 @@ class TestClosedFormLifts:
 
 
 class TestGenericLift:
-    @pytest.mark.parametrize("inst", sweep(), ids=lambda i: i.key())
+    @pytest.mark.parametrize("inst", coprime_instances(9), ids=lambda i: i.key())
     def test_lifts_every_basis_class(self, inst):
         C = HomComplex(inst)
         for lbl, vec in hh1_basis(C):
@@ -132,7 +119,7 @@ class TestGenericLift:
             assert generic_lift(C, vec).induced_vector() == vec, lbl
 
     @pytest.mark.parametrize("side", ["left", "right"])
-    @pytest.mark.parametrize("inst", [i for i in sweep() if i.n + i.m <= 6],
+    @pytest.mark.parametrize("inst", coprime_instances(6),
                              ids=lambda i: i.key())
     def test_rejects_non_cocycle(self, inst, side):
         # The per-relation augmentation test is the only cocycle test.
@@ -317,7 +304,7 @@ def read_pairs(labels):
 
 
 class TestRingStructure:
-    @pytest.mark.parametrize("inst", sweep(), ids=lambda i: i.key())
+    @pytest.mark.parametrize("inst", coprime_instances(9), ids=lambda i: i.key())
     def test_graded_commutativity(self, inst):
         C = HomComplex(inst)
         rs = ring_structure(C)
@@ -331,7 +318,7 @@ class TestRingStructure:
         for pq, coords in rs["products"].items():
             assert coords == prods[pq], pq
 
-    @pytest.mark.parametrize("inst", sweep(), ids=lambda i: i.key())
+    @pytest.mark.parametrize("inst", coprime_instances(9), ids=lambda i: i.key())
     def test_presentation_dimension_count(self, inst):
         C = HomComplex(inst)
         pres = ring_presentation(C)
@@ -349,14 +336,8 @@ class TestRingStructure:
         assert len(pres["ideal"]) == 6
 
 
-def batch_sweep():
-    """Every sampled instance with n + m <= 8."""
-    return [inst for n, m in SMALL_WEIGHTS if n + m <= 8
-            for inst in sample_instances(n, m)]
-
-
 class TestBatchedProducts:
-    @pytest.mark.parametrize("inst", batch_sweep(), ids=lambda i: i.key())
+    @pytest.mark.parametrize("inst", coprime_instances(8), ids=lambda i: i.key())
     def test_products_equal_per_pair_cup_class(self, inst):
         C = HomComplex(inst)
         rs = ring_structure(C)
@@ -442,9 +423,9 @@ class TestSparsePairing:
     """cup_vector pairs sigma_1 only against the support of phi."""
 
     def test_the_sweep_holds_a_fraction_parameter_point(self):
-        assert Instance(1, 3, Q(1), Q(-1, 2)) in batch_sweep()
+        assert Instance(1, 3, Q(1), Q(-1, 2)) in coprime_instances(8)
 
-    @pytest.mark.parametrize("inst", batch_sweep(), ids=lambda i: i.key())
+    @pytest.mark.parametrize("inst", coprime_instances(8), ids=lambda i: i.key())
     def test_agrees_with_the_dense_pairing(self, inst):
         C = HomComplex(inst)
         hv = dict(hh1_basis(C))
@@ -453,7 +434,7 @@ class TestSparsePairing:
             for q, s1 in sigma1.items():
                 assert cup_vector(C, phi, s1) == ref_cup_vector(C, phi, s1), (p, q)
 
-    @pytest.mark.parametrize("inst", batch_sweep(), ids=lambda i: i.key())
+    @pytest.mark.parametrize("inst", coprime_instances(8), ids=lambda i: i.key())
     def test_agrees_on_a_dense_support(self, inst):
         # a basis vector plus the coboundary D1 x of a random x: the support
         # of phi covers every functional that D1 reaches
@@ -472,7 +453,7 @@ class TestSparsePairing:
 
 
 class TestRingTableRows:
-    @pytest.mark.parametrize("inst", sweep(), ids=lambda i: i.key())
+    @pytest.mark.parametrize("inst", coprime_instances(9), ids=lambda i: i.key())
     def test_rows_against_computation(self, inst):
         C = HomComplex(inst)
         rep = ring_row_report(C)
@@ -535,7 +516,7 @@ class TestRingTableRows:
             assert pres["ideal"] == [[Q(1)]]
 
     def test_every_sweep_stratum_has_a_row(self):
-        for inst in sweep():
+        for inst in coprime_instances(9):
             row = ring_table_row(inst)
             assert row["a"] >= 1 and row["b"] >= 0
 
@@ -583,13 +564,6 @@ def rescaled(rows, c, pairs):
             for row in rows]
 
 
-def rescale_sweep():
-    """Every sampled instance with n + m <= 16."""
-    return [inst for m in range(1, 16) for n in range(1, m + 1)
-            if n + m <= 16 and math.gcd(n, m) == 1
-            for inst in sample_instances(n, m)]
-
-
 @st.composite
 def shared_index_ideals(draw):
     """(a, reduced echelon rows) whose off-pivot entries all share an index
@@ -613,7 +587,7 @@ def shared_index_ideals(draw):
 class TestRescale:
     """The diagonal rescaling read off the reduced ideals."""
 
-    @pytest.mark.parametrize("inst", rescale_sweep(), ids=lambda i: i.key())
+    @pytest.mark.parametrize("inst", coprime_instances(16), ids=lambda i: i.key())
     def test_verdict_equals_the_search(self, inst):
         rep = ring_row_report(HomComplex(inst))
         pres = rep["presentation"]
@@ -701,9 +675,7 @@ class TestCochainApplication:
 def exactness_sweep():
     """Every sampled instance with n + m <= 8, and the Case 2 points where
     alpha is an integer but alpha / 2 or beta is not."""
-    out = [inst for n, m in SMALL_WEIGHTS if n + m <= 8
-           for inst in sample_instances(n, m)]
-    return out + [Instance(1, 1, Q(3), Q(-9, 4)), Instance(1, 2, Q(3), Q(-9, 4)),
+    return coprime_instances(8) + [Instance(1, 1, Q(3), Q(-9, 4)), Instance(1, 2, Q(3), Q(-9, 4)),
                   Instance(1, 3, Q(1), Q(-1, 4))]
 
 
