@@ -298,9 +298,13 @@ def _bases_checks(inst: Instance, C: HomComplex, fault) -> list:
 
 
 def _display_checks(inst: Instance, C: HomComplex, fault) -> list:
-    rank = C.L1().rank()
-    out = [("arrow-block-rank", rank == rank_L1_closed_form(inst),
-            f"rank {rank}")]
+    try:
+        rank = C.block_rank((0, 0))
+    except AssertionError as exc:
+        out = [("arrow-block-rank", False, str(exc))]
+    else:
+        out = [("arrow-block-rank", rank == rank_L1_closed_form(inst),
+                f"rank {rank}")]
     if inst.n == 1:
         block = L2_display(inst)
         if fault == "lambda-sign":

@@ -90,7 +90,8 @@ class Instance:
                 f"weights ({n}, {m}) are not coprime; reduce them first"
             )
         for name, value in (("n", n), ("m", m), ("alpha", alpha), ("beta", beta),
-                            ("_lam_cache", {-1: _as_q(1 / beta), 0: 0, 1: 1})):
+                            ("_lam_cache", {-1: _as_q(1 / beta), 0: 0, 1: 1}),
+                            ("_stratum", [])):
             object.__setattr__(self, name, value)
 
     def _frozen(self, name, *value):
@@ -135,7 +136,10 @@ class Instance:
 
 
 def classify(inst: Instance) -> tuple[Cond1, Cond2]:
-    """Both case classifications; Condition 2 is always computed."""
+    """Both case classifications, decided on the first call and kept on the
+    instance, as `lam` keeps its values; Condition 2 is always computed."""
+    if inst._stratum:
+        return inst._stratum[0]
     cond1 = (
         Cond1.CASE_I
         if (inst.n + inst.m) % 2 == 0 and inst.alpha == 0
@@ -147,7 +151,8 @@ def classify(inst: Instance) -> tuple[Cond1, Cond2]:
         cond2 = Cond2.CASE_2
     else:
         cond2 = Cond2.CASE_3
-    return cond1, cond2
+    inst._stratum.append((cond1, cond2))
+    return inst._stratum[0]
 
 
 def canonical_instance(

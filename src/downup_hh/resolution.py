@@ -54,8 +54,10 @@ basis, in fixed, explicitly listed orders that depend on the weights alone;
 one generator of each kind is paired and its entries are translated along
 the vertices), and the cup and induced cochains of `yoneda` from chain maps.
 The relations are homogeneous in the letter content (#x, #y), so D1 and D2
-are block-diagonal in the weight of tau[h]^w (`tau_weight`); L1 and, for
-n = 1, the x-power block L2 are blocks of D2, cut from its nonzero rows.
+are block-diagonal in the weight of tau[h]^w (`tau_weight`): the rank of
+a block of D2, such as the weight-(0,0) arrow block L1, is read off the
+elimination of all of D2, and for n = 1 the x-power block L2 is cut from
+its nonzero rows.
 """
 
 from functools import wraps
@@ -341,7 +343,8 @@ class HomComplex:
     them: the D2 D1 = 0 certificate, the cocycle test of `cohomology` and
     image(k), the one elimination of the nonzero rows of Dk^T, kept on first
     use, through which coker(k, v) answers every question modulo im Dk
-    (ranks, HH^1 and HH^2 classes); block(weight) cuts from nonzero[2].
+    (ranks, block ranks, HH^1 and HH^2 classes); block(weight) cuts from
+    nonzero[2].
     No dense copy is kept: the D1 and D2 properties densify on each read.
     The bases, index maps, position tables and weights are shared per
     weight pair (`_spaces`); the image, the bases and ring data built on
@@ -433,6 +436,23 @@ class HomComplex:
         sd = s * d
         return list(out.values()) if sd == 1 else [_q(x, sd) for x in out.values()]
 
+    def block_rank(self, weight):
+        """The rank of the D2 block of the given weight, read as the number
+        of image(2) pivots of that weight.  Gauss-Jordan combines two
+        columns of D2 only where both have a nonzero in one row, so when
+        every nonzero joins a row and a column of equal weight it eliminates
+        each block on its own; raises AssertionError naming the first
+        nonzero of nonzero[2] that does not."""
+        w1, w2 = self._weights[1], self._weights[2]
+        for r, row in enumerate(self.nonzero[2]):
+            w = w2[r]
+            for j in row:
+                if w1[j] != w:
+                    raise AssertionError(f"off-block D2 entry ({r}, {j}): "
+                                         f"row weight {w}, column weight "
+                                         f"{w1[j]}")
+        return sum(1 for c in self.image(2)[2] if w2[c] == weight)
+
     def block(self, weight):
         """The D2 rows and P1^ columns (D1's codomain) of the given weight,
         cut from nonzero[2] as a dense QMatrix."""
@@ -442,11 +462,6 @@ class HomComplex:
                 for row, w in zip(self.nonzero[2], self._weights[2])
                 if w == weight]
         return QMatrix._of(_dense(rows, len(at)), len(at))
-
-    def L1(self):
-        """The weight-(0,0) block: rows of the arrow-letter relation
-        functionals against the arrow columns, a 2(n+m) x 3(n+m) matrix."""
-        return self.block((0, 0))
 
     def L2(self):
         """For n = 1: the x-power block, of weight (m,-1), with rows

@@ -80,13 +80,33 @@ class ChainMap:
         return vec
 
     def verify(self) -> bool:
-        """Whether d1 . sigma_1 = -sigma_0 . d2 on every relation."""
+        """Whether d1 . sigma_1 = -sigma_0 . d2 on every relation: whether
+        the sum of the two sides, one P0 element per relation, is empty.
+
+        d1 goes in place, a term c u [a] v of sigma_1(h) giving
+        c u (x) nf(a v) at s(a) and -c nf(u a) (x) v at t(a); sigma_0 goes
+        through Resolution.act.  Raises AssertionError on a sigma_1 term
+        whose left word does not end at its arrow's source, and (act) on a
+        sigma_0 term that does not start where its left word ends."""
         res = self.C.res
-        fun0 = lambda g: self.sigma0.get(g, {})
-        fun1 = lambda g: self.sigma1.get(g, {})
-        return all(res.apply_map(res.d1, fun1(h))
-                   == res.apply_map(fun0, res.d2(h), -1)
-                   for h in res.gens2())
+        nf, degree = res.B.normal_form, res.B.word_degree
+        for h in res.gens2():
+            out = {}
+            for ((letter, s), ls, u, v), c in self.sigma1.get(h, {}).items():
+                end = ls + degree(u)
+                if end != s:
+                    raise AssertionError(f"{(letter, s)} follows a left word "
+                                         f"ending at vertex {end}")
+                for w, c2 in nf(letter + v).items():
+                    acc(out, (("e", s), ls, u, w), c * c2)
+                t = s + degree(letter)
+                for w, c2 in nf(u + letter).items():
+                    acc(out, (("e", t), ls, w, v), -c * c2)
+            for (g, ls, u, v), c in res.d2(h).items():
+                res.act(out, c, ls, u, self.sigma0.get(g, {}), v)
+            if out:
+                return False
+        return True
 
 
 # -- closed-form liftings of the distinguished HH^1 classes -----------------

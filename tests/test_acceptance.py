@@ -48,7 +48,7 @@ from test_cohomology import hh2_table_row
 from test_invariants import (coprime_instances, coprime_weights,
                              ref_euler_characteristic_trace)
 from test_linalg import is_zero
-from test_resolution import hat_dims
+from test_resolution import L1, hat_dims
 from test_yoneda import classes_equal, in_image, read_pairs, ref_all_products
 
 MAX_SUM = 16
@@ -162,7 +162,7 @@ def test_criterion_2_rank_lemma_and_circulants():
             continue
         c1, _ = classify(inst)
         want = inst.n + inst.m - (1 if c1 == Cond1.CASE_I else 0)
-        assert complex_for(inst).L1().rank() == want, inst.key()
+        assert L1(complex_for(inst)).rank() == want, inst.key()
     families = [[0], [1], [3], [1, 1], [1, -1], [0, 1], [1, 0, -1],
                 [2, 3, 1], [1, -2, 1], [1, 0, 0, -1], [1, 1, 1, 1]]
     for r in range(1, 13):

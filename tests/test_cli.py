@@ -61,6 +61,15 @@ class TestArgumentDiscipline:
         assert r.returncode == 2
         assert "--reduce" in r.stderr
 
+    @pytest.mark.parametrize("n,m", [("0", "1"), ("1", "-1")])
+    def test_rejects_weights_below_one(self, n, m, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "--n", n, "--m", m, "--alpha", "1",
+                  "--beta", "1"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: weights must be positive\n"
+
     def test_reduce_scales_by_the_gcd(self):
         r = run_cli("compute", "--n", "4", "--m", "6", "--alpha", "1",
                     "--beta", "1", "--reduce")
@@ -234,6 +243,21 @@ class TestVerify:
         assert expected and failing == expected
         assert r.returncode == 1
 
+    def test_an_off_block_entry_fails_the_arrow_block_rank(self):
+        # the rank is read per weight off the elimination of all of D2, so
+        # the group first checks that no entry joins two weights
+        inst = sample_instances(1, 2)[0]
+        C = HomComplex(inst)
+        assert cli._display_checks(inst, C, None)[0] == (
+            "arrow-block-rank", True, "rank 3")
+        rows = [dict(row) for row in C.nonzero[2]]
+        rows[0][len(C.basis1) - 1] = 1  # a row of weight (0,0), column not
+        C.nonzero = {**C.nonzero, 2: rows}
+        name, ok, detail = cli._display_checks(inst, C, None)[0]
+        assert (name, ok) == ("arrow-block-rank", False)
+        assert detail == (f"off-block D2 entry (0, {len(C.basis1) - 1}): "
+                          "row weight (0, 0), column weight (2, -1)")
+
     def test_ring_group_fails_under_a_broken_homotopy(self, monkeypatch,
                                                       capsys):
         # dropping one term of every contraction breaks the generic lifts,
@@ -298,12 +322,15 @@ class TestVerify:
     def test_import_leaves_the_process_pool_unloaded(self):
         # Only `verify` with HH_THREADS > 1 uses the pool, so no command
         # should pay for importing it at start-up.  Nor for `dataclasses`
-        # and the `inspect` it pulls in: Instance is a plain class.
+        # and the `inspect` it pulls in (Instance is a plain class), nor for
+        # `typing`.  -S keeps `site` and the .pth files it runs from
+        # loading modules of their own.
         probe = ("import sys, downup_hh.cli; print([m for m in "
-                 "('concurrent.futures', 'multiprocessing', 'dataclasses', "
-                 "'inspect') if m in sys.modules])")
-        r = subprocess.run([sys.executable, "-c", probe],
-                           capture_output=True, text=True)
+                 "('concurrent.futures', 'dataclasses', 'inspect', "
+                 "'multiprocessing', 'typing') if m in sys.modules])")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        r = subprocess.run([sys.executable, "-S", "-c", probe],
+                           capture_output=True, text=True, env=env)
         assert r.returncode == 0, r.stderr
         assert r.stdout == "[]\n"
 

@@ -98,6 +98,28 @@ def test_classify():
     assert (c1, c2) == (Cond1.CASE_I, Cond2.CASE_1)
 
 
+def test_classify_decides_once_per_instance(monkeypatch):
+    # the stratum is kept on the instance, as lam keeps its values: a second
+    # call reads it, equality and hash ignore it, and a pickle carries it
+    calls = []
+    lam = Instance.lam
+    monkeypatch.setattr(Instance, "lam",
+                        lambda self, r: calls.append(r) or lam(self, r))
+    inst = Instance(1, 2, Q(1), Q(-1))
+    first = classify(inst)
+    assert classify(inst) is first and calls == [3]
+    assert inst == Instance(1, 2, Q(1), Q(-1))
+    assert hash(inst) == hash(Instance(1, 2, Q(1), Q(-1)))
+    back = pickle.loads(pickle.dumps(inst))
+    assert classify(back) == first and calls == [3]
+    with pytest.raises(AttributeError):
+        inst._stratum = []
+    # a second instance decides its own stratum
+    assert classify(Instance(1, 2, Q(2), Q(-1))) == (Cond1.CASE_II,
+                                                     Cond2.CASE_2)
+    assert calls == [3, 3]
+
+
 def test_case_i_needs_even_weight_sum():
     # n + m odd cannot be Case I even with alpha = 0
     assert classify(Instance(1, 2, Q(0), Q(1)))[0] == Cond1.CASE_II
@@ -114,6 +136,25 @@ def test_swap_weight_params():
     a, b = swap_weight_params(Q(3), Q(2))
     assert (a, b) == (Q(-3, 2), Q(1, 2))
     assert swap_weight_params(*swap_weight_params(Q(3), Q(2))) == (Q(3), Q(2))
+
+
+@pytest.mark.parametrize("n0,m0", [(0, 3), (3, 0), (-1, 2), (2, -4), (0, 0)])
+def test_reduce_weights_refuses_a_weight_below_one(n0, m0):
+    with pytest.raises(ValueError, match="weights must be positive"):
+        reduce_weights(n0, m0)
+
+
+def test_swap_weight_params_refuses_beta_zero():
+    with pytest.raises(ValueError, match="beta must be nonzero"):
+        swap_weight_params(Q(3), Q(0))
+
+
+@pytest.mark.parametrize("r", [-2, -5])
+def test_lambda_refuses_an_index_below_minus_one(r):
+    inst = Instance(1, 2, Q(1), Q(1))
+    with pytest.raises(ValueError, match="r >= -1"):
+        inst.lam(r)
+    assert inst.lam(-1) == 1  # the lowest index still answers
 
 
 def test_canonical_instance():

@@ -1,6 +1,7 @@
 """The bimodule resolution, the Hom complex, and its matrices."""
 
 import random
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -379,6 +380,14 @@ def rank_L2_closed_form(inst):
     return inst.m + 2 - drop
 
 
+def L1(C):
+    """The weight-(0,0) block of D2, cut from its nonzero rows: rows of the
+    arrow-letter relation functionals against the arrow columns, a
+    2(n+m) x 3(n+m) matrix.  The program reads only its rank, from
+    `HomComplex.block_rank`."""
+    return C.block((0, 0))
+
+
 def submatrix(M, row_idx, col_idx):
     """The entries of M in the given rows and columns, in that order."""
     return QMatrix([[M.rows[i][j] for j in col_idx] for i in row_idx])
@@ -412,7 +421,7 @@ class TestHomComplex:
             [a, -a, 0, -a, a, 0],
             [0, a, -a, 0, -a, a],
         ])
-        assert C.L1() == expect
+        assert L1(C) == expect
 
     def test_worked_columns_n_at_least_3(self):
         a, b = Q(3), Q(5)
@@ -494,7 +503,7 @@ class TestHomComplex:
     @pytest.mark.parametrize("inst", list(instances()), ids=lambda i: i.key())
     def test_rank_L1(self, inst):
         C = HomComplex(inst)
-        assert C.L1().rank() == rank_L1_closed_form(inst)
+        assert L1(C).rank() == rank_L1_closed_form(inst)
 
     def test_rank_L2(self):
         cases = [
@@ -582,7 +591,7 @@ class TestNonzeroRows:
         # no dense copy is kept, also once a block and the images are
         # read; D1 and D2 densify the nonzero rows on each read
         C = HomComplex(inst)
-        C.L1()
+        L1(C)
         C.image(1), C.image(2)
         assert not [k for k, v in vars(C).items() if isinstance(v, QMatrix)]
         for k, D in ((1, C.D1), (2, C.D2)):
@@ -675,12 +684,38 @@ class TestLetterContentBlocks:
         n, m = inst.n, inst.m
         C = HomComplex(inst)
         r0, c0 = 2 * (n + m), 3 * (n + m)
-        assert C.L1() == submatrix(C.D2, list(range(r0)), list(range(c0)))
+        assert L1(C) == submatrix(C.D2, list(range(r0)), list(range(c0)))
         if n == 1:
             assert C.L2() == submatrix(C.D2, list(range(r0, r0 + m + 2)),
                                        list(range(c0, c0 + m + 2)))
         if n == m == 1:
             assert C.L2_star() == submatrix(C.D2, [8, 9, 10], [9, 10, 11])
+
+    @pytest.mark.parametrize("inst", coprime_instances(12),
+                             ids=lambda i: i.key())
+    def test_block_rank_is_the_dense_rank_of_the_block(self, inst):
+        # the pivots of the one elimination of D2, counted per weight, are
+        # the ranks of the blocks cut out and eliminated on their own
+        C = HomComplex(inst)
+        assert C.block_rank((0, 0)) == L1(C).rank()
+        weights = set(C._weights[2])
+        assert {w: C.block_rank(w) for w in weights} == {
+            w: C.block(w).rank() for w in weights}
+        assert sum(map(C.block_rank, weights)) == C.ranks[1]
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (1, 4), (2, 5)])
+    def test_block_rank_refuses_an_off_block_entry(self, n, m):
+        C = HomComplex(Instance(n, m, Q(1), Q(1)))
+        w1, w2 = C._weights[1], C._weights[2]
+        r, j = next((r, j) for r in range(len(w2)) for j in range(len(w1))
+                    if w1[j] != w2[r])
+        rows = [dict(row) for row in C.nonzero[2]]
+        rows[r][j] = 1
+        C.nonzero = {**C.nonzero, 2: rows}
+        detail = (f"off-block D2 entry ({r}, {j}): row weight {w2[r]}, "
+                  f"column weight {w1[j]}")
+        with pytest.raises(AssertionError, match=re.escape(detail)):
+            C.block_rank((0, 0))
 
     @pytest.mark.parametrize("n,m", WEIGHTS)
     def test_weight_agrees_with_the_letter_count(self, n, m):

@@ -5,7 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from downup_hh import linalg, resolution
+from downup_hh import linalg, resolution, yoneda
+from downup_hh.cli import main
 from downup_hh.core import Cond1, Cond2, Instance, Q, classify
 from downup_hh.cohomology import (
     coords_mod_image,
@@ -18,6 +19,7 @@ from downup_hh.linalg import QMatrix
 from downup_hh.resolution import HomComplex, L2_display
 from downup_hh.yoneda import (
     LIFT_SIGN,
+    ChainMap,
     closed_form_lifts,
     cup_class,
     cup_vector,
@@ -168,6 +170,75 @@ class TestGenericLift:
                 u = cup_vector(C, pv, cm.sigma1)
                 v = scale(cup_vector(C, pv, gen.sigma1), sign)
                 assert classes_equal(C, u, v), (pl, ql)
+
+
+def ref_verify(cm):
+    """ChainMap.verify as two sides compared: d1 . sigma_1 against
+    -sigma_0 . d2 on each relation, each side through apply_map."""
+    res = cm.C.res
+    return all(res.apply_map(res.d1, cm.sigma1.get(h, {}))
+               == res.apply_map(lambda g: cm.sigma0.get(g, {}), res.d2(h), -1)
+               for h in res.gens2())
+
+
+def all_lifts(C):
+    """The closed-form and the left- and right-slot generic lifts of every
+    HH^1 basis class of C."""
+    return ([cm for _, cm in sorted(closed_form_lifts(C).items())]
+            + [generic_lift(C, v, side) for _, v in hh1_basis(C)
+               for side in ("left", "right")])
+
+
+class TestChainMapVerify:
+    @pytest.mark.parametrize("inst", coprime_instances(7),
+                             ids=lambda i: i.key())
+    def test_a_dropped_sigma1_term_fails(self, inst):
+        C = HomComplex(inst)
+        for cm in all_lifts(C):
+            assert cm.verify() and ref_verify(cm)
+            for h, el in cm.sigma1.items():
+                for drop in el:
+                    s1 = {**cm.sigma1,
+                          h: {k: c for k, c in el.items() if k != drop}}
+                    broken = ChainMap(C, cm.sigma0, s1)
+                    assert not broken.verify(), (h, drop)
+                    assert not ref_verify(broken), (h, drop)
+
+    @pytest.mark.parametrize("inst", coprime_instances(6),
+                             ids=lambda i: i.key())
+    def test_agrees_with_the_two_sides_compared(self, inst):
+        # scaled, merged and emptied maps: one sum decides as two sides do
+        rng = random.Random(inst.key())
+        C = HomComplex(inst)
+        lifts = all_lifts(C)
+        for _ in range(6):
+            cm, other = rng.choice(lifts), rng.choice(lifts)
+            c = Q(rng.randint(-3, 3), rng.randint(1, 2))
+            s0 = {**cm.sigma0, **other.sigma0}
+            s1 = {h: {k: c * x for k, x in el.items()}
+                  for h, el in cm.sigma1.items()}
+            for mixed in (ChainMap(C, s0, cm.sigma1), ChainMap(C, cm.sigma0, s1),
+                          ChainMap(C, {}, {}), ChainMap(C, cm.sigma0, {})):
+                assert mixed.verify() == ref_verify(mixed)
+
+    def test_a_sigma1_term_off_its_arrow_source_raises(self):
+        C = HomComplex(Instance(1, 2, Q(1), Q(1)))
+        cm = closed_form_lifts(C)["h1"]
+        h, el = next(iter(cm.sigma1.items()))
+        ((letter, s), ls, u, v), c = next(iter(el.items()))
+        # the same words, but the arrow one vertex further on
+        moved = {**cm.sigma1, h: {((letter, s + 1), ls, u, v): c}}
+        with pytest.raises(AssertionError,
+                           match=f"left word ending at vertex {s}"):
+            ChainMap(C, cm.sigma0, moved).verify()
+
+    def test_a_sigma0_term_off_its_vertex_raises(self):
+        C = HomComplex(Instance(1, 2, Q(1), Q(1)))
+        cm = closed_form_lifts(C)["h1"]
+        # sigma_0(x_1) starting at vertex 2 instead of 1
+        s0 = {**cm.sigma0, ("x", 1): {(("e", 2), 2, "", "x"): 1}}
+        with pytest.raises(AssertionError, match="vertex 2, not 1"):
+            ChainMap(C, s0, cm.sigma1).verify()
 
 
 class TestCupValues:
@@ -334,6 +405,25 @@ class TestRingStructure:
         assert (pres["a"], pres["b"]) == (6, 0)
         assert pres["rank"] == 9
         assert len(pres["ideal"]) == 6
+
+    def test_every_ring_table_lift_commutes_and_induces_its_cocycle(
+            self, monkeypatch, capsys):
+        # the lifts that ring_structure multiplies, over the ring table of
+        # the benchmark, are chain maps lifting their classes
+        made = []
+
+        def recording(C, phi_vec, side="left"):
+            cm = generic_lift(C, phi_vec, side)
+            made.append((cm, phi_vec))
+            return cm
+
+        monkeypatch.setattr(yoneda, "generic_lift", recording)
+        assert main(["table", "--which", "ring", "--max-sum", "8"]) == 0
+        capsys.readouterr()
+        assert len(made) == 31
+        for cm, phi in made:
+            assert cm.verify(), cm.C.inst.key()
+            assert cm.induced_vector() == phi, cm.C.inst.key()
 
 
 class TestBatchedProducts:
