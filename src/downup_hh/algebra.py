@@ -21,17 +21,27 @@ left to right strictly decreases the number of (x, y) inversions, hence
 terminates, and the single overlap xxyy resolves to the same normal form both
 ways (identically in alpha, beta), so the system is confluent and the words
 y^a (xy)^b x^c form a basis of e_u B e_v, one for each solution of
-a m + b(n + m) + c n = v - u.  A normal form is a dict mapping normal words
-to exact coefficients: an int wherever the value is integral, so every
+a m + b(n + m) + c n = v - u.  A normal form is a read-only map from normal
+words to exact coefficients: an int wherever the value is integral, so every
 coefficient is an int when alpha and beta are, and a Fraction only where a
 non-integral parameter leaves a remainder.
+
+The rewriting rules mention alpha and beta but neither n nor m, so the
+normal form of a word depends on (alpha, beta) alone, and the degree of a
+word and the normal words of a degree depend on (n, m) alone.  Each of the
+three memos is therefore shared module-wide at that scope (`Beilinson`).
 """
+
+from types import MappingProxyType
 
 from .core import Instance
 from .linalg import QMatrix, _as_q
 
 XXY = "xxy"
 XYY = "xyy"
+
+_NORMAL_FORMS = {}  # (alpha, beta) -> {word: normal form}
+_GRADED = {}  # (n, m) -> ({degree: normal words}, {word: degree})
 
 
 def acc(out, key, c):
@@ -44,7 +54,12 @@ def acc(out, key, c):
 
 
 class Beilinson:
-    """The bound quiver algebra, with rewriting to the y^a (xy)^b x^c basis."""
+    """The bound quiver algebra, with rewriting to the y^a (xy)^b x^c basis.
+
+    Its memos are shared module-wide, normal forms per (alpha, beta) and
+    words and degrees per (n, m); their values are read-only maps, tuples
+    and ints, so no algebra can alter another's.
+    """
 
     def __init__(self, inst: Instance):
         self.inst = inst
@@ -55,9 +70,9 @@ class Beilinson:
         self.ell = inst.ell
         self.nx = inst.n + 2 * inst.m  # arrows x_1 .. x_nx
         self.ny = 2 * inst.n + inst.m  # arrows y_1 .. y_ny
-        self._nf = {}
-        self._words = {}
-        self._degrees = {}
+        self._nf = _NORMAL_FORMS.setdefault((self.alpha, self.beta), {})
+        self._words, self._degrees = _GRADED.setdefault(
+            (self.n, self.m), ({}, {}))
 
     # -- words ------------------------------------------------------------
 
@@ -100,7 +115,7 @@ class Beilinson:
             for w1, c1 in self.rewrite_at(w, i).items():
                 for w2, c2 in self.normal_form(w1).items():
                     acc(out, w2, c1 * c2)
-        self._nf[w] = out
+        out = self._nf[w] = MappingProxyType(out)
         return out
 
     # -- graded structure -------------------------------------------------
@@ -131,7 +146,7 @@ class Beilinson:
         """Normal words spanning e_u B e_v, in a fixed order, as a tuple.
 
         The words depend only on the degree v - u, so each degree's tuple is
-        built once and kept.
+        built once per weight pair and kept.
         """
         if not (1 <= u <= self.ell and 1 <= v <= self.ell and u <= v):
             return ()

@@ -37,14 +37,14 @@ when it divides (t^ell - 1)^3, which _unipotent decides by one long
 division and cross-checks by the nilpotency of s - 1 (`_nilpotent`, read
 off s alone).  Each weight pair costs one C, one pass over its lower
 triangle, one ell x ell product, one division of a polynomial of degree
-3 ell by p, and ell integer matrix-vector products per column the witness
-reads; off weights (1,1) and (1,2) it reads one, as the first column
-already shows (s - 1)^ell != 0 at every pair with n + m <= 40.
+3 ell by p, and up to ell products of s - 1, on its nonzero rows (about
+12 ell entries), with a dense vector per column the witness reads; off
+weights (1,1) and (1,2) it reads one, as the first column already shows
+(s - 1)^ell != 0 at every pair with n + m <= 40.
 """
 
 from fractions import Fraction as Q
 from functools import cache
-from operator import mul
 
 from .algebra import Beilinson
 from .cohomology import hh_dims_computed
@@ -81,17 +81,18 @@ def gorenstein_shift(p: tuple[int, ...]) -> list[list[int]]:
     return [list(row) for row in zip(*cols)]
 
 
-def _nilpotent(N: list[list[int]]) -> bool:
-    """Whether N^ell = 0 for the ell x ell integer rows N: N is applied up to
-    ell times to each unit vector e_j, stopping at the first column with
+def _nilpotent(N: list[dict]) -> bool:
+    """Whether N^ell = 0 for the ell x ell integer matrix N, given by its
+    nonzero rows (see `linalg`): N is applied up to ell times to each unit
+    vector e_j, kept dense, stopping at the first column with
     N^ell e_j != 0, which proves N^ell != 0."""
     ell = len(N)
     for j in range(ell):
-        v = [row[j] for row in N]  # N e_j
+        v = [row.get(j, 0) for row in N]  # N e_j
         for _ in range(ell - 1):
             if not any(v):
                 break
-            v = [sum(map(mul, row, v)) for row in N]
+            v = [sum(x * v[k] for k, x in row.items()) for row in N]
         if any(v):
             return False
     return True
@@ -112,7 +113,8 @@ def _unipotent(s: QMatrix, p: tuple[int, ...]) -> bool:
         if q:
             r[i - ell:i + 1] = [a - q * c for a, c in zip(r[i - ell:i + 1], p)]
     divides = not any(r)
-    nilpotent = _nilpotent([[x - (i == j) for j, x in enumerate(row)]
+    nilpotent = _nilpotent([{j: x - (i == j) for j, x in enumerate(row)
+                             if x != (i == j)}
                             for i, row in enumerate(s.rows)])
     if divides != nilpotent:
         raise AssertionError("unipotence criteria disagree")

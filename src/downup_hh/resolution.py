@@ -58,6 +58,14 @@ are block-diagonal in the weight of tau[h]^w (`tau_weight`): the rank of
 a block of D2, such as the weight-(0,0) arrow block L1, is read off the
 elimination of all of D2, and for n = 1 the x-power block L2 is cut from
 its nonzero rows.
+
+Each quantity is computed at the scope it depends on.  Per weight pair
+(`_WeightPair`, read-only): the tau bases and their tables, the nonzero
+rows of D1 (pairing d1 with tau[e_v] never rewrites, so every entry is
++-1) and image(1).  Per (alpha, beta): the normal forms (`Beilinson`).  Per
+complex: D2, its D2 D1 = 0 certificate against the shared D1, image(2),
+and d2 of each relation, which is d2 of the first relation of its kind
+shifted along the vertices.
 """
 
 from functools import wraps
@@ -171,12 +179,20 @@ class Resolution:
 
     @kept
     def d2(self, h):
-        """d2 on a P2 generator (a relation), one act per letter position."""
-        src, out = self.gen_source(h), {}
+        """d2 on a P2 generator (a relation).  d2((kind, 1)) takes one act
+        per letter position; d2((kind, i)) is it with every generator vertex
+        and left source shifted by i - 1, as relations and normal forms do
+        not depend on the vertex."""
+        kind, i = h
+        if i != 1:
+            t = i - 1
+            return {((a, v + t), ls + t, u, w): c
+                    for ((a, v), ls, u, w), c in self.d2((kind, 1)).items()}
+        out = {}
         for word, c in self.relation(h):
             for p, letter in enumerate(word):
-                v = src + self.B.word_degree(word[:p])
-                self.act(out, c, src, word[:p],
+                v = 1 + self.B.word_degree(word[:p])
+                self.act(out, c, 1, word[:p],
                          self.gen_elem((letter, v)), word[p + 1:])
         return out
 
@@ -300,28 +316,63 @@ def _checked(res, order, gens, space):
 _SPACES = {}
 
 
-def _spaces(res):
-    """(bases, index maps, position tables, weights) of P0^, P1^, P2^ for
-    res's weight pair, each a triple; the weights of a basis are the
-    `tau_weight` of its elements, in order.
+class _WeightPair:
+    """What every Hom complex of one weight pair shares, as none of it
+    depends on alpha and beta; made by `_spaces` on its first complex.
 
-    The generators and the normal words between two vertices depend on
-    (n, m) alone, not on alpha and beta, so every complex of a weight pair
-    shares one copy, built and checked on its first complex.  The bases are
-    tuples and the maps read-only, so no instance can alter another's.  A
-    position table maps (kind, w) to the positions of tau[(kind, i)]^w for
-    i = 1, 2, ...: every generator of a kind has the same words.
+    bases, idx, positions and weights are triples over P0^, P1^, P2^: the
+    tau bases, their index maps, their position tables and the `tau_weight`
+    of each basis element, in order.  The generators and the normal words
+    between two vertices depend on (n, m) alone, so they are built and
+    checked on the pair's first complex.  A position table maps (kind, w)
+    to the positions of tau[(kind, i)]^w for i = 1, 2, ...: every generator
+    of a kind has the same words.
+
+    d1 holds the nonzero rows of D1, stored by the pair's first complex
+    once its D2 D1 = 0 certificate passes: pairing d1 with tau[e_v] never
+    rewrites, so every entry is +-1.  image1() is the elimination of D1^T,
+    kept on its first call.  The values are tuples and read-only maps, so
+    no complex can alter another's.
     """
-    key = (res.B.n, res.B.m)
-    if key not in _SPACES:
+
+    def __init__(self, res):
         bases = (tuple((g, "") for g in res.gens0()), _tau1_basis(res),
                  _tau2_basis(res))
-        _SPACES[key] = (bases,
-                        tuple(MappingProxyType({t: k for k, t in enumerate(b)})
-                              for b in bases),
-                        tuple(map(_positions, bases)),
-                        tuple(tuple(map(tau_weight, b)) for b in bases))
+        self.bases = bases
+        self.idx = tuple(MappingProxyType({t: k for k, t in enumerate(b)})
+                         for b in bases)
+        self.positions = tuple(map(_positions, bases))
+        self.weights = tuple(tuple(map(tau_weight, b)) for b in bases)
+        self.d1 = None
+
+    @kept
+    def image1(self):
+        return _echelon(self.d1, len(self.bases[0]))
+
+
+def _spaces(res):
+    """The `_WeightPair` of res's weight pair, made on first use.  _SPACES
+    keeps the latest pair's only: a sweep builds the complexes of a weight
+    pair one after another, and keeping every pair's D1 and image(1) would
+    grow its memory with the sweep."""
+    key = (res.B.n, res.B.m)
+    if key not in _SPACES:
+        _SPACES.clear()
+        _SPACES[key] = _WeightPair(res)
     return _SPACES[key]
+
+
+def _echelon(rows, ncols):
+    """`HomComplex.image` of the matrix with these nonzero rows and ncols
+    columns: one elimination of its transpose, frozen."""
+    width = len(rows)
+    rows, pivots, _ = _gauss_jordan(_transposed(rows, ncols), width)
+    s = lcm(*(row[c] for row, c in zip(rows, pivots)))
+    free = tuple(sorted(set(range(width)) - set(pivots)))
+    return (s, free, MappingProxyType({
+        c: MappingProxyType({j: s // row[c] * x for j, x in row.items()
+                             if j != c})
+        for row, c in zip(rows, pivots)}))
 
 
 def _positions(basis):
@@ -346,21 +397,28 @@ class HomComplex:
     (ranks, block ranks, HH^1 and HH^2 classes); block(weight) cuts from
     nonzero[2].
     No dense copy is kept: the D1 and D2 properties densify on each read.
-    The bases, index maps, position tables and weights are shared per
-    weight pair (`_spaces`); the image, the bases and ring data built on
-    the complex are `kept`: once each.
+    Shared per weight pair (`_spaces`, read-only): the bases, index maps,
+    position tables and weights, nonzero[1] and image(1).  Shared per
+    (alpha, beta): the normal forms of `Beilinson`.  Per complex: nonzero[2],
+    the certificate, which every complex runs, and image(2), the HH bases
+    and the ring data built on the complex, each `kept`: once each.
     """
 
     def __init__(self, inst: Instance):
         self.inst = inst
         self.res = Resolution(inst)
         self.B = self.res.B
-        ((self.basis0, self.basis1, self.basis2),
-         (self.idx0, self.idx1, self.idx2),
-         self._positions, self._weights) = _spaces(self.res)
-        self.nonzero = {1: self._build_matrix(1), 2: self._build_matrix(2)}
-        if any(_product(self.nonzero[2], self.nonzero[1])):
+        shared = self._shared = _spaces(self.res)
+        self.basis0, self.basis1, self.basis2 = shared.bases
+        self.idx0, self.idx1, self.idx2 = shared.idx
+        self._positions, self._weights = shared.positions, shared.weights
+        d1 = shared.d1
+        if d1 is None:
+            d1 = tuple(map(MappingProxyType, self._build_matrix(1)))
+        self.nonzero = {1: d1, 2: self._build_matrix(2)}
+        if any(_product(self.nonzero[2], d1)):
             raise AssertionError("D2 * D1 != 0")
+        shared.d1 = d1
 
     # -- matrices ----------------------------------------------------------
 
@@ -404,17 +462,14 @@ class HomComplex:
     @kept
     def image(self, k):
         """The echelon basis (s, free, rows) of im Dk, one elimination of the
-        nonzero rows of Dk^T kept: free lists the non-pivot columns, and
-        pivot column c carries s e_c + sum_j rows[c][j] e_j over the free
-        columns j where it is nonzero, s the lcm of the pivots
-        (Gauss-Jordan)."""
-        rows, pivots, _ = _gauss_jordan(
-            _transposed(self.nonzero[k], self.dims[k - 1]), self.dims[k])
-        s = lcm(*(row[c] for row, c in zip(rows, pivots)))
-        free = sorted(set(range(self.dims[k])) - set(pivots))
-        return (s, free, {c: {j: s // row[c] * x for j, x in row.items()
-                              if j != c}
-                          for row, c in zip(rows, pivots)})
+        nonzero rows of Dk^T: free lists the non-pivot columns, and pivot
+        column c carries s e_c + sum_j rows[c][j] e_j over the free columns
+        j where it is nonzero, s the lcm of the pivots (Gauss-Jordan).
+        image(1) is the weight pair's (`_WeightPair.image1`), image(2) this
+        complex's, kept; both are read-only."""
+        if k == 1:
+            return self._shared.image1()
+        return _echelon(self.nonzero[2], self.dims[1])
 
     def coker(self, k, v):
         """The class of v in P_k^ / im Dk: v reduced against image(k), read

@@ -18,6 +18,7 @@ from downup_hh.resolution import HomComplex, Resolution
 
 GOLDEN = Path(__file__).parent / "golden"
 REFERENCE = Path(__file__).parent.parent / "perfbench" / "reference.json"
+PINS_TOOL = Path(__file__).parent.parent / "tools" / "pins.py"
 
 
 def perfbench_workloads():
@@ -384,6 +385,47 @@ class TestBenchmarkReference:
             results.append((argv, code, out.encode()))
         assert wl.gate_invariants(results, reference["invariants-large"]) \
             == (len(wl.LARGE_WEIGHTS), 0, [])
+
+
+class TestPins:
+    """The output pins that are cheap enough for the suite; the others
+    (verify --max-sum 24 and 32) run with `python tools/pins.py`."""
+
+    CHEAP = ("verify-16", "ring-16", "invariants-31-32")
+
+    @pytest.fixture(scope="class")
+    def pins(self):
+        """tools/pins.py, which checks the output pins of PINS.json."""
+        spec = importlib.util.spec_from_file_location("pins", PINS_TOOL)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    @pytest.mark.parametrize("name", CHEAP)
+    def test_a_cheap_pin_holds(self, pins, name):
+        pin = next(p for p in pins.load()["pins"] if p["name"] == name)
+        ok, line = pins.check(pin)
+        assert ok, line
+
+    def test_the_pins_cover_the_recorded_outputs(self, pins):
+        data = pins.load()
+        assert data["recorded_at"]
+        assert {p["name"] for p in data["pins"]} >= set(self.CHEAP) | {
+            "verify-24", "verify-32"}
+        for pin in data["pins"]:
+            assert len(pin["sha256"]) == 64 and pin["exit"] == 0, pin["name"]
+
+    def test_a_mismatch_exits_1(self, pins, monkeypatch, tmp_path, capsys):
+        data = pins.load()
+        pin = next(p for p in data["pins"] if p["name"] == "invariants-31-32")
+        data["pins"] = [dict(pin, sha256="0" * 64)]
+        path = tmp_path / "PINS.json"
+        path.write_text(json.dumps(data))
+        monkeypatch.setattr(pins, "PINS", path)
+        assert pins.main([]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("FAIL invariants-31-32") and "sha256" in out
+        assert out.splitlines()[-1] == "1 pins, 1 failed"
 
 
 class TestReportCommands:

@@ -33,7 +33,7 @@ from downup_hh.linalg import QMatrix, _nonzero
 from downup_hh.resolution import HomComplex
 from downup_hh.yoneda import ring_row_report, ring_structure
 from test_invariants import coprime_weights
-from test_linalg import exact, ref_rref
+from test_linalg import assert_read_only, exact, ref_rref
 from test_yoneda import classes_equal, in_image
 
 I, II = Cond1.CASE_I, Cond1.CASE_II
@@ -459,13 +459,14 @@ class TestImages:
     def test_images_ranks_and_cokernels_equal_a_dense_reference(self, inst):
         # the reference reduces the dense C.D1, C.D2 over Fraction
         C = HomComplex(inst)
-        assert C.nonzero == {1: _nonzero(C.D1.rows), 2: _nonzero(C.D2.rows)}
+        assert {k: list(rows) for k, rows in C.nonzero.items()} == {
+            1: _nonzero(C.D1.rows), 2: _nonzero(C.D2.rows)}
         bases = {1: [v for _, v in hh1_basis(C)], 2: [v for _, v in hh2_basis(C)]}
         for k, D in ((1, C.D1), (2, C.D2)):
             red, pivots = ref_image(D)
             free = [j for j in range(D.nrows) if j not in pivots]
             s, got_free, rows = C.image(k)
-            assert got_free == free and sorted(rows) == pivots
+            assert list(got_free) == free and sorted(rows) == pivots
             assert C.ranks[k - 1] == len(pivots)
             assert {c: {j: Q(x, s) for j, x in rows[c].items()}
                     for c in pivots} == {c: {j: r[j] for j in free if r[j]}
@@ -515,22 +516,49 @@ class TestImages:
     @pytest.mark.parametrize("only", [None] + list(cli.CHECKS))
     def test_each_image_is_eliminated_once_per_complex(self, monkeypatch,
                                                        only):
-        seen = []
+        # image(2) once per complex; image(1) once per weight pair, whose
+        # complexes share it
+        monkeypatch.setattr(resolution, "_SPACES", {})
+        seen, per_pair = [], {}
         record_eliminations(monkeypatch, seen)
         for inst in (i for i in sweep() if i.n + i.m <= 5):
             C = HomComplex(inst)
             seen.clear()
             cli._verify_worker((inst, None, only))
-            counts = eliminations(C, seen)
-            assert max(counts) <= 1, (inst.key(), counts)
+            one, two = eliminations(C, seen)
+            assert two <= 1, inst.key()
             if only is None:
-                assert counts == [1, 1], inst.key()
+                assert two == 1, inst.key()
+            pair = (inst.n, inst.m)
+            per_pair[pair] = per_pair.get(pair, 0) + one
             seen.clear()
             # a ring-table row never eliminates D1, and D2 only when it has
             # a product to resolve: when HH^1 has two basis classes or more
             cli._ring_row(inst)
             a = len(hh1_basis(C))
             assert eliminations(C, seen) == [0, int(a >= 2)], inst.key()
+        assert len(per_pair) == 5 and max(per_pair.values()) <= 1, per_pair
+        if only is None:
+            assert set(per_pair.values()) == {1}, per_pair
+
+    def test_verify_eliminates_d1_per_weight_pair_and_d2_per_instance(
+            self, monkeypatch, capsys):
+        # verify --max-sum 6: 6 weight pairs, 19 instances
+        monkeypatch.setattr(resolution, "_SPACES", {})
+        seen = []
+        record_eliminations(monkeypatch, seen)
+        monkeypatch.delenv("HH_THREADS", raising=False)
+        assert cli.main(["verify", "--max-sum", "6"]) == 0
+        assert "226 checks, 0 failed" in capsys.readouterr().out
+        complexes = [HomComplex(inst) for n, m in cli.sweep_weights(6)
+                     for inst in sample_instances(n, m)]
+        assert len(complexes) == 19
+        d1 = {(C.B.n, C.B.m): _nonzero(C.D1.transpose().rows)
+              for C in complexes}
+        assert len(d1) == 6
+        assert [seen.count(rows) for rows in d1.values()] == [1] * 6
+        assert [seen.count(_nonzero(C.D2.transpose().rows))
+                for C in complexes] == [1] * 19
 
 
 class TestKeptPerComplex:
@@ -580,16 +608,22 @@ class TestKeptPerComplex:
         assert one != two
         assert C.ranks == (len(one[2]), len(two[2]))
 
-    def test_two_complexes_of_one_instance_share_nothing(self):
+    def test_two_complexes_of_one_instance_share_only_read_only_values(self):
+        # what depends on (alpha, beta) is built per complex; D1 and its
+        # image, which depend on (n, m) alone, are shared and read-only
         inst = Instance(1, 1, Q(0), Q(1))
         C, D = HomComplex(inst), HomComplex(inst)
         for fn in self.KEPT:
             assert fn(C) is not fn(D) and fn(C) == fn(D), fn.__name__
-        for k in (1, 2):
-            assert C.image(k) is not D.image(k) and C.image(k) == D.image(k)
-        h = C.res.gens2()[0]
-        assert C.res.d2(h) is not D.res.d2(h)
+        assert C.image(2) is not D.image(2) and C.image(2) == D.image(2)
+        assert C.nonzero[2] is not D.nonzero[2]
+        assert C.nonzero[2] == D.nonzero[2]
+        for h in C.res.gens2():
+            assert C.res.d2(h) is not D.res.d2(h)
         assert C._kept is not D._kept and C.res._kept is not D.res._kept
+        assert C.image(1) is D.image(1) and C.nonzero[1] is D.nonzero[1]
+        assert_read_only(C.image(1))
+        assert_read_only(C.nonzero[1])
 
 
 class TestStrata:

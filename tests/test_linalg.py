@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction as Q
+from types import MappingProxyType
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -35,6 +36,20 @@ def eval_matrix(p, M):
 def is_zero(M):
     """Whether every entry of M is zero."""
     return all(x == 0 for row in M.rows for x in row)
+
+
+def assert_read_only(value):
+    """Item assignment raises TypeError on value, a tuple or a read-only
+    map, and on every container inside it; the leaves are immutable
+    scalars or words."""
+    if isinstance(value, (tuple, MappingProxyType)):
+        is_map = isinstance(value, MappingProxyType)
+        with pytest.raises(TypeError):
+            value[next(iter(value), None) if is_map else 0] = None
+        for x in value.values() if is_map else value:
+            assert_read_only(x)
+    else:
+        assert type(value) in (int, Q, str), value
 
 
 # -- test-only references: textbook Fraction Gauss-Jordan, product and the

@@ -1,5 +1,6 @@
 """The bimodule resolution, the Hom complex, and its matrices."""
 
+import itertools
 import random
 import re
 from fractions import Fraction as Q
@@ -8,7 +9,8 @@ import pytest
 
 from downup_hh.cohomology import sample_instances
 from downup_hh.core import Cond1, Cond2, Instance, classify
-from downup_hh import resolution
+from downup_hh import algebra, resolution
+from downup_hh.algebra import Beilinson
 from downup_hh.linalg import QMatrix, _nonzero
 from downup_hh.resolution import (
     HomComplex,
@@ -22,8 +24,8 @@ from downup_hh.resolution import (
 from downup_hh.yoneda import ChainMap, _el, cup_vector
 from test_algebra import path
 from test_cohomology import column
-from test_invariants import coprime_instances
-from test_linalg import is_zero
+from test_invariants import coprime_instances, coprime_weights
+from test_linalg import assert_read_only, is_zero
 
 WEIGHTS = [(1, 1), (1, 2), (1, 3), (1, 4), (2, 3), (2, 5), (3, 4), (3, 5), (4, 5)]
 PARAMS = [(Q(0), Q(1)), (Q(1), Q(1)), (Q(2), Q(-1)), (Q(1), Q(-1)), (Q(3), Q(2))]
@@ -566,6 +568,7 @@ class TestTranslatedMatrices:
         assert C.D2 == ref_build_matrix(C, C.idx1, C.idx2, res.gens2(), res.d2)
 
     def test_pairs_one_generator_per_kind(self, monkeypatch):
+        monkeypatch.setattr(resolution, "_SPACES", {})
         seen = []
         pair = Resolution.pair
         monkeypatch.setattr(Resolution, "pair", lambda res, fun, gens, *a:
@@ -581,7 +584,7 @@ class TestNonzeroRows:
     def test_the_nonzero_rows_are_the_dense_matrices(self, inst):
         C = HomComplex(inst)
         for k, D in ((1, C.D1), (2, C.D2)):
-            assert C.nonzero[k] == _nonzero(D.rows)
+            assert list(C.nonzero[k]) == _nonzero(D.rows)
             assert D.shape == (C.dims[k], C.dims[k - 1])
             assert all(x and type(x) is (int if x.denominator == 1 else Q)
                        for row in C.nonzero[k] for x in row.values())
@@ -602,6 +605,7 @@ class TestNonzeroRows:
 
     def test_the_certificate_reads_the_nonzero_rows(self, monkeypatch):
         # a corrupted entry in the nonzero rows of D1 breaks D2 D1 = 0
+        monkeypatch.setattr(resolution, "_SPACES", {})
         build = HomComplex._build_matrix
 
         def corrupted(self, k):
@@ -665,6 +669,92 @@ class TestSharedSpaces:
         for bad in (order[1:], order + order[:1]):
             with pytest.raises(AssertionError, match="does not match"):
                 resolution._checked(C.res, bad, gens, "P1^")
+
+
+def ref_d2(res, h):
+    """d2 on a relation with one act per letter position at the relation's
+    own source, every relation on its own: the build before the shift."""
+    src, out = res.gen_source(h), {}
+    for word, c in res.relation(h):
+        for p, letter in enumerate(word):
+            v = src + res.B.word_degree(word[:p])
+            res.act(out, c, src, word[:p],
+                    res.gen_elem((letter, v)), word[p + 1:])
+    return out
+
+
+def words_up_to(length):
+    """Every word in x and y of at most `length` letters."""
+    return ["".join(w) for k in range(length + 1)
+            for w in itertools.product("xy", repeat=k)]
+
+
+class TestSharedParts:
+    """Each part of a complex is computed at the scope it depends on: D1
+    and image(1) per weight pair, normal forms per (alpha, beta), d2 of a
+    relation as a vertex shift of the first relation of its kind."""
+
+    def test_the_sweeps_cover_alpha_zero_and_a_fraction_beta(self):
+        insts = coprime_instances(10)
+        assert any(i.alpha == 0 for i in insts)
+        assert any(Q(i.beta).denominator > 1 for i in insts)
+
+    @pytest.mark.parametrize("n,m", coprime_weights(10))
+    def test_d1_does_not_depend_on_alpha_and_beta(self, n, m):
+        insts = sample_instances(n, m)
+        shared = HomComplex(insts[0]).nonzero[1]
+        for inst in insts:
+            C = HomComplex(inst)
+            assert C.nonzero[1] is shared
+            assert C._build_matrix(1) == list(shared), inst.key()
+
+    def test_normal_forms_do_not_depend_on_the_weights(self, monkeypatch):
+        words = words_up_to(6)
+        assert len(words) == 127
+        for a, b in PARAMS + [(Q(1), Q(-1, 2))]:
+            forms = []
+            for n, m in ((1, 3), (2, 5)):
+                monkeypatch.setattr(algebra, "_NORMAL_FORMS", {})
+                B = Beilinson(Instance(n, m, a, b))
+                forms.append({w: B.normal_form(w) for w in words})
+            assert forms[0] == forms[1], (a, b)
+
+    def test_normal_forms_are_shared_per_alpha_and_beta(self):
+        B, C = (Beilinson(Instance(n, m, Q(2), Q(-1)))
+                for n, m in ((1, 3), (2, 5)))
+        assert B._nf is C._nf
+        assert B._nf is not Beilinson(Instance(1, 3, Q(1), Q(1)))._nf
+        assert B._words is not C._words and B._degrees is not C._degrees
+        assert B._words is Beilinson(Instance(1, 3, Q(1), Q(1)))._words
+
+    @pytest.mark.parametrize("inst", coprime_instances(10),
+                             ids=lambda i: i.key())
+    def test_shifted_d2_equals_the_act_per_letter_build(self, inst):
+        res = Resolution(inst)
+        for h in res.gens2():
+            assert res.d2(h) == ref_d2(res, h), h
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (2, 3), (3, 8), (7, 9)])
+    def test_d2_makes_18_act_calls_per_complex(self, monkeypatch, n, m):
+        calls = []
+        act = Resolution.act
+        monkeypatch.setattr(Resolution, "act", lambda res, *a:
+                            calls.append(1) or act(res, *a))
+        C = HomComplex(Instance(n, m, Q(2), Q(-1)))
+        for h in C.res.gens2():
+            C.res.d2(h)
+        assert len(calls) == 18
+
+    def test_every_shared_value_refuses_mutation(self):
+        C = HomComplex(Instance(1, 3, Q(1), Q(-1, 2)))
+        for value in (C.basis0, C.basis1, C.basis2, C.idx0, C.idx1, C.idx2,
+                      C._positions, C._weights, C.nonzero[1], C.image(1),
+                      C.image(2)):
+            assert_read_only(value)
+        for w in words_up_to(5):
+            assert_read_only(C.B.normal_form(w))
+        for d in range(C.B.ell):
+            assert_read_only(C.B.hom_words(1, 1 + d))
 
 
 class TestLetterContentBlocks:
