@@ -390,6 +390,22 @@ def _verify_worker(item):
             for group, check in checks]
 
 
+def _verify_pair(job):
+    """(checks, stratum notes) of one weight pair: `_verify_worker` on each
+    instance its strata reach and a note on each other stratum.  A pool
+    worker thus builds each pair's shared parts once."""
+    n, m, fault, only = job
+    checks, notes = [], []
+    for (c1, c2), rec in stratum_samples(n, m).items():
+        if rec["status"] == "reached":
+            checks += _verify_worker((rec["instance"], fault, only))
+        else:
+            label = f"n={n} m={m} stratum (Case {c1.value}, Case {c2.value})"
+            notes.append({"instance": label, "group": "sweep",
+                          **_check("stratum-status", True, rec["status"])})
+    return checks, notes
+
+
 def verify_workers(value: str, n_items: int) -> int:
     """Worker processes for `verify` from HH_THREADS, clamped to [1, CPUs,
     items]; unset runs serially, and so does a non-integer, with a warning."""
@@ -405,27 +421,19 @@ def verify_workers(value: str, n_items: int) -> int:
 
 
 def cmd_verify(args) -> int:
-    items = []
-    strata_notes = []
-    for n, m in sweep_weights(args.max_sum):
-        for (c1, c2), rec in stratum_samples(n, m).items():
-            label = f"n={n} m={m} stratum (Case {c1.value}, Case {c2.value})"
-            if rec["status"] != "reached":
-                strata_notes.append({"instance": label, "group": "sweep",
-                                     **_check("stratum-status", True, rec["status"])})
-                continue
-            items.append((rec["instance"], args.inject_fault, args.only))
-
-    workers = verify_workers(os.environ.get("HH_THREADS", ""), len(items))
+    jobs = [(n, m, args.inject_fault, args.only)
+            for n, m in sweep_weights(args.max_sum)]
+    workers = verify_workers(os.environ.get("HH_THREADS", ""), len(jobs))
     if workers > 1:
         # Imported here: every serial command would pay for it at start-up.
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_instance = list(pool.map(_verify_worker, items))
+            per_pair = list(pool.map(_verify_pair, jobs))
     else:
-        per_instance = [_verify_worker(it) for it in items]
+        per_pair = [_verify_pair(job) for job in jobs]
 
-    checks = [c for chunk in per_instance for c in chunk] + strata_notes
+    checks = ([c for chunk, _ in per_pair for c in chunk]
+              + [note for _, notes in per_pair for note in notes])
     failed = _failed(checks)
     rep = {"sweep": {"max_sum": args.max_sum,
                      "only": args.only, "fault": args.inject_fault},

@@ -50,9 +50,11 @@ gen -> sum c lw [h] rw, tau[h]^w puts c nf(lw w rw) on gen; one walk over the
 terms (Resolution.pair) does this for every functional at once, or for the
 functionals of a given support only.  It builds D1, D2 from d1, d2 as their
 nonzero rows (columns indexed by the domain basis, rows by the codomain
-basis, in fixed, explicitly listed orders that depend on the weights alone;
+basis, each listing first the functionals of the D2 blocks stated in
+closed form (`_displays`), then the rest in enumeration order (`_basis`);
 one generator of each kind is paired and its entries are translated along
-the vertices), and the cup and induced cochains of `yoneda` from chain maps.
+the vertices), and the cup and induced cochains of `yoneda` from chain
+maps.
 The relations are homogeneous in the letter content (#x, #y), so D1 and D2
 are block-diagonal in the weight of tau[h]^w (`tau_weight`): the rank of
 a block of D2, such as the weight-(0,0) arrow block L1, is read off the
@@ -72,7 +74,7 @@ from functools import wraps
 from math import lcm
 from types import MappingProxyType
 
-from .algebra import Beilinson, acc
+from .algebra import XXY, XYY, Beilinson, acc
 from .core import Cond1, Instance, classify
 from .linalg import (QMatrix, _as_q, _dense, _gauss_jordan, _product, _q,
                      _transposed)
@@ -124,13 +126,13 @@ class Resolution:
         return gen[1] + self.gen_degree(gen)
 
     def relation(self, gen):
-        """The relation element as [(word, coefficient)], leading word first."""
-        a, b = self.B.alpha, self.B.beta
-        if gen[0] == "f":
-            return [("xxy", 1), ("xyx", -a), ("yxx", -b)]
-        if gen[0] == "g":
-            return [("xyy", 1), ("yxy", -a), ("yyx", -b)]
-        raise ValueError(f"not a relation generator: {gen}")
+        """The relation element as [(word, coefficient)], leading word first:
+        the leading word minus its rewriting (`Beilinson.rewrite_at`)."""
+        lead = {"f": XXY, "g": XYY}.get(gen[0])
+        if lead is None:
+            raise ValueError(f"not a relation generator: {gen}")
+        return [(lead, 1)] + [(w, -c) for w, c in
+                              self.B.rewrite_at(lead, 0).items()]
 
     # -- elements of the P^r ----------------------------------------------
 
@@ -262,55 +264,42 @@ def tau_label(tau):
     return f"tau[{kind}{i}]^{w}"
 
 
-def _tau1_basis(res):
-    B = res.B
-    n, m = B.n, B.m
-    xs = [(("x", i), "x") for i in range(1, B.nx + 1)]
-    ys = [(("y", j), "y") for j in range(1, B.ny + 1)]
-    if n >= 2:
-        order = xs + ys
-    elif m > 1:
-        order = xs + ys + [(("y", j), "x" * m) for j in range(m + 2, 0, -1)]
-    else:
-        order = (xs + ys
-                 + [(("y", j), "x") for j in (3, 2, 1)]
-                 + [(("x", i), "y") for i in (1, 2, 3)])
-    return _checked(res, order, res.gens1(), "P1^")
+def _displays(res):
+    """The (rows, columns) of the D2 blocks stated in closed form, as tau
+    functionals in the closed forms' order: the arrow block L1, for n = 1
+    the x-power block L2 and for n = m = 1 its mirror L2*.  L1's rows go
+    kind by kind, not in enumeration order, which makes some cokernel
+    values non-integral at integral points such as (2,3,2,-1)."""
+    arrows, rels = res.gens1(), res.gens2()
+    xs, ys = ([a for a in arrows if a[0] == k] for k in "xy")
+    fs, gs = ([h for h in rels if h[0] == k] for k in "fg")
+    out = [([(f, "yxx") for f in fs] + [(g, "yyx") for g in gs]
+            + [(g, "yxy") for g in gs] + [(f, "xyx") for f in fs],
+            [(a, a[0]) for a in arrows])]
+    if res.B.n == 1:
+        xm = "x" * res.B.m
+        out.append(([(f, xm + "xx") for f in reversed(fs)]
+                    + [(gs[0], "y" + xm + "x"), (gs[0], "xy" + xm)],
+                    [(y, xm) for y in reversed(ys)]))
+        if res.B.m == 1:
+            out.append(([(gs[0], "yyy"), (fs[0], "yyx"), (fs[0], "yxy")],
+                        [(x, "y") for x in xs]))
+    return out
 
 
-def _tau2_basis(res):
-    n, m = res.B.n, res.B.m
-    f = lambda i, w: (("f", i), w)
-    g = lambda j, w: (("g", j), w)
-    head = ([f(i, "yxx") for i in range(1, m + 1)]
-            + [g(j, "yyx") for j in range(1, n + 1)]
-            + [g(j, "yxy") for j in range(1, n + 1)]
-            + [f(i, "xyx") for i in range(1, m + 1)])
-    if n >= 3:
-        tail = []
-    elif n == 2:
-        tail = [g(1, "x" * (m + 1)), g(2, "x" * (m + 1))]
-    elif m >= 3:  # n = 1
-        tail = ([f(i, "x" * (m + 2)) for i in range(m, 0, -1)]
-                + [g(1, "y" + "x" * (m + 1)), g(1, "xy" + "x" * m),
-                   g(1, "x" * (2 * m + 1))])
-    elif m == 2:  # n = 1
-        tail = [f(2, "xxxx"), f(1, "xxxx"), g(1, "yxxx"), g(1, "xyxx"),
-                g(1, "xxxxx"), f(1, "yy"), f(2, "yy")]
-    else:  # n = m = 1
-        tail = [f(1, "xxx"), g(1, "yxx"), g(1, "xyx"), g(1, "xxx"),
-                g(1, "yyy"), f(1, "yyx"), f(1, "yxy"), f(1, "yyy")]
-    return _checked(res, head + tail, res.gens2(), "P2^")
-
-
-def _checked(res, order, gens, space):
-    """`order` as a tuple, checked to list each functional of `gens` exactly
-    once."""
-    brute = [(g, w) for g in gens
+def _basis(res, k):
+    """The tau basis of P_k^ (k = 1, 2) as a tuple: the `_displays` columns
+    (k = 1) or rows (k = 2) first and in order, then every other functional
+    in enumeration order.  Raises AssertionError if the display lists
+    repeat a functional or name one outside the enumeration."""
+    brute = [(g, w) for g in (res.gens1, res.gens2)[k - 1]()
              for w in res.B.hom_words(res.gen_source(g), res.gen_target(g))]
-    if set(order) != set(brute) or len(order) != len(brute):
-        raise AssertionError(f"tau basis of {space} does not match enumeration")
-    return tuple(order)
+    head = [t for block in _displays(res) for t in block[2 - k]]
+    first = dict.fromkeys(head)
+    if len(first) != len(head) or not first.keys() <= set(brute):
+        raise AssertionError(f"display functionals of P{k}^ repeat or leave "
+                             "the enumeration")
+    return tuple(head + [t for t in brute if t not in first])
 
 
 _SPACES = {}
@@ -321,10 +310,10 @@ class _WeightPair:
     depends on alpha and beta; made by `_spaces` on its first complex.
 
     bases, idx, positions and weights are triples over P0^, P1^, P2^: the
-    tau bases, their index maps, their position tables and the `tau_weight`
-    of each basis element, in order.  The generators and the normal words
-    between two vertices depend on (n, m) alone, so they are built and
-    checked on the pair's first complex.  A position table maps (kind, w)
+    tau bases (`_basis`), their index maps, their position tables and the
+    `tau_weight` of each basis element, in order.  The generators and the
+    normal words between two vertices depend on (n, m) alone, so the bases
+    are built on the pair's first complex.  A position table maps (kind, w)
     to the positions of tau[(kind, i)]^w for i = 1, 2, ...: every generator
     of a kind has the same words.
 
@@ -336,8 +325,8 @@ class _WeightPair:
     """
 
     def __init__(self, res):
-        bases = (tuple((g, "") for g in res.gens0()), _tau1_basis(res),
-                 _tau2_basis(res))
+        bases = (tuple((g, "") for g in res.gens0()), _basis(res, 1),
+                 _basis(res, 2))
         self.bases = bases
         self.idx = tuple(MappingProxyType({t: k for k, t in enumerate(b)})
                          for b in bases)
@@ -510,7 +499,8 @@ class HomComplex:
 
     def block(self, weight):
         """The D2 rows and P1^ columns (D1's codomain) of the given weight,
-        cut from nonzero[2] as a dense QMatrix."""
+        cut from nonzero[2] as a dense QMatrix, in basis order: for a
+        display block that is its `_displays` order."""
         at = {j: c for c, j in enumerate(
             j for j, w in enumerate(self._weights[1]) if w == weight)}
         rows = [{at[j]: x for j, x in row.items() if j in at}
@@ -519,16 +509,15 @@ class HomComplex:
         return QMatrix._of(_dense(rows, len(at)), len(at))
 
     def L2(self):
-        """For n = 1: the x-power block, of weight (m,-1), with rows
-        tau[f_m..f_1]^{x^(m+2)}, tau[g_1]^{y x^(m+1)}, tau[g_1]^{x y x^m}
-        and columns tau[y_(m+2)..y_1]^{x^m}."""
+        """For n = 1: the x-power block, of weight (m,-1), with the rows and
+        columns `_displays` lists for it."""
         if self.B.n != 1:
             raise ValueError("the x-power block exists only for n = 1")
         return self.block((self.B.m, -1))
 
     def L2_star(self):
-        """For n = m = 1 only: the mirror block, of weight (-1,1), with rows
-        tau[g1]^yyy, tau[f1]^yyx, tau[f1]^yxy and columns tau[x_1..x_3]^y."""
+        """For n = m = 1 only: the mirror block, of weight (-1,1), with the
+        rows and columns `_displays` lists for it."""
         if not (self.B.n == 1 and self.B.m == 1):
             raise ValueError("the mirror block exists only for n = m = 1")
         return self.block((-1, 1))

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from downup_hh import cli, yoneda
+from downup_hh import cli, resolution, yoneda
 from downup_hh.cli import CHECKS, REPORTS, main, sweep_weights, verify_workers
 from downup_hh.cohomology import sample_instances
 from downup_hh.core import Q
@@ -313,12 +313,59 @@ class TestVerify:
         assert checks == [c for c in full_sweep_5["checks"]
                           if c["group"] in (group, "sweep")]
 
-    def test_parallel_aggregation_is_deterministic(self):
-        serial = run_cli("verify", "--max-sum", "4", "--format", "json")
-        parallel = run_cli("verify", "--max-sum", "4", "--format", "json",
-                           env_extra={"HH_THREADS": "3"})
-        assert serial.returncode == parallel.returncode == 0
+    @pytest.mark.parametrize("args,threads", [
+        (["--max-sum", "4", "--format", "json"], "3"),
+        (["--max-sum", "8"], "2"),
+        (["--max-sum", "8", "--inject-fault", "lambda-sign"], "2")])
+    def test_parallel_aggregation_is_deterministic(self, args, threads):
+        serial, parallel = (run_cli("verify", *args,
+                                    env_extra={"HH_THREADS": value})
+                            for value in ("", threads))
+        fault = "--inject-fault" in args
+        assert serial.returncode == parallel.returncode == int(fault)
+        assert ("FAIL" in serial.stdout) == fault
         assert serial.stdout == parallel.stdout
+
+    def test_a_weight_pair_is_its_slice_of_the_serial_report(self, monkeypatch,
+                                                             capsys):
+        # the report lists every pair's checks in pair order, then every
+        # pair's stratum notes in pair order
+        monkeypatch.delenv("HH_THREADS", raising=False)
+        assert main(["verify", "--max-sum", "6", "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)["checks"]
+        per_pair = [(n, m, *cli._verify_pair((n, m, None, None)))
+                    for n, m in sweep_weights(6)]
+        rest = report
+        for n, m, checks, _ in per_pair:
+            assert checks and rest[:len(checks)] == checks, (n, m)
+            assert all(c["instance"].startswith(f"n={n} m={m} ")
+                       and c["group"] != "sweep" for c in checks)
+            rest = rest[len(checks):]
+        for n, m, _, notes in per_pair:
+            assert rest[:len(notes)] == notes, (n, m)
+            assert all(c["instance"].startswith(f"n={n} m={m} stratum")
+                       and c["group"] == "sweep" for c in notes)
+            rest = rest[len(notes):]
+        assert rest == [] and any(notes for *_, notes in per_pair)
+
+    def test_two_workers_build_each_weight_pair_once(self, monkeypatch,
+                                                     tmp_path, capsys):
+        # the pool forks, so the workers inherit the patched constructor and
+        # append to one log
+        log = tmp_path / "built"
+        init = resolution._WeightPair.__init__
+
+        def logged(self, res):
+            with open(log, "a") as out:
+                out.write(f"{res.B.n},{res.B.m}\n")
+            init(self, res)
+        monkeypatch.setattr(resolution._WeightPair, "__init__", logged)
+        monkeypatch.setattr(resolution, "_SPACES", {})
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("HH_THREADS", "2")
+        assert main(["verify", "--max-sum", "8"]) == 0
+        assert sorted(log.read_text().split()) == sorted(
+            f"{n},{m}" for n, m in sweep_weights(8))
 
     def test_import_leaves_the_process_pool_unloaded(self):
         # Only `verify` with HH_THREADS > 1 uses the pool, so no command
@@ -389,7 +436,7 @@ class TestBenchmarkReference:
 
 class TestPins:
     """The output pins that are cheap enough for the suite; the others
-    (verify --max-sum 24 and 32) run with `python tools/pins.py`."""
+    (verify --max-sum 24, 32, 48 and 64) run with `python tools/pins.py`."""
 
     CHEAP = ("verify-16", "ring-16", "invariants-31-32")
 
@@ -411,7 +458,7 @@ class TestPins:
         data = pins.load()
         assert data["recorded_at"]
         assert {p["name"] for p in data["pins"]} >= set(self.CHEAP) | {
-            "verify-24", "verify-32"}
+            "verify-24", "verify-32", "verify-48", "verify-64"}
         for pin in data["pins"]:
             assert len(pin["sha256"]) == 64 and pin["exit"] == 0, pin["name"]
 

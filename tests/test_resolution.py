@@ -489,8 +489,9 @@ class TestHomComplex:
             inst = Instance(1, 1, a, b)
             C = HomComplex(inst)
             assert C.L2_star() == L2_display(inst)
-            rows = [tau_label(C.basis2[i]) for i in (8, 9, 10)]
-            assert rows == ["tau[g1]^yyy", "tau[f1]^yyx", "tau[f1]^yxy"]
+            labels = [tau_label(t) for t in C.basis2]
+            assert [labels.index(lbl) for lbl in (
+                "tau[g1]^yyy", "tau[f1]^yyx", "tau[f1]^yxy")] == [7, 8, 9]
 
     def test_L2_display_m1(self):
         inst = Instance(1, 1, Q(3), Q(2))
@@ -647,28 +648,101 @@ class TestSharedSpaces:
             with pytest.raises(TypeError):
                 positions[next(iter(positions))] = ()
 
-    def test_checked_once_per_weight_pair(self, monkeypatch):
+    def test_each_basis_is_built_once_per_weight_pair(self, monkeypatch):
         monkeypatch.setattr(resolution, "_SPACES", {})
         calls = []
-        checked = resolution._checked
+        basis = resolution._basis
         monkeypatch.setattr(
-            resolution, "_checked", lambda res, order, gens, space:
-            calls.append(((res.B.n, res.B.m), space))
-            or checked(res, order, gens, space))
+            resolution, "_basis", lambda res, k:
+            calls.append(((res.B.n, res.B.m), k)) or basis(res, k))
         for n, m in ((1, 3), (2, 3)):
             for inst in sample_instances(n, m):
                 HomComplex(inst)
-        assert calls == [((1, 3), "P1^"), ((1, 3), "P2^"),
-                         ((2, 3), "P1^"), ((2, 3), "P2^")]
+        assert calls == [((1, 3), 1), ((1, 3), 2), ((2, 3), 1), ((2, 3), 2)]
 
-    def test_a_basis_order_off_the_enumeration_is_refused(self):
-        C = HomComplex(Instance(2, 3, Q(1), Q(1)))
-        gens = C.res.gens1()
-        order = list(C.basis1)
-        assert resolution._checked(C.res, order, gens, "P1^") == C.basis1
-        for bad in (order[1:], order + order[:1]):
-            with pytest.raises(AssertionError, match="does not match"):
-                resolution._checked(C.res, bad, gens, "P1^")
+    @pytest.mark.parametrize("n,m", [(1, 1), (1, 4), (2, 3)])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_a_display_list_with_a_duplicate_or_a_stray_raises(
+            self, monkeypatch, n, m, k):
+        res = Resolution(Instance(n, m, Q(1), Q(1)))
+        displays = resolution._displays(res)
+        side = 2 - k  # the columns are P1^ functionals, the rows P2^ ones
+        gen = (res.gens1, res.gens2)[k - 1]()[-1]
+        beyond = ((gen[0], gen[1] + 1), displays[0][side][-1][1])
+        off = (gen, "xxy" if k == 2 else "xx")  # not normal, or off degree
+        for extra in (displays[-1][side][0], beyond, off):
+            bad = [list(block) for block in displays]
+            bad[-1][side] = bad[-1][side] + [extra]
+            monkeypatch.setattr(resolution, "_displays", lambda res: bad)
+            with pytest.raises(AssertionError,
+                               match=f"display functionals of P{k}\\^"):
+                resolution._basis(res, k)
+        monkeypatch.undo()
+        C = HomComplex(res.inst)
+        assert resolution._basis(res, k) == (C.basis1, C.basis2)[k - 1]
+
+
+def ref_display_labels(n, m):
+    """The (rows, columns) of L1, L2 (n = 1) and L2* (n = m = 1) by label,
+    in the order of their closed forms."""
+    fs, gs = range(1, m + 1), range(1, n + 1)
+    out = [([f"tau[f{i}]^yxx" for i in fs] + [f"tau[g{j}]^yyx" for j in gs]
+            + [f"tau[g{j}]^yxy" for j in gs] + [f"tau[f{i}]^xyx" for i in fs],
+            [f"tau[x{i}]^x" for i in range(1, n + 2 * m + 1)]
+            + [f"tau[y{j}]^y" for j in range(1, 2 * n + m + 1)])]
+    if n == 1:
+        xm = "x" * m
+        out.append(([f"tau[f{i}]^{xm}xx" for i in range(m, 0, -1)]
+                    + [f"tau[g1]^y{xm}x", f"tau[g1]^xy{xm}"],
+                    [f"tau[y{j}]^{xm}" for j in range(m + 2, 0, -1)]))
+    if n == m == 1:
+        out.append((["tau[g1]^yyy", "tau[f1]^yyx", "tau[f1]^yxy"],
+                    ["tau[x1]^y", "tau[x2]^y", "tau[x3]^y"]))
+    return out
+
+
+class TestBasisRule:
+    """Each basis lists the display blocks' functionals first, in their
+    closed forms' order, and every other functional after them in
+    enumeration order."""
+
+    @pytest.mark.parametrize("n,m", coprime_weights(12))
+    def test_display_functionals_first_then_the_enumeration(self, n, m):
+        C = HomComplex(Instance(n, m, Q(1), Q(1)))
+        res = C.res
+        displays = resolution._displays(res)
+        assert [([*map(tau_label, rows)], [*map(tau_label, cols)])
+                for rows, cols in displays] == ref_display_labels(n, m)
+        for k, basis, gens in ((1, C.basis1, res.gens1()),
+                               (2, C.basis2, res.gens2())):
+            head = [t for block in displays for t in block[2 - k]]
+            enum = [(g, w) for g in gens
+                    for w in res.B.hom_words(g[1], res.gen_target(g))]
+            assert list(basis[:len(head)]) == head
+            assert list(basis[len(head):]) == [t for t in enum
+                                               if t not in head]
+            assert len(set(basis)) == len(basis) and set(basis) == set(enum)
+
+
+def ref_relation(kind, a, b):
+    """The relation of kind f or g as the literal table it once was."""
+    return {"f": [("xxy", 1), ("xyx", -a), ("yxx", -b)],
+            "g": [("xyy", 1), ("yxy", -a), ("yyx", -b)]}[kind]
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 3)])
+@pytest.mark.parametrize("a,b", [(Q(0), Q(1)), (Q(2), Q(-1)),
+                                 (Q(1, 2), Q(-1, 16)), (Q(3), Q(4))])
+def test_relation_is_the_leading_word_minus_its_rewriting(n, m, a, b):
+    res = Resolution(Instance(n, m, a, b))
+    for h in res.gens2():
+        got = res.relation(h)
+        assert got == ref_relation(h[0], a, b), h
+        assert [type(c) for _, c in got] == [
+            int, type(-res.B.alpha), type(-res.B.beta)]
+    for gen in res.gens0() + res.gens1():
+        with pytest.raises(ValueError, match="not a relation generator"):
+            res.relation(gen)
 
 
 def ref_d2(res, h):
@@ -779,7 +853,13 @@ class TestLetterContentBlocks:
             assert C.L2() == submatrix(C.D2, list(range(r0, r0 + m + 2)),
                                        list(range(c0, c0 + m + 2)))
         if n == m == 1:
-            assert C.L2_star() == submatrix(C.D2, [8, 9, 10], [9, 10, 11])
+            at = {tau_label(t): k for basis in (C.basis1, C.basis2)
+                  for k, t in enumerate(basis)}
+            rows = [at[lbl] for lbl in ("tau[g1]^yyy", "tau[f1]^yyx",
+                                        "tau[f1]^yxy")]
+            cols = [at[f"tau[x{i}]^y"] for i in (1, 2, 3)]
+            assert (rows, cols) == ([7, 8, 9], [9, 10, 11])
+            assert C.L2_star() == submatrix(C.D2, rows, cols)
 
     @pytest.mark.parametrize("inst", coprime_instances(12),
                              ids=lambda i: i.key())
