@@ -464,6 +464,15 @@ def _hh2_row(inst: Instance) -> list:
 
 
 def _ring_row(inst: Instance) -> list:
+    """One ring-table row.  A row with two or more HH^1 classes is computed
+    from the Hom complex.  With one class there is no product to resolve:
+    the row is Lambda(1, h2) / 0, h2 read off the stratum's HH^2 labels,
+    and no complex is built.  `verify` checks such an instance against its
+    complex: the `complex` group (the D2 D1 = 0 certificate), the `bases`
+    group (cocycles, independence) and the `ring` group (a = h1, b = h2)."""
+    hh1, hh2 = basis_labels(inst)
+    if len(hh1) == 1:
+        return _stratum_cells(inst.key(), inst) + ["1", str(len(hh2)), "0"]
     pres = ring_presentation(HomComplex(inst))
     gens = _ideal_strings(pres["pairs"], pres["ideal"])
     return _stratum_cells(inst.key(), inst) + [
@@ -472,6 +481,9 @@ def _ring_row(inst: Instance) -> list:
 
 # `table --which` choices: (header, row of one sampled instance).  The dims
 # table renders the closed forms, which `verify` checks against computation.
+# The label tables and the ring rows with one HH^1 class (see `_ring_row`)
+# read the stratum alone, and `verify` checks them against the complex; the
+# other ring rows are computed from the complex.
 TABLES = {
     "dims": (DIMS_HEADER, lambda inst: _dims_row(
         inst.key(), inst, hh_dims_closed_form(inst),

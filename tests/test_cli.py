@@ -12,7 +12,7 @@ import pytest
 
 from downup_hh import cli, resolution, yoneda
 from downup_hh.cli import CHECKS, REPORTS, main, sweep_weights, verify_workers
-from downup_hh.cohomology import sample_instances
+from downup_hh.cohomology import basis_labels, hh1_cocycles, sample_instances
 from downup_hh.core import Q
 from downup_hh.resolution import HomComplex, Resolution
 
@@ -589,12 +589,52 @@ class TestReportCommands:
         assert main(argv) == 0
         assert capsys.readouterr().out == want
 
+    def test_ring_table_builds_a_complex_only_for_a_product(self, monkeypatch,
+                                                            capsys):
+        argv = ["table", "--which", "ring", "--max-sum", "8"]
+        assert main(argv) == 0
+        want = capsys.readouterr().out
+
+        built, init = [], HomComplex.__init__
+
+        def recording(self, inst):
+            built.append(inst)
+            init(self, inst)
+
+        monkeypatch.setattr(HomComplex, "__init__", recording)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
+        several = [inst for n, m in sweep_weights(8)
+                   for inst in sample_instances(n, m)
+                   if len(basis_labels(inst)[0]) >= 2]
+        assert built == several and len(built) == 16
+
+    @pytest.mark.parametrize("n,m", sweep_weights(12))
+    def test_single_class_ring_rows_match_the_complex(self, n, m):
+        # the table reads these rows off the stratum; the complex must agree
+        # with them and certify the one HH^1 class as a cocycle
+        single = [inst for inst in sample_instances(n, m)
+                  if len(basis_labels(inst)[0]) == 1]
+        for inst in single:
+            C = HomComplex(inst)
+            assert cli._ring_row(inst) == ref_ring_row(inst, C)
+            assert hh1_cocycles(C)
+
     def test_invariants_surface_obstruction(self):
         r = run_cli("invariants", "--n", "2", "--m", "3", "--format", "json")
         rep = json.loads(r.stdout)
         assert rep["invariants"]["serre_unipotent"] is False
         assert rep["invariants"]["surface_obstructed"] is True
         assert rep["invariants"]["chi_hh"] == "7"
+
+
+def ref_ring_row(inst, C):
+    """A ring-table row computed from the Hom complex C of inst, as every
+    row once was."""
+    pres = yoneda.ring_presentation(C)
+    gens = cli._ideal_strings(pres["pairs"], pres["ideal"])
+    return cli._stratum_cells(inst.key(), inst) + [
+        str(pres["a"]), str(pres["b"]), "; ".join(gens) if gens else "0"]
 
 
 def instance_argv(command, inst):
