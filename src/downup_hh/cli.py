@@ -408,7 +408,8 @@ def _verify_pair(job):
 
 def verify_workers(value: str, n_items: int) -> int:
     """Worker processes for `verify` from HH_THREADS, clamped to [1, CPUs,
-    items]; unset runs serially, and so does a non-integer, with a warning."""
+    items], the CPUs being those the process may run on; unset runs
+    serially, and so does a non-integer, with a warning."""
     if not value:
         return 1
     try:
@@ -417,7 +418,9 @@ def verify_workers(value: str, n_items: int) -> int:
         sys.stderr.write(f"warning: HH_THREADS={value!r} is not an integer; "
                          "running serially\n")
         return 1
-    return max(1, min(wanted, os.cpu_count() or 1, n_items))
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return max(1, min(wanted, cpus, n_items))
 
 
 def cmd_verify(args) -> int:

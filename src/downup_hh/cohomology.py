@@ -133,8 +133,7 @@ def hh1_basis(C: HomComplex):
 def basis_labels(inst: Instance):
     """(HH^1 labels, HH^2 labels) of hh1_basis and hh2_basis on inst's
     complex, read off the stratum alone: no complex is built."""
-    return (_hh1_labels(inst),
-            [_label(s) for s in _hh2_specs(inst, hh2_substitution_needed(inst))])
+    return _hh1_labels(inst), [_label(s) for s in _hh2_specs(inst)]
 
 
 def hh2_substitution_needed(inst: Instance) -> bool:
@@ -145,7 +144,7 @@ def hh2_substitution_needed(inst: Instance) -> bool:
     alternating functional sum_p (-1)^p tau[x_p]^x is supported exactly on
     the f^xyx and g^yxy coordinates with coefficients +-2 alpha, so those
     unit functionals are dependent modulo the image and one of them has to
-    give way; hh2_basis substitutes g_n^yyx for it.
+    give way; `_hh2_specs` substitutes g_n^yyx for it.
     """
     return inst.n % 2 == 1 and inst.m % 2 == 1 and classify(inst)[0] == Cond1.CASE_II
 
@@ -155,15 +154,12 @@ def hh2_basis(C: HomComplex):
     """The distinguished HH^2 basis for the stratum of C.inst, kept on C.
 
     Returns [(label, vector in the P2^ basis)]; each class is a single
-    tau-functional, labelled like g1^yxy.
+    tau-functional (`_hh2_specs`, substitution included), labelled like
+    g1^yxy.
     """
-    return _hh2_vectors(C, substitute=hh2_substitution_needed(C.inst))
-
-
-def _hh2_vectors(C: HomComplex, substitute: bool):
     d2 = len(C.basis2)
     return [(_label(s), _unit_vec(d2, [(C.idx2[((s[0], s[1]), s[2])], 1)]))
-            for s in _hh2_specs(C.inst, substitute)]
+            for s in _hh2_specs(C.inst)]
 
 
 def _label(spec):
@@ -171,9 +167,9 @@ def _label(spec):
     return f"{kind}{i}^{w}"
 
 
-def _hh2_specs(inst: Instance, substitute: bool):
+def _hh2_specs(inst: Instance):
     """The stratum's HH^2 classes as functionals (kind, i, w), in table
-    order."""
+    order, with g_n^yyx for g_n^yxy where `hh2_substitution_needed`."""
     n, m = inst.n, inst.m
     c1, c2 = classify(inst)
     I, II = Cond1.CASE_I, Cond1.CASE_II
@@ -213,7 +209,7 @@ def _hh2_specs(inst: Instance, substitute: bool):
         if n == 2:
             specs += [("g", 1, "x" * (m + 1)), ("g", 2, "x" * (m + 1))]
 
-    if substitute:
+    if hh2_substitution_needed(inst):
         specs = [("g", n, "yyx") if s == ("g", n, "yxy") else s for s in specs]
     return specs
 
@@ -326,8 +322,7 @@ def stratum_samples(n: int, m: int):
         p = lambda_poly_in_beta(m + 1)
         roots = [b for b in rational_roots(p) if b != 0]
         if roots:
-            out[(II, C1)] = _reached(Instance(n, m, Q(1), roots[0]), (II, C1),
-                                     all_beta=roots)
+            out[(II, C1)] = _reached(Instance(n, m, Q(1), roots[0]), (II, C1))
         elif len(p) == 1:
             out[(II, C1)] = {"status": "vacuous",
                              "reason": "lambda_{m+1} is a nonzero multiple of "
@@ -344,13 +339,13 @@ def stratum_samples(n: int, m: int):
     return out
 
 
-def _reached(inst: Instance, stratum, **extra):
+def _reached(inst: Instance, stratum):
     """The record of a sample; raises (not asserts, so that `python -O`
     keeps the check) unless the sample lies in the stratum."""
     if classify(inst) != stratum:
         raise AssertionError(f"sample {inst.key()} is not in stratum "
                              f"({stratum[0].value}, {stratum[1].value})")
-    return {"status": "reached", "instance": inst, **extra}
+    return {"status": "reached", "instance": inst}
 
 
 def sample_instances(n: int, m: int):

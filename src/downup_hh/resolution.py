@@ -48,13 +48,13 @@ and each normal word w from s(h) to t(h); tau[h]^w sends the generator h to
 the path w and every other generator to 0.  Pulled back along an assignment
 gen -> sum c lw [h] rw, tau[h]^w puts c nf(lw w rw) on gen; one walk over the
 terms (Resolution.pair) does this for every functional at once, or for the
-functionals of a given support only.  It builds D1, D2 from d1, d2 as their
-nonzero rows (columns indexed by the domain basis, rows by the codomain
-basis, each listing first the functionals of the D2 blocks stated in
-closed form (`_displays`), then the rest in enumeration order (`_basis`);
-one generator of each kind is paired and its entries are translated along
-the vertices), and the cup and induced cochains of `yoneda` from chain
-maps.
+functionals of a given support only.  It builds D1, D2 from d1, d2 as
+their nonzero rows (`_differential`: columns indexed by the domain basis,
+rows by the codomain basis, each listing first the functionals of the D2
+blocks stated in closed form (`_displays`), then the rest in enumeration
+order (`_basis`); one generator of each kind is paired and its entries are
+translated along the vertices), and the cup and induced cochains of
+`yoneda` from chain maps.
 The relations are homogeneous in the letter content (#x, #y), so D1 and D2
 are block-diagonal in the weight of tau[h]^w (`tau_weight`): the rank of
 a block of D2, such as the weight-(0,0) arrow block L1, is read off the
@@ -62,12 +62,12 @@ elimination of all of D2, and for n = 1 the x-power block L2 is cut from
 its nonzero rows.
 
 Each quantity is computed at the scope it depends on.  Per weight pair
-(`_WeightPair`, read-only): the tau bases and their tables, the nonzero
-rows of D1 (pairing d1 with tau[e_v] never rewrites, so every entry is
-+-1) and image(1).  Per (alpha, beta): the normal forms (`Beilinson`).  Per
-complex: D2, its D2 D1 = 0 certificate against the shared D1, image(2),
-and d2 of each relation, which is d2 of the first relation of its kind
-shifted along the vertices.
+(`_WeightPair`, read-only): the tau bases and their tables, and with them
+the nonzero rows of D1 (pairing d1 with tau[e_v] never rewrites, so every
+entry is +-1), and image(1).  Per (alpha, beta): the normal forms
+(`Beilinson`).  Per complex: D2, its D2 D1 = 0 certificate against the
+shared D1, image(2), and d2 of each relation, which is d2 of the first
+relation of its kind shifted along the vertices.
 """
 
 from functools import wraps
@@ -312,16 +312,15 @@ class _WeightPair:
     bases, idx, positions and weights are triples over P0^, P1^, P2^: the
     tau bases (`_basis`), their index maps, their position tables and the
     `tau_weight` of each basis element, in order.  The generators and the
-    normal words between two vertices depend on (n, m) alone, so the bases
-    are built on the pair's first complex.  A position table maps (kind, w)
-    to the positions of tau[(kind, i)]^w for i = 1, 2, ...: every generator
-    of a kind has the same words.
+    normal words between two vertices depend on (n, m) alone.  A position
+    table maps (kind, w) to the positions of tau[(kind, i)]^w for
+    i = 1, 2, ...: every generator of a kind has the same words.
 
-    d1 holds the nonzero rows of D1, stored by the pair's first complex
-    once its D2 D1 = 0 certificate passes: pairing d1 with tau[e_v] never
-    rewrites, so every entry is +-1.  image1() is the elimination of D1^T,
-    kept on its first call.  The values are tuples and read-only maps, so
-    no complex can alter another's.
+    d1 holds the nonzero rows of D1 (`_differential`), built with the
+    bases: pairing d1 with tau[e_v] never rewrites, so every entry is +-1
+    and D1 depends on (n, m) alone.  Each complex checks D2 D1 = 0 against
+    it.  image1() is the elimination of D1^T, kept on its first call.  The
+    values are tuples and read-only maps, so no complex can alter another's.
     """
 
     def __init__(self, res):
@@ -332,7 +331,8 @@ class _WeightPair:
                          for b in bases)
         self.positions = tuple(map(_positions, bases))
         self.weights = tuple(tuple(map(tau_weight, b)) for b in bases)
-        self.d1 = None
+        self.d1 = tuple(map(MappingProxyType,
+                            _differential(res, self.positions, 1)))
 
     @kept
     def image1(self):
@@ -375,6 +375,25 @@ def _positions(basis):
                              for kw, ks in at.items()})
 
 
+def _differential(res, positions, k):
+    """The nonzero rows of Dk in the tau bases with these position tables
+    (`_positions`, over P0^, P1^, P2^), pairing one generator per kind.
+    Relations and normal forms do not depend on the vertex, so the entries
+    of (kind, i) are those of (kind, 1) with every generator index shifted
+    by i - 1 and the words unchanged: the position tables list their rows
+    and columns in the order of i."""
+    gens, d_fun = ((res.gens1(), res.d1), (res.gens2(), res.d2))[k - 1]
+    lo, hi = positions[k - 1], positions[k]
+    rows = [{} for _ in range(sum(map(len, hi.values())))]
+    for (gen, w2), ((g, j), w), c in res.pair(
+            d_fun, [gen for gen in gens if gen[1] == 1]):
+        for r, col in zip(hi[gen[0], w2], lo[g, w][j - 1:]):
+            row = rows[r]
+            row[col] = row.get(col, 0) + c
+    return [{j: x if type(x) is int else _as_q(x)
+             for j, x in row.items() if x} for row in rows]
+
+
 class HomComplex:
     """The complex 0 -> P0^ -> P1^ -> P2^ -> 0 in the tau-functional bases.
 
@@ -387,10 +406,11 @@ class HomComplex:
     nonzero[2].
     No dense copy is kept: the D1 and D2 properties densify on each read.
     Shared per weight pair (`_spaces`, read-only): the bases, index maps,
-    position tables and weights, nonzero[1] and image(1).  Shared per
-    (alpha, beta): the normal forms of `Beilinson`.  Per complex: nonzero[2],
-    the certificate, which every complex runs, and image(2), the HH bases
-    and the ring data built on the complex, each `kept`: once each.
+    position tables and weights, nonzero[1], built with them, and image(1).
+    Shared per (alpha, beta): the normal forms of `Beilinson`.  Per
+    complex: nonzero[2], the certificate, which every complex runs against
+    the shared nonzero[1], and image(2), the HH bases and the ring data
+    built on the complex, each `kept`: once each.
     """
 
     def __init__(self, inst: Instance):
@@ -401,33 +421,12 @@ class HomComplex:
         self.basis0, self.basis1, self.basis2 = shared.bases
         self.idx0, self.idx1, self.idx2 = shared.idx
         self._positions, self._weights = shared.positions, shared.weights
-        d1 = shared.d1
-        if d1 is None:
-            d1 = tuple(map(MappingProxyType, self._build_matrix(1)))
-        self.nonzero = {1: d1, 2: self._build_matrix(2)}
-        if any(_product(self.nonzero[2], d1)):
+        self.nonzero = {1: shared.d1,
+                        2: _differential(self.res, shared.positions, 2)}
+        if any(_product(self.nonzero[2], shared.d1)):
             raise AssertionError("D2 * D1 != 0")
-        shared.d1 = d1
 
     # -- matrices ----------------------------------------------------------
-
-    def _build_matrix(self, k):
-        """The nonzero rows of Dk, pairing one generator per kind.
-        Relations and normal forms do not depend on the vertex, so the
-        entries of (kind, i) are those of (kind, 1) with every generator
-        index shifted by i - 1 and the words unchanged: the position tables
-        list their rows and columns in the order of i."""
-        res = self.res
-        gens, d_fun = ((res.gens1(), res.d1), (res.gens2(), res.d2))[k - 1]
-        lo, hi = self._positions[k - 1], self._positions[k]
-        rows = [{} for _ in range(self.dims[k])]
-        for (gen, w2), ((g, j), w), c in res.pair(
-                d_fun, [gen for gen in gens if gen[1] == 1]):
-            for r, col in zip(hi[gen[0], w2], lo[g, w][j - 1:]):
-                row = rows[r]
-                row[col] = row.get(col, 0) + c
-        return [{j: x if type(x) is int else _as_q(x)
-                 for j, x in row.items() if x} for row in rows]
 
     @property
     def D1(self):

@@ -477,11 +477,12 @@ def ring_row_report(C: HomComplex):
     """Compare the computed presentation against the fixed table row, once
     per complex: the ring command and its checks read one kept report.
 
-    Keys: a, b, dims_match, ideal_match, ideal_match_after_rescale, rescale,
-    row_self_consistent, presentation, row, printed, printed_pairs.  printed
-    holds the row's generators as vectors over printed_pairs, renumbered
-    into the computed label order when the labels match; rescale is the
-    scaling s_p -> c_p s_p that _rescale reads off, or None.
+    Keys: dims_match, ideal_match, ideal_match_after_rescale, rescale,
+    row_self_consistent, presentation (whose a and b the checks read), row,
+    printed, printed_pairs.  printed holds the row's generators as vectors
+    over printed_pairs, renumbered into the computed label order when the
+    labels match; rescale is the scaling s_p -> c_p s_p that _rescale reads
+    off, or None.
     """
     pres = ring_presentation(C)
     row = ring_table_row(C.inst)
@@ -506,8 +507,7 @@ def ring_row_report(C: HomComplex):
     h2 = pres["b"] + pres["rank"]  # b = dim HH^2 - rank
     row_self_consistent = (len(pairs) - len(printed_space) + row["b"] == h2)
 
-    return {"a": pres["a"], "b": pres["b"], "dims_match": dims_match,
-            "ideal_match": ideal_match,
+    return {"dims_match": dims_match, "ideal_match": ideal_match,
             "ideal_match_after_rescale": ideal_match or rescale is not None,
             "rescale": rescale, "row_self_consistent": row_self_consistent,
             "presentation": pres, "row": row, "printed": printed,

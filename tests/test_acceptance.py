@@ -190,7 +190,8 @@ def test_criterion_3_basis_tables():
         assert independent_mod_image(C, 2, [v for _, v in b2]), inst.key()
 
 
-@pytest.mark.xfail(strict=True, reason="the stored degree-2 row is dependent "
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the stored degree-2 row is dependent "
                    "modulo coboundaries when both weights are odd and alpha "
                    "is nonzero; hh2_basis substitutes one entry")
 def test_criterion_3_defect_stored_hh2_row_verbatim():
@@ -286,7 +287,8 @@ def test_criterion_5_cup_products():
             assert coords == prods[pq], (inst.key(), pq)
 
 
-@pytest.mark.xfail(strict=True, reason="the stored even-sum alpha=0 value "
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the stored even-sum alpha=0 value "
                    "m [g_n^yyx] drops a beta factor; the class is "
                    "m beta [g_n^yyx]")
 def test_criterion_5_defect_stored_case_I_value_verbatim():
@@ -296,7 +298,8 @@ def test_criterion_5_defect_stored_case_I_value_verbatim():
     assert classes_equal(C, rep, unit2(C, "g", 1, "yyx", inst.m))
 
 
-@pytest.mark.xfail(strict=True, reason="the stored value -beta lambda_m "
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the stored value -beta lambda_m "
                    "[g_1^xyx^m] for the first generator against the fourth "
                    "lift drops an m factor")
 def test_criterion_5_defect_stored_h1_h4_value_verbatim():
@@ -307,7 +310,8 @@ def test_criterion_5_defect_stored_h1_h4_value_verbatim():
     assert classes_equal(C, rep, want)
 
 
-@pytest.mark.xfail(strict=True, reason="the stored value -beta [g_1^xyx^m] "
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the stored value -beta [g_1^xyx^m] "
                    "for the second generator against the fourth lift drops "
                    "a lambda_m factor (invisible at m = 1)")
 def test_criterion_5_defect_stored_h2_h4_value_verbatim():
@@ -345,7 +349,8 @@ def test_criterion_6_ring_presentations():
                 inst.key()
 
 
-@pytest.mark.xfail(strict=True, reason="the stored rows for n = 1, Case II "
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the stored rows for n = 1, Case II "
                    "and quadratic-root parameters declare a zero ideal, "
                    "which contradicts their own degree-2 dimension count")
 def test_criterion_6_defect_stored_row_verbatim():

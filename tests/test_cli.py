@@ -280,15 +280,19 @@ class TestVerify:
     def test_complex_group_fails_under_a_corrupted_differential(
             self, monkeypatch, capsys):
         # HomComplex refuses a matrix pair with D2 * D1 != 0; verify turns
-        # that refusal into one FAIL line per instance, not a traceback
-        build = HomComplex._build_matrix
+        # that refusal into one FAIL line per instance, not a traceback.  The
+        # corrupted D1 lands in a fresh weight-pair store, not the live one
+        live = resolution._SPACES
+        before = {key: (pair, pair.d1) for key, pair in live.items()}
+        build = resolution._differential
 
-        def corrupted(self, *args):
-            D = build(self, *args)  # the nonzero rows, {column: value} each
+        def corrupted(*args):
+            D = build(*args)  # the nonzero rows, {column: value} each
             D[0][0] = D[0].get(0, 0) + 1
             return D
 
-        monkeypatch.setattr(HomComplex, "_build_matrix", corrupted)
+        monkeypatch.setattr(resolution, "_SPACES", {})
+        monkeypatch.setattr(resolution, "_differential", corrupted)
         monkeypatch.delenv("HH_THREADS", raising=False)
         status = main(["verify", "--max-sum", "3", "--only", "complex"])
         out, err = capsys.readouterr()
@@ -298,6 +302,7 @@ class TestVerify:
                                for ln in failing)
         assert not any(ln.startswith("PASS") and "stratum" not in ln
                        for ln in out.splitlines())
+        assert {key: (pair, pair.d1) for key, pair in live.items()} == before
         assert f"{len(failing)} failed" in out.splitlines()[-1]
         assert "Traceback" not in out + err
 
@@ -362,6 +367,8 @@ class TestVerify:
         monkeypatch.setattr(resolution._WeightPair, "__init__", logged)
         monkeypatch.setattr(resolution, "_SPACES", {})
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
         monkeypatch.setenv("HH_THREADS", "2")
         assert main(["verify", "--max-sum", "8"]) == 0
         assert sorted(log.read_text().split()) == sorted(
@@ -710,7 +717,17 @@ class TestVerifyWorkers:
     ])
     def test_clamped_to_cpus_and_items(self, value, items, cpus, expected,
                                        monkeypatch, capsys):
+        # where os has no affinity mask, os.cpu_count() counts the CPUs
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert verify_workers(value, items) == expected
         warned = capsys.readouterr().err
         assert warned.count("warning") == (1 if value == "abc" else 0)
+
+    @pytest.mark.parametrize("mask,expected", [({0}, 1), ({0, 2, 3}, 3)])
+    def test_clamped_to_the_affinity_mask(self, mask, expected, monkeypatch):
+        # taskset -c 0 on a four-CPU host: one CPU to run on, not four
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: mask,
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert verify_workers("8", 20) == expected

@@ -48,13 +48,65 @@ def hh_dims_general(n0, m0, alpha, beta):
 
 
 def hh2_table_row(C):
-    """The uncorrected one-functional-per-class HH^2 list for the stratum.
+    """The uncorrected one-functional-per-class HH^2 list for the stratum:
+    hh2_basis with g_n^yyx swapped back to g_n^yxy.  Outside Case I,
+    g_n^yyx enters the list only through the substitution.
 
     On the strata flagged by hh2_substitution_needed this list has the right
     length but is *not* a basis (one dependency); everywhere else it equals
     hh2_basis.
     """
-    return cohomology._hh2_vectors(C, substitute=False)
+    n = C.B.n
+    if classify(C.inst)[0] == I:
+        return hh2_basis(C)
+    stored = [0] * len(C.basis2)
+    stored[C.idx2[(("g", n), "yxy")]] = 1
+    return [(f"g{n}^yxy", stored) if lbl == f"g{n}^yyx" else (lbl, v)
+            for lbl, v in hh2_basis(C)]
+
+
+def ref_hh2_specs(inst, substitute):
+    """The HH^2 classes as functionals (kind, i, w) in table order, by the
+    rule the package had while it also shipped the unsubstituted row:
+    substitute says whether g_n^yyx replaces g_n^yxy."""
+    n, m = inst.n, inst.m
+    c1, c2 = classify(inst)
+    if n == 1 and m == 1:
+        rows = {
+            (I, C1): [("g", 1, "yyx"), ("g", 1, "yxy"), ("f", 1, "xyx"),
+                      ("g", 1, "yxx"), ("g", 1, "xyx"), ("f", 1, "yyx"),
+                      ("f", 1, "yxy"), ("g", 1, "xxx"), ("f", 1, "yyy")],
+            (II, C2): [("g", 1, "yxy"), ("f", 1, "xyx"), ("g", 1, "xyx"),
+                       ("f", 1, "yxy"), ("g", 1, "xxx"), ("f", 1, "yyy")],
+            (II, C3): [("g", 1, "yxy"), ("f", 1, "xyx"),
+                       ("g", 1, "xxx"), ("f", 1, "yyy")],
+        }
+        specs = rows[(c1, c2)]
+    elif n == 1 and m == 2:
+        base = [("f", 1, "xyx"), ("f", 2, "xyx"), ("g", 1, "yxy")]
+        drop = {C1: [], C2: ["yxxx"], C3: ["yxxx", "xyxx"]}[c2]
+        mids = [w for w in ("yxxx", "xyxx") if w not in drop]
+        specs = (base + [("g", 1, w) for w in mids]
+                 + [("g", 1, "xxxxx"), ("f", 1, "yy"), ("f", 2, "yy")])
+    elif n == 1:
+        specs = [("f", i, "xyx") for i in range(1, m + 1)] + [("g", 1, "yxy")]
+        if (c1, c2) == (I, C1):
+            specs.append(("g", 1, "yyx"))
+        if c2 == C1:
+            specs.append(("g", 1, "y" + "x" * (m + 1)))
+        if c2 in (C1, C2):
+            specs.append(("g", 1, "xy" + "x" * m))
+        specs.append(("g", 1, "x" * (2 * m + 1)))
+    else:
+        specs = ([("f", i, "xyx") for i in range(1, m + 1)]
+                 + [("g", j, "yxy") for j in range(1, n + 1)])
+        if c1 == I:
+            specs.append(("g", n, "yyx"))
+        if n == 2:
+            specs += [("g", 1, "x" * (m + 1)), ("g", 2, "x" * (m + 1))]
+    if substitute:
+        specs = [("g", n, "yyx") if s == ("g", n, "yxy") else s for s in specs]
+    return specs
 
 
 def column(M, j):
@@ -346,6 +398,19 @@ class TestBases:
         assert independent_mod_image(C, 2, [v for _, v in fixed])
         diff = [(r[0], f[0]) for r, f in zip(row, fixed) if r[0] != f[0]]
         assert diff == [(f"g{inst.n}^yxy", f"g{inst.n}^yyx")]
+
+    @pytest.mark.parametrize("n,m", coprime_weights(12))
+    def test_bases_follow_the_reference_rule(self, n, m):
+        # the package's one HH^2 rule: the stored row with the substitution
+        # applied exactly where hh2_substitution_needed says
+        for inst in sample_instances(n, m):
+            C = HomComplex(inst)
+            want = ref_hh2_specs(inst, hh2_substitution_needed(inst))
+            labels = [f"{kind}{i}^{w}" for kind, i, w in want]
+            assert basis_labels(inst)[1] == labels, inst.key()
+            assert hh2_basis(C) == [
+                (lbl, [int(t == ((kind, i), w)) for t in C.basis2])
+                for lbl, (kind, i, w) in zip(labels, want)], inst.key()
 
     def test_row_equals_basis_off_the_defect_strata(self):
         for inst in sweep():
@@ -667,7 +732,8 @@ class TestStrata:
         assert s[(II, C1)]["status"] == "no-rational-point"
 
         s = stratum_samples(1, 5)
-        assert s[(II, C1)]["all_beta"] == [Q(-1), Q(-1, 3)]
+        assert rational_roots(lambda_poly_in_beta(6)) == [Q(-1), Q(-1, 3)]
+        assert s[(II, C1)]["instance"].beta == Q(-1)
 
         s = stratum_samples(2, 3)
         rec = s[(II, C1)]

@@ -9,7 +9,7 @@ import pytest
 
 from downup_hh.cohomology import sample_instances
 from downup_hh.core import Cond1, Cond2, Instance, classify
-from downup_hh import algebra, resolution
+from downup_hh import algebra, cli, resolution
 from downup_hh.algebra import Beilinson
 from downup_hh.linalg import QMatrix, _nonzero
 from downup_hh.resolution import (
@@ -607,14 +607,14 @@ class TestNonzeroRows:
     def test_the_certificate_reads_the_nonzero_rows(self, monkeypatch):
         # a corrupted entry in the nonzero rows of D1 breaks D2 D1 = 0
         monkeypatch.setattr(resolution, "_SPACES", {})
-        build = HomComplex._build_matrix
+        build = resolution._differential
 
-        def corrupted(self, k):
-            rows = build(self, k)
+        def corrupted(res, positions, k):
+            rows = build(res, positions, k)
             if k == 1:
                 rows[0][0] = rows[0].get(0, 0) + 1
             return rows
-        monkeypatch.setattr(HomComplex, "_build_matrix", corrupted)
+        monkeypatch.setattr(resolution, "_differential", corrupted)
         with pytest.raises(AssertionError, match="D2 \\* D1 != 0"):
             HomComplex(Instance(1, 2, Q(1), Q(1)))
 
@@ -775,12 +775,30 @@ class TestSharedParts:
 
     @pytest.mark.parametrize("n,m", coprime_weights(10))
     def test_d1_does_not_depend_on_alpha_and_beta(self, n, m):
+        # every complex holds the weight pair's one D1, and D1 built afresh
+        # on any of its complexes equals it
         insts = sample_instances(n, m)
-        shared = HomComplex(insts[0]).nonzero[1]
+        shared = HomComplex(insts[0])._shared.d1
         for inst in insts:
             C = HomComplex(inst)
             assert C.nonzero[1] is shared
-            assert C._build_matrix(1) == list(shared), inst.key()
+            assert resolution._differential(
+                C.res, C._positions, 1) == list(shared), inst.key()
+
+    def test_verify_builds_d1_once_per_weight_pair(self, monkeypatch):
+        monkeypatch.setattr(resolution, "_SPACES", {})
+        built = []
+        build = resolution._differential
+        monkeypatch.setattr(
+            resolution, "_differential", lambda res, positions, k:
+            built.append(((res.B.n, res.B.m), k)) or build(res, positions, k))
+        monkeypatch.delenv("HH_THREADS", raising=False)
+        assert cli.main(["verify", "--max-sum", "8"]) == 0
+        # D1 once per weight pair, D2 once per complex: one per instance
+        pairs = cli.sweep_weights(8)
+        assert [pair for pair, k in built if k == 1] == pairs
+        assert [pair for pair, k in built if k == 2] == [
+            pair for pair in pairs for _ in sample_instances(*pair)]
 
     def test_normal_forms_do_not_depend_on_the_weights(self, monkeypatch):
         words = words_up_to(6)
