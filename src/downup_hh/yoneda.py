@@ -23,17 +23,32 @@ the two liftings of the same class, and the left- against the right-slot
 generic lifting, exercises the fact that the induced product does not depend
 on the choice of lift.
 
-ring_structure multiplies each pair of distinct HH^1 basis elements once,
-in basis order -- the products the presentation reads -- and solves for
-them in the HH^2 basis modulo im D2 at once; ring_presentation derives
-the presentation data (a, b, I) of the cohomology ring as an exterior
-algebra Lambda(a, b) modulo an ideal I of degree-2 relations (everything in
-degrees >= 3 vanishes).  ring_table_row holds the fixed per-stratum
-presentation the computation is compared against; ring_row_report performs
-the comparison, allowing for a diagonal rescaling of the degree-1 generators
-(which is an automorphism of Lambda(a, b)) that it reads off the two reduced
-ideals, and flagging rows whose printed data cannot present the ring at all
-because it contradicts the dimension of HH^2.
+The product cochain of the left-slot generic lifting needs no lift at all.
+For 1-cocycles phi, psi and a relation h = sum c w, each w a word of length
+3, the product rule gives
+
+    phi(sigma^psi_1(h)) = sum_{c w} c sum_{i<j} w_{<i} phi(w_i) w_{(i,j)}
+                                                psi(w_j) w_{>j}.
+
+Proof.  contract differentiates only the right factor, so
+phi(sigma_1(h)) = -sum c sum_j w_{<j} phi~(psi(w_j) w_{>j}), where phi~ is
+the derivation of B that the cocycle phi defines.  psi~(r_h) =
+sum c sum_j w_{<j} psi(w_j) w_{>j} is 0 in B, as psi is a cocycle; apply
+phi~ to it and expand by Leibniz.  Substituting leaves
+sum c sum_j phi~(w_{<j}) psi(w_j) w_{>j}, the right-hand side.
+
+ring_structure reads each product of two distinct HH^1 basis elements off
+the relations this way (_product_cochain), once, in basis order -- the
+products the presentation reads -- and solves for them in the HH^2 basis
+modulo im D2 at once; ring_presentation derives the presentation data
+(a, b, I) of the cohomology ring as an exterior algebra Lambda(a, b) modulo
+an ideal I of degree-2 relations (everything in degrees >= 3 vanishes).
+ring_table_row holds the fixed per-stratum presentation the computation is
+compared against; ring_row_report performs the comparison, allowing for a
+diagonal rescaling of the degree-1 generators (which is an automorphism of
+Lambda(a, b)) that it reads off the two reduced ideals, and flagging rows
+whose printed data cannot present the ring at all because it contradicts
+the dimension of HH^2.
 """
 
 from fractions import Fraction as Q
@@ -312,13 +327,21 @@ def generic_lift(C: HomComplex, phi_vec, side="left"):
 
 # -- cup products ------------------------------------------------------------
 
+def _values(C: HomComplex, vec):
+    """A degree-1 cochain as {arrow: [(word, coefficient)]}, its nonzero
+    entries only."""
+    out = {}
+    for (a, w), c in zip(C.basis1, vec):
+        if c:
+            out.setdefault(a, []).append((w, c))
+    return out
+
+
 def cup_vector(C: HomComplex, phi_vec, sigma1):
     """The degree-2 cochain phi . sigma_1 in tau coordinates: sigma_1 is
     paired only against the functionals in the support of phi."""
-    support = {}
-    for (g, w), a in zip(C.basis1, phi_vec):
-        if a:
-            support.setdefault(g, []).append(w)
+    support = {g: [w for w, _ in ws]
+               for g, ws in _values(C, phi_vec).items()}
     out = [0] * len(C.basis2)
     for row, tau, c in C.res.pair(sigma1.get, sigma1, support):
         out[C.idx2[row]] += phi_vec[C.idx1[tau]] * c
@@ -341,6 +364,42 @@ def _in_span(coords):
 # -- the ring of HH^* --------------------------------------------------------
 
 @kept
+def _relation_slots(C: HomComplex):
+    """Each relation's arrows, read once per complex: for every relation h,
+    every term c w of it and every pair of letter positions i < j of the
+    length-3 word w, (h, c, w_{<i}, arrow of w_i, w_{(i,j)}, arrow of w_j,
+    w_{>j}), each arrow at the vertex where its letter starts."""
+    res, degree = C.res, C.B.word_degree
+    slots = []
+    for h in res.gens2():
+        for w, c in res.relation(h):
+            arrows = [(letter, h[1] + degree(w[:p]))
+                      for p, letter in enumerate(w)]
+            slots += [(h, c, w[:i], arrows[i], w[i + 1:j], arrows[j],
+                       w[j + 1:])
+                      for i in range(len(w)) for j in range(i + 1, len(w))]
+    return slots
+
+
+def _product_cochain(C: HomComplex, phi, psi):
+    """The degree-2 cochain phi . sigma^psi_1 in tau coordinates, for
+    1-cocycles phi and psi and the left-slot generic lifting sigma^psi,
+    read off the relations by the product rule of the module docstring:
+    one normal form per relation term, pair of positions i < j and pair of
+    words of phi(w_i) and psi(w_j)."""
+    nf, idx2 = C.B.normal_form, C.idx2
+    left, right = _values(C, phi), _values(C, psi)
+    out = [0] * len(C.basis2)
+    for h, c, pre, a, mid, b, post in _relation_slots(C):
+        for u, x in left.get(a, ()):
+            for v, y in right.get(b, ()):
+                cxy = c * x * y
+                for w, z in nf(pre + u + mid + v + post).items():
+                    out[idx2[(h, w)]] += cxy * z
+    return out
+
+
+@kept
 def ring_structure(C: HomComplex):
     """The products of the HH^1 basis that the presentation reads, in HH^2
     coordinates, kept on C.
@@ -348,22 +407,22 @@ def ring_structure(C: HomComplex):
     products[(p, q)], for each label p before q in basis order, is the class
     of  h_p . sigma_1  for the generic lifting sigma of h_q, i.e. the product
     [h_p][h_q] under the fixed convention; the squares and the reversed
-    products follow from graded commutativity.  So only the right factors
-    (every label but the first) are lifted.  The complex's one cocycle
-    decision (hh1_cocycles, which the bases check reads too) first covers
-    every HH^1 vector, the unlifted one included, and ValueError follows
-    when it fails.  The a(a-1)/2 cup vectors are resolved together by
-    coords_mod_image, one solve modulo im D2 whose elimination the complex
-    keeps; with a single label there is no product to resolve.
+    products follow from graded commutativity.  No chain map is lifted:
+    _product_cochain reads each of these cochains off the relations by the
+    product rule, which holds for cocycles only.  So the complex's one
+    cocycle decision (hh1_cocycles, which the bases check reads too) comes
+    first and covers every HH^1 vector; ValueError follows when it fails.
+    The a(a-1)/2 cochains are resolved together by coords_mod_image, one
+    solve modulo im D2 whose elimination the complex keeps; with a single
+    label there is no product to resolve.
     """
     if not hh1_cocycles(C):
         raise ValueError("not a 1-cocycle")
     one = dict(hh1_basis(C))
     labels = list(one)
     two = hh2_basis(C)
-    sigma1 = {q: generic_lift(C, one[q]).sigma1 for q in labels[1:]}
     pairs = [(labels[i], labels[j]) for i, j in _pairs(len(labels))]
-    cups = [cup_vector(C, one[p], sigma1[q]) for p, q in pairs]
+    cups = [_product_cochain(C, one[p], one[q]) for p, q in pairs]
     coords = coords_mod_image(C, [v for _, v in two], cups) if cups else []
     return {"labels": labels,
             "classes2": [lbl for lbl, _ in two],

@@ -14,7 +14,7 @@ from downup_hh import cli, resolution, yoneda
 from downup_hh.cli import CHECKS, REPORTS, main, sweep_weights, verify_workers
 from downup_hh.cohomology import basis_labels, hh1_cocycles, sample_instances
 from downup_hh.core import Q
-from downup_hh.resolution import HomComplex, Resolution
+from downup_hh.resolution import HomComplex
 
 GOLDEN = Path(__file__).parent / "golden"
 REFERENCE = Path(__file__).parent.parent / "perfbench" / "reference.json"
@@ -259,23 +259,27 @@ class TestVerify:
         assert detail == (f"off-block D2 entry (0, {len(C.basis1) - 1}): "
                           "row weight (0, 0), column weight (2, -1)")
 
-    def test_ring_group_fails_under_a_broken_homotopy(self, monkeypatch,
-                                                      capsys):
-        # dropping one term of every contraction breaks the generic lifts,
-        # and with them the products that the ring group checks
-        contract = Resolution.contract
+    def test_ring_group_fails_under_a_broken_product_cochain(self, monkeypatch,
+                                                             capsys):
+        # dropping one nonzero entry of every product cochain breaks the
+        # products that the ring group checks; the group lifts no chain map,
+        # so the fault goes where its products are made
+        product_cochain = yoneda._product_cochain
 
-        def lossy(self, z):
-            out = contract(self, z)
-            return dict(list(out.items())[1:])
+        def lossy(C, phi, psi):
+            out = product_cochain(C, phi, psi)
+            nonzero = [k for k, x in enumerate(out) if x]
+            if nonzero:
+                out[nonzero[0]] = 0
+            return out
 
-        monkeypatch.setattr(Resolution, "contract", lossy)
+        monkeypatch.setattr(yoneda, "_product_cochain", lossy)
         monkeypatch.delenv("HH_THREADS", raising=False)
         status = main(["verify", "--max-sum", "5", "--only", "ring",
                        "--format", "json"])
         summary = json.loads(capsys.readouterr().out)["summary"]
         assert status == 1
-        assert summary["failed"] > 0
+        assert (summary["total"], summary["failed"]) == (45, 8)
 
     def test_complex_group_fails_under_a_corrupted_differential(
             self, monkeypatch, capsys):

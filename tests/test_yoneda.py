@@ -14,6 +14,7 @@ from downup_hh.cohomology import (
     hh1_basis,
     hh2_basis,
     hh_dims_computed,
+    is_cocycle,
 )
 from downup_hh.linalg import QMatrix
 from downup_hh.resolution import HomComplex, L2_display
@@ -33,7 +34,7 @@ from downup_hh.yoneda import (
     _rescale,
     _row_space,
 )
-from test_invariants import coprime_instances
+from test_invariants import coprime_instances, coprime_weights
 
 def times(M, v):
     """M v as a list: the product of M with the one-column matrix of v."""
@@ -408,22 +409,40 @@ class TestRingStructure:
 
     def test_every_ring_table_lift_commutes_and_induces_its_cocycle(
             self, monkeypatch, capsys):
-        # the lifts that ring_structure multiplies, over the ring table of
-        # the benchmark, are chain maps lifting their classes
-        made = []
+        # the ring table of the benchmark lifts no chain map; the right
+        # factor of every product cochain it resolves lifts to a chain map
+        # that induces its cocycle, and the cochain is phi_p . sigma_1^q
+        made, lifted = [], []
 
-        def recording(C, phi_vec, side="left"):
-            cm = generic_lift(C, phi_vec, side)
-            made.append((cm, phi_vec))
-            return cm
+        def recording(C, phi, psi):
+            out = product_cochain(C, phi, psi)
+            made.append((C, phi, psi, list(out)))
+            return out
 
-        monkeypatch.setattr(yoneda, "generic_lift", recording)
+        def refused(*args, **kwargs):
+            lifted.append(args)
+            raise AssertionError("the ring table lifted a chain map")
+
+        product_cochain = yoneda._product_cochain
+        monkeypatch.setattr(yoneda, "_product_cochain", recording)
+        monkeypatch.setattr(yoneda, "generic_lift", refused)
+        monkeypatch.setattr(resolution.Resolution, "contract", refused)
         assert main(["table", "--which", "ring", "--max-sum", "8"]) == 0
         capsys.readouterr()
-        assert len(made) == 31
-        for cm, phi in made:
-            assert cm.verify(), cm.C.inst.key()
-            assert cm.induced_vector() == phi, cm.C.inst.key()
+        monkeypatch.undo()
+        assert lifted == []
+        assert len({id(C) for C, *_ in made}) == 16
+        right = {}
+        for C, phi, psi, out in made:
+            right.setdefault((id(C), tuple(psi)), (C, psi))
+        assert len(right) == 31  # every label but the first, per complex
+        lifts = {key: generic_lift(C, psi) for key, (C, psi) in right.items()}
+        for cm, (C, psi) in zip(lifts.values(), right.values()):
+            assert cm.verify(), C.inst.key()
+            assert cm.induced_vector() == psi, C.inst.key()
+        for C, phi, psi, out in made:
+            cm = lifts[(id(C), tuple(psi))]
+            assert out == cup_vector(C, phi, cm.sigma1), C.inst.key()
 
 
 class TestBatchedProducts:
@@ -443,10 +462,10 @@ class TestBatchedProducts:
         (Instance(3, 5, Q(0), Q(1)), 2), (Instance(1, 1, Q(0), Q(1)), 6)],
         ids=lambda x: x.key() if isinstance(x, Instance) else str(x))
     def test_only_the_read_products_are_computed(self, monkeypatch, inst, a):
-        # a - 1 lifts (every label but the first), a(a-1)/2 cup vectors and
-        # two eliminations, of D2^T and of the basis classes modulo im D2;
-        # a single label skips all of them
-        calls = {"lift": 0, "cup": 0, "elim": 0}
+        # no lift and no pairing: a(a-1)/2 product cochains and two
+        # eliminations, of D2^T and of the basis classes modulo im D2; a
+        # single label skips all of them
+        calls = {"lift": 0, "cup": 0, "cochain": 0, "elim": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -459,12 +478,14 @@ class TestBatchedProducts:
                             counted("lift", generic_lift))
         monkeypatch.setattr("downup_hh.yoneda.cup_vector",
                             counted("cup", cup_vector))
+        monkeypatch.setattr("downup_hh.yoneda._product_cochain",
+                            counted("cochain", yoneda._product_cochain))
         kernel = counted("elim", linalg._gauss_jordan)  # both call sites
         monkeypatch.setattr(linalg, "_gauss_jordan", kernel)
         monkeypatch.setattr(resolution, "_gauss_jordan", kernel)
         rs = ring_structure(C)
         assert len(rs["labels"]) == a
-        assert calls == {"lift": a - 1, "cup": a * (a - 1) // 2,
+        assert calls == {"lift": 0, "cup": 0, "cochain": a * (a - 1) // 2,
                          "elim": 2 * (a >= 2)}
         if a == 1:
             assert rs["products"] == {}
@@ -475,8 +496,8 @@ class TestBatchedProducts:
                                       Instance(1, 3, Q(0), Q(1))],
                              ids=lambda i: i.key())
     def test_a_non_cocycle_basis_vector_is_refused(self, monkeypatch, inst):
-        # the first label is never lifted, so only the cocycle product can
-        # catch a fault there
+        # no label is lifted and the product rule holds for cocycles only,
+        # so only the cocycle decision can catch a fault in the first label
         C = HomComplex(inst)
         bad = [Q(0)] * len(C.basis1)
         bad[0] = Q(1)  # tau[x1]^x alone is not a cocycle
@@ -496,6 +517,60 @@ class TestBatchedProducts:
         C = HomComplex(Instance(1, 1, Q(0), Q(1)))
         with pytest.raises(AssertionError, match="outside the HH\\^2 basis span"):
             ring_structure(C)
+
+
+def random_parameter_points():
+    """Three seeded (alpha, beta) at each coprime weight pair with
+    n + m <= 12, the first with alpha = 0."""
+    rng = random.Random(31)
+    points = []
+    for n, m in coprime_weights(12):
+        for k in range(3):
+            alpha = Q(rng.randint(-5, 5), rng.randint(1, 4)) if k else Q(0)
+            beta = Q(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 4))
+            points.append(Instance(n, m, alpha, beta))
+    return points
+
+
+class TestProductRule:
+    """_product_cochain(C, phi, psi) is phi . sigma_1 for the left-slot
+    generic lifting sigma of psi, entry for entry, for 1-cocycles phi and
+    psi."""
+
+    @pytest.mark.parametrize("inst", coprime_instances(12), ids=lambda i: i.key())
+    def test_equals_the_cup_with_a_generic_lift(self, inst):
+        C = HomComplex(inst)
+        hv = dict(hh1_basis(C))
+        for q, psi in hv.items():
+            sigma1 = generic_lift(C, psi).sigma1
+            for p, phi in hv.items():
+                if p != q:
+                    assert (yoneda._product_cochain(C, phi, psi)
+                            == cup_vector(C, phi, sigma1)), (p, q)
+
+    def test_the_random_points_hold_alpha_zero(self):
+        points = random_parameter_points()
+        assert len(points) == 3 * len(coprime_weights(12)) == 69
+        assert sum(inst.alpha == 0 for inst in points) >= len(points) // 3
+        assert len(set(points)) == len(points)
+
+    @pytest.mark.parametrize("inst", random_parameter_points(),
+                             ids=lambda i: i.key())
+    def test_at_random_parameters_and_cocycles(self, inst):
+        # the basis vectors and each one plus a random coboundary D1 x, every
+        # ordered pair: the rule needs cocycles, not basis vectors
+        rng = random.Random(inst.key())
+        C = HomComplex(inst)
+        basis = [v for _, v in hh1_basis(C)]
+        dx = times(C.D1, [Q(rng.randint(-3, 3), rng.randint(1, 3))
+                          for _ in C.basis0])
+        cocycles = basis + [[x + y for x, y in zip(v, dx)] for v in basis]
+        assert is_cocycle(C, cocycles)
+        for psi in cocycles:
+            sigma1 = generic_lift(C, psi).sigma1
+            for phi in cocycles:
+                assert (yoneda._product_cochain(C, phi, psi)
+                        == cup_vector(C, phi, sigma1))
 
 
 def ref_cup_vector(C, phi_vec, sigma1):
@@ -798,6 +873,8 @@ class TestExactValues:
         lifts = list(closed_form_lifts(C).values()) + generic
         cups = [cup_vector(C, phi, cm.sigma1) for _, phi in one
                 for cm in generic[::2]]  # the left lifts
+        cups += [yoneda._product_cochain(C, phi, psi)
+                 for _, phi in one for _, psi in one]
         cokers = ([C.coker(1, v) for _, v in one]
                   + [C.coker(2, v) for v in cups + [v for _, v in hh2_basis(C)]])
         assert inexact(x for D in (C.D1, C.D2) for row in D.rows for x in row) == []
@@ -819,6 +896,8 @@ class TestExactValues:
         lifts = list(closed_form_lifts(C).values()) + generic
         cups = [cup_vector(C, phi, cm.sigma1) for _, phi in one
                 for cm in generic]
+        cups += [yoneda._product_cochain(C, phi, psi)
+                 for _, phi in one for _, psi in one]
         cokers = ([C.coker(1, v) for _, v in one]
                   + [C.coker(2, v) for v in cups + [v for _, v in hh2_basis(C)]])
         assert non_ints([inst.lam(r) for r in range(-1, inst.m + 3)]) == []
