@@ -374,9 +374,8 @@ CHECKS = {
 }
 
 
-def _verify_worker(item):
+def _verify_worker(inst: Instance, fault, only):
     """All cross-checks of one sampled instance, as check dicts."""
-    inst, fault, only = item
     try:
         C = HomComplex(inst)
     except AssertionError as exc:
@@ -398,7 +397,7 @@ def _verify_pair(job):
     checks, notes = [], []
     for (c1, c2), rec in stratum_samples(n, m).items():
         if rec["status"] == "reached":
-            checks += _verify_worker((rec["instance"], fault, only))
+            checks += _verify_worker(rec["instance"], fault, only)
         else:
             label = f"n={n} m={m} stratum (Case {c1.value}, Case {c2.value})"
             notes.append({"instance": label, "group": "sweep",

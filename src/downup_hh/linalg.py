@@ -10,11 +10,11 @@ kernels work on *nonzero rows* instead: one dict {column: value} per row,
 holding that row's nonzero entries (`_nonzero`, `_dense` and `_transposed`
 convert).  The Hom complex keeps its differentials in this form from the
 pairing walk on, so its certificate, cocycle test, images and cokernels
-never touch a zero; `QMatrix.rank`, `_eliminate` and `@` hand their rows to
-the same kernels (rank only counts the pivots and densifies nothing).  Both
-kernels start from `_cleared`, which multiplies the rows by the lcm of every
-denominator and makes every entry an int, integral Fractions included (when
-every entry already is an int, it only copies); they compute over the
+never touch a zero; the `QMatrix` solvers and `@` hand their rows to the
+same kernels and densify only what they return.  Both kernels start from
+`_cleared`, which multiplies the rows by the lcm of every denominator and
+makes every entry an int, integral Fractions included (when every entry
+already is an int, it returns the rows as they are); they compute over the
 integers and form Fractions only for their non-integral results.
 
 The elimination kernel, `_gauss_jordan(rows, width)`, serves every solver.
@@ -23,12 +23,12 @@ elimination with pivots taken from the first `width` columns; the other
 columns ride along as right-hand sides.  Every updated row is divided by
 its gcd, so rows stay primitive, and rows with a zero in the pivot column
 are not touched.  An update walks the nonzeros of the two rows it combines.
-Next to the rows and the pivot columns it returns the rational factor by
-which it scaled the determinant, as an integer numerator and denominator.
-So rank counts pivots; rref, solve_many ([M | b_1 ... b_k], all right-hand
-sides in one pass, solve being its one-column case) and inverse ([M | I])
-divide pivot rows by their pivots; and det is the product of the pivots
-over that factor.
+It returns the reduced rows and the pivot columns, and the solvers read
+the rows as they come back: rank counts pivots; rref divides the pivot
+rows by their pivots; solve_many eliminates [M | b_1 ... b_k], all
+right-hand sides in one pass (solve is its one-column case), and inverse
+is solve_many on the unit columns.  det reads the constant coefficient of
+the characteristic polynomial below, not the kernel.
 
 The product kernel, `_product(a, b)`, clears A by d and B by e, adds
 x * (row k of e*B) over the nonzero entries x of row i of d*A, and returns
@@ -42,18 +42,19 @@ denominators: bordering the leading k x k block by row and column k
 multiplies its characteristic polynomial by a Toeplitz matrix whose entries
 come from k matrix-vector products.  Coefficient k of det(t*I - d*M) is
 d^(n-k) times that of det(t*I - M).  It shares only `_cleared` with the
-two kernels, and returns a list of exact scalars,
-lowest degree first: the package's one polynomial representation, which
-everywhere else holds integer coefficients.  No command runs it: the
-unipotency of the Serre action is decided by divisibility and by a
-nilpotency witness (`invariants`), and char_poly stays as a method that
-the benchmark's tracer wraps and the tests use as a reference.
+two kernels, and returns a list of exact scalars, lowest degree first: the
+package's one polynomial representation, which everywhere else holds
+integer coefficients.  det is (-1)^n times its constant coefficient.  No
+command runs either: the unipotency of the Serre action is decided by
+divisibility and by a nilpotency witness (`invariants`), and char_poly and
+det stay as methods that the benchmark's tracer wraps and the tests use as
+references.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from operator import mul
 
 Q = Fraction
@@ -161,23 +162,15 @@ class QMatrix:
 
     # -- elimination ------------------------------------------------------
 
-    def _eliminate(self, width: int | None = None):
-        """`_gauss_jordan` on the nonzero rows, pivots in the first `width`
-        columns, with the reduced rows returned dense: (rows, pivots,
-        factor)."""
-        rows, pivots, factor = _gauss_jordan(
-            _nonzero(self.rows), self.ncols if width is None else width)
-        return _dense(rows, self.ncols), pivots, factor
-
     def rank(self) -> int:
         return len(_gauss_jordan(_nonzero(self.rows), self.ncols)[1])
 
     def rref(self) -> tuple["QMatrix", list[int]]:
         """Reduced row echelon form and pivot column indices."""
-        rows, pivots, _ = self._eliminate()
-        for r, c in enumerate(pivots):
-            rows[r] = [_q(x, rows[r][c]) for x in rows[r]]
-        return QMatrix._of(rows, self.ncols), pivots
+        rows, pivots = _gauss_jordan(_nonzero(self.rows), self.ncols)
+        rows[:len(pivots)] = [{j: _q(x, row[c]) for j, x in row.items()}
+                              for row, c in zip(rows, pivots)]
+        return QMatrix._of(_dense(rows, self.ncols), self.ncols), pivots
 
     def kernel_basis(self) -> list[list[int | Fraction]]:
         """Basis of the right null space {v : Mv = 0}, one vector per free column."""
@@ -204,38 +197,35 @@ class QMatrix:
         if any(len(b) != self.nrows for b in cols):
             raise ValueError("rhs length mismatch")
         n = self.ncols
-        aug = QMatrix._of([row + [b[i] for b in cols]
-                           for i, row in enumerate(self.rows)], n + len(cols))
-        rows, pivots, _ = aug._eliminate(n)
+        aug = _nonzero([row + [b[i] for b in cols]
+                        for i, row in enumerate(self.rows)])
+        rows, pivots = _gauss_jordan(aug, n)
         rank, out = len(pivots), []
         for k in range(n, n + len(cols)):
-            if any(row[k] for row in rows[rank:]):
+            if any(k in row for row in rows[rank:]):
                 out.append(None)
                 continue
             x = [0] * n
             for row, c in zip(rows, pivots):
-                x[c] = _q(row[k], row[c])
+                x[c] = _q(row.get(k, 0), row[c])
             out.append(x)
         return out
 
     def inverse(self) -> "QMatrix":
+        """M^-1 from solve_many on the unit columns: when M is singular its
+        column space is a proper subspace, and some unit column is not in it."""
         if self.nrows != self.ncols:
             raise ValueError("inverse of non-square matrix")
         n = self.nrows
-        rows, pivots, _ = QMatrix._of(
-            [row + [int(i == j) for j in range(n)] for i, row in enumerate(self.rows)],
-            2 * n)._eliminate(n)
-        if len(pivots) < n:
+        cols = self.solve_many([[int(i == j) for i in range(n)] for j in range(n)])
+        if None in cols:
             raise ValueError("matrix is singular")
-        return QMatrix([[_q(x, row[c]) for x in row[n:]] for row, c in zip(rows, pivots)])
+        return QMatrix.from_columns(cols)
 
     def det(self) -> int | Fraction:
         if self.nrows != self.ncols:
             raise ValueError("determinant of non-square matrix")
-        rows, pivots, (num, den) = self._eliminate()
-        if len(pivots) < self.nrows:
-            return 0
-        return _q(prod(row[c] for row, c in zip(rows, pivots)) * den, num)
+        return (-1) ** self.nrows * self.char_poly()[0]
 
     def char_poly(self) -> list[int | Fraction]:
         """The coefficients of det(t*I - M), lowest degree first, by
@@ -301,18 +291,14 @@ def _cleared(rows: list[dict]) -> tuple[int, list[dict]]:
 
 def _gauss_jordan(rows: list[dict], width: int):
     """Integer Gauss-Jordan on the nonzero rows, pivots in the first `width`
-    columns (see the module docstring).  Returns (rows, pivots, factor): the
-    reduced rows as dicts of nonzero ints, pivot rows first in pivot order;
-    the pivot columns; the factor (num, den) by which the elimination scaled
-    the determinant, as two integers: only det reads it.
-    """
-    e, out = _cleared(rows)
-    out, num, den = list(out), e ** len(out), 1
+    columns (see the module docstring).  Returns (rows, pivots): the reduced
+    rows as dicts of nonzero ints, pivot rows first in pivot order, and the
+    pivot columns."""
+    out = list(_cleared(rows)[1])
     for i, row in enumerate(out):
         content = gcd(*row.values()) or 1
         if content > 1:
             out[i] = {j: x // content for j, x in row.items()}
-            den *= content
     pivots: list[int] = []
     for c in range(width):
         r = len(pivots)
@@ -321,9 +307,7 @@ def _gauss_jordan(rows: list[dict], width: int):
         piv = next((i for i in range(r, len(out)) if c in out[i]), None)
         if piv is None:
             continue
-        if piv != r:
-            out[r], out[piv] = out[piv], out[r]
-            num = -num
+        out[r], out[piv] = out[piv], out[r]
         prow = out[r]
         p = prow[c]
         for i, row in enumerate(out):
@@ -338,9 +322,8 @@ def _gauss_jordan(rows: list[dict], width: int):
                         del new[j]
                 g = gcd(*new.values()) or 1
                 out[i] = {j: x // g for j, x in new.items()} if g > 1 else new
-                num, den = num * p, den * g
         pivots.append(c)
-    return out, pivots, (num, den)
+    return out, pivots
 
 
 def _product(a: list[dict], b: list[dict]) -> list[dict]:

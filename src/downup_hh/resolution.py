@@ -76,8 +76,8 @@ from types import MappingProxyType
 
 from .algebra import XXY, XYY, Beilinson, acc
 from .core import Cond1, Instance, classify
-from .linalg import (QMatrix, _as_q, _dense, _gauss_jordan, _product, _q,
-                     _transposed)
+from .linalg import (QMatrix, _as_q, _cleared, _dense, _gauss_jordan, _product,
+                     _q, _transposed)
 
 
 def kept(fn):
@@ -355,7 +355,7 @@ def _echelon(rows, ncols):
     """`HomComplex.image` of the matrix with these nonzero rows and ncols
     columns: one elimination of its transpose, frozen."""
     width = len(rows)
-    rows, pivots, _ = _gauss_jordan(_transposed(rows, ncols), width)
+    rows, pivots = _gauss_jordan(_transposed(rows, ncols), width)
     s = lcm(*(row[c] for row, c in zip(rows, pivots)))
     free = tuple(sorted(set(range(width)) - set(pivots)))
     return (s, free, MappingProxyType({
@@ -466,11 +466,9 @@ class HomComplex:
         if len(v) != self.dims[k]:
             raise ValueError("vector length mismatch")
         s, free, rows = self.image(k)
-        support = [(c, x) for c, x in enumerate(v) if x]
-        d = lcm(*(x.denominator for _, x in support))
+        d, (support,) = _cleared([{c: x for c, x in enumerate(v) if x}])
         out = dict.fromkeys(free, 0)
-        for c, x in support:
-            x = x.numerator * (d // x.denominator)
+        for c, x in support.items():
             if c in rows:
                 for j, y in rows[c].items():
                     out[j] -= x * y

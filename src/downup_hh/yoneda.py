@@ -1,31 +1,34 @@
-"""Cup products on Hochschild cohomology via lifted chain maps.
+"""Cup products on Hochschild cohomology, read off the relations.
 
 A degree-1 cocycle phi on the Hom complex corresponds to a bimodule map
-P1 -> B.  Lifting it through the resolution gives a chain map
+P1 -> B.  A lifting of it through the resolution is a chain map
 
     sigma_0 : P1 -> P0,   sigma_1 : P2 -> P1
 
 with  aug . sigma_0 = phi  and  d1 . sigma_1 = - sigma_0 . d2  (the lifted
 complex sits one step to the left, whence the sign).  The product of the
-classes [phi][psi] in HH^2 is then represented by the degree-2 cochain
-phi . sigma^psi_1.  Resolution.pair, the walk that builds D1 and D2, pulls
-phi back along sigma_1 (cup_vector, walking only the functionals in the
-support of phi) and aug, the sum of the vertex functionals, back along
-sigma_0 (induced_vector).
+classes [phi][psi] in HH^2 is represented by the degree-2 cochain
+phi . sigma^psi_1, whatever the lifting.  The ring stage forms no lifting:
+it reads that cochain off the relations by the product rule below.
 
-Each distinguished HH^1 basis element has a closed-form lifting, assembled
-here literally (closed_form_lifts); an arbitrary cocycle is lifted by
-generic_lift, which places phi's value in a unit slot for sigma_0 and takes
+Liftings serve the `lifts` check group and the tests' references.  Each
+distinguished HH^1 basis element has a closed-form lifting, assembled here
+literally (closed_form_lifts); Resolution.pair, the walk that builds D1 and
+D2, pulls aug, the sum of the vertex functionals, back along sigma_0
+(induced_vector), and the check verifies the chain-map identity and the
+induced class.  An arbitrary cocycle is lifted by generic_lift, which
+places phi's value in a unit slot for sigma_0 and takes
 sigma_1(h) = contract(-sigma_0(d2(h))) through the resolution's contracting
 homotopy -- aug . sigma_0 . d2 = phi . d2 vanishes precisely for cocycles,
-and then d1 . contract is the identity on sigma_0(d2(h)).  Cross-checking
-the two liftings of the same class, and the left- against the right-slot
-generic lifting, exercises the fact that the induced product does not depend
-on the choice of lift.
+and then d1 . contract is the identity on sigma_0(d2(h)); cup_vector pulls
+phi back along its sigma_1.  No command calls generic_lift or cup_vector.
+The tests compare the products of the liftings with each other (closed
+form against generic, left slot against right) and with the product rule,
+as the product does not depend on the lift.
 
-The product cochain of the left-slot generic lifting needs no lift at all.
-For 1-cocycles phi, psi and a relation h = sum c w, each w a word of length
-3, the product rule gives
+The product cochain of the left-slot generic lifting needs no lift.  For
+1-cocycles phi, psi and a relation h = sum c w, each w a word of length 3,
+the product rule gives
 
     phi(sigma^psi_1(h)) = sum_{c w} c sum_{i<j} w_{<i} phi(w_i) w_{(i,j)}
                                                 psi(w_j) w_{>j}.

@@ -150,7 +150,7 @@ class TestArgumentDiscipline:
     @pytest.mark.parametrize("old", [None, "old report\n"])
     def test_out_check_leaves_the_target_as_it_was_when_the_work_fails(
             self, old, tmp_path, monkeypatch):
-        def broken(item):
+        def broken(inst, fault, only):
             raise RuntimeError("worker failed")
 
         monkeypatch.setattr(cli, "_verify_worker", broken)

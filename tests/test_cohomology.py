@@ -472,7 +472,7 @@ def ref_coker(red, pivots, free, v):
 
 def record_eliminations(monkeypatch, seen):
     """Append to `seen` the nonzero rows handed to the one elimination
-    kernel, at both of its call sites: QMatrix._eliminate and the images."""
+    kernel, at both of its call sites: the QMatrix solvers and the images."""
     kernel = linalg._gauss_jordan
 
     def recorded(rows, width):
@@ -589,7 +589,7 @@ class TestImages:
         for inst in (i for i in sweep() if i.n + i.m <= 5):
             C = HomComplex(inst)
             seen.clear()
-            cli._verify_worker((inst, None, only))
+            cli._verify_worker(inst, None, only)
             one, two = eliminations(C, seen)
             assert two <= 1, inst.key()
             if only is None:
@@ -641,7 +641,7 @@ class TestKeptPerComplex:
         unit_vec = cohomology._unit_vec
         monkeypatch.setattr(cohomology, "_unit_vec",
                             lambda *a: calls.append(1) or unit_vec(*a))
-        checks = cli._verify_worker((inst, None, None))
+        checks = cli._verify_worker(inst, None, None)
         assert checks and all(c["pass"] for c in checks)
         _, h1, h2 = hh_dims_computed(HomComplex(inst))
         assert len(calls) == h1 + h2 == units
